@@ -2,10 +2,11 @@
 
 A bench-scale DBLP snapshot is partitioned into one- and two-shard
 fleets; each fleet runs real :class:`CommunityService` backends on
-ephemeral ports behind a started :class:`RouterService`. Closed-loop
-clients drive a mixed top-k workload through the router's HTTP stack
-and record per-request latencies, so each cell reports sustained
-queries/second plus p50/p95 milliseconds.
+ephemeral ports behind a started :class:`AsyncRouterService`.
+Closed-loop clients drive a mixed top-k workload through the router's
+HTTP stack and record per-request latencies, so each cell reports
+sustained queries/second plus p50/p95 milliseconds over
+:data:`ROUNDS` measured rounds.
 
 The shards=1 cell is the routing-overhead baseline (one fan-out leg,
 a trivial merge); shards=2 shows what the scatter-gather tier costs
@@ -26,7 +27,8 @@ import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.service import CommunityService, ServiceClient
-from repro.shard import RouterService, partition_snapshot
+from repro.shard import partition_snapshot
+from repro.shard.aio import AsyncRouterService
 from repro.snapshot import SnapshotStore
 
 #: Closed-loop client threads per measured round.
@@ -34,6 +36,10 @@ CLIENTS = 4
 
 #: Requests per client per measured round.
 REQUESTS_PER_CLIENT = 6
+
+#: Measured rounds per cell: the regression gate compares medians,
+#: which need at least five samples to mean anything.
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +65,9 @@ def fleet(request, tmp_path_factory, dblp_snapshot):
             tmp / entry.store / entry.snapshot_id)
         backends.append(
             CommunityService(engine, port=0, workers=2).start())
-    router = RouterService(manifest,
-                           [b.url for b in backends],
-                           root=tmp).start()
+    router = AsyncRouterService(manifest,
+                                [b.url for b in backends],
+                                root=tmp).start()
     yield shards, router
     router.shutdown()
     for backend in backends:
@@ -118,15 +124,16 @@ def test_router_throughput(benchmark, dblp, fleet):
     for body in requests:
         warm.request("POST", "/query", body)
 
+    rounds = []
+
     def round_trip():
         latencies, elapsed = _closed_loop(
             router.url, requests, CLIENTS, REQUESTS_PER_CLIENT)
-        return latencies, len(latencies) / elapsed
+        rounds.append((latencies, len(latencies) / elapsed))
 
-    rounds = [round_trip() for _ in range(3)]
+    benchmark.pedantic(round_trip, rounds=ROUNDS, iterations=1)
     latencies = sorted(lat for sample, _ in rounds for lat in sample)
     qps = statistics.median(rate for _, rate in rounds)
-    benchmark.pedantic(round_trip, rounds=1, iterations=1)
     benchmark.extra_info.update({
         "shards": shards,
         "clients": CLIENTS,

@@ -46,6 +46,7 @@ import time
 from pathlib import Path
 from typing import (
     Any,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -128,6 +129,7 @@ class QueryEngine:
         self._snapshot_mode: Optional[str] = None
         self._mode_request: str = "copy"
         self._base_snapshot_id: Optional[str] = None
+        self._partition: Optional[Dict[str, Any]] = None
         self._deltas_applied = 0
         self._applied_lsn = 0
 
@@ -170,6 +172,7 @@ class QueryEngine:
         engine._generation = snapshot.id
         engine._snapshot_id = snapshot.id
         engine._base_snapshot_id = snapshot.id
+        engine._partition = snapshot.provenance.get("partition")
         engine._snapshot_loaded_at = time.time()
         engine._snapshot_mode = getattr(snapshot, "mode", "copy")
         engine._mode_request = request
@@ -216,6 +219,7 @@ class QueryEngine:
             self._generation = snapshot.id
             self._snapshot_id = snapshot.id
             self._base_snapshot_id = snapshot.id
+            self._partition = snapshot.provenance.get("partition")
             self._deltas_applied = 0
             self._applied_lsn = 0
             self._snapshot_loaded_at = time.time()
@@ -238,6 +242,13 @@ class QueryEngine:
     def snapshot_loaded_at(self) -> Optional[float]:
         """Epoch seconds of the last snapshot load/swap, if any."""
         return self._snapshot_loaded_at
+
+    @property
+    def partition(self) -> Optional[Dict[str, Any]]:
+        """The ``partition`` provenance block of the loaded snapshot
+        (shard id, shard count, source snapshot) when it is one shard
+        of a partitioned build; ``None`` for a whole graph."""
+        return self._partition
 
     @property
     def snapshot_mode(self) -> Optional[str]:

@@ -153,6 +153,12 @@ class ParallelQueryEngine:
         return self.local.snapshot_loaded_at
 
     @property
+    def partition(self) -> Optional[Dict[str, Any]]:
+        """Shard provenance of the served snapshot (see
+        :attr:`QueryEngine.partition`)."""
+        return self.local.partition
+
+    @property
     def snapshot_mode(self) -> Optional[str]:
         """Materialization actually in effect (``"copy"``/``"mmap"``)
         — an ``"auto"`` request resolves against the artifact. Same

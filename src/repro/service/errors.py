@@ -22,6 +22,7 @@ from repro.exceptions import ServiceError
 
 __all__ = [
     "BadRequest",
+    "Conflict",
     "DeadlineExceeded",
     "NotFound",
     "Overloaded",
@@ -44,6 +45,19 @@ class NotFound(ServiceError):
     """No such route or session id."""
 
     status = 404
+
+
+class Conflict(ServiceError):
+    """The served state refuses the request, whatever its body.
+
+    A backend serving one shard of a partitioned snapshot answers a
+    delta with ``409``: the other shards' halos hold copies of the
+    tuples it would change, and nothing routes the delta to them, so
+    accepting it would silently split the fleet from the unsharded
+    answer.
+    """
+
+    status = 409
 
 
 class SessionGone(ServiceError):
@@ -102,8 +116,8 @@ RETRYABLE_STATUSES = frozenset({429, 503})
 #: Status-code -> error class, for client-side re-raising.
 _BY_STATUS = {
     cls.status: cls
-    for cls in (BadRequest, NotFound, SessionGone, Overloaded,
-                DeadlineExceeded)
+    for cls in (BadRequest, NotFound, Conflict, SessionGone,
+                Overloaded, DeadlineExceeded)
 }
 
 

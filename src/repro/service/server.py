@@ -82,7 +82,12 @@ from repro.service.admission import (
     DEFAULT_WORKERS,
     AdmissionController,
 )
-from repro.service.errors import BadRequest, NotFound, ShuttingDown
+from repro.service.errors import (
+    BadRequest,
+    Conflict,
+    NotFound,
+    ShuttingDown,
+)
 from repro.service.http import (
     SnapshotTransfer,
     route_snapshot_transfer,
@@ -661,20 +666,34 @@ class CommunityService:
         Body: ``{"nodes": [...], "edges": [[u, v, w], ...],
         "banks_reweight": false}`` — the
         :class:`~repro.text.maintenance.GraphDelta` wire form.
-        Validation happens first (typed 400 before any side effect),
-        then, under the ingest lock, the delta is appended to the WAL
-        — fsynced per the serving policy — and only then applied to
-        the engine: an acknowledged LSN is always recoverable. On a
-        :class:`~repro.parallel.ParallelQueryEngine` the apply also
-        fans the delta out to every pool worker.
+        Everything happens under the ingest lock, which compaction
+        and reloads also hold while they swap the served graph, so
+        the node count the delta is validated against is the one it
+        is applied to. A backend serving one shard of a partitioned
+        snapshot refuses with a typed 409; validation follows (typed
+        400 before any side effect); then the delta is appended to
+        the WAL — fsynced per the serving policy — and only then
+        applied to the engine: an acknowledged LSN is always
+        recoverable. On a :class:`~repro.parallel.ParallelQueryEngine`
+        the apply also fans the delta out to every pool worker.
         """
         faults.hit("service.delta")
-        payload = _parse_body(body)
-        banks = payload.get("banks_reweight", False)
-        if not isinstance(banks, bool):
-            raise BadRequest("'banks_reweight' must be a boolean")
-        delta = parse_delta(payload, base_nodes=self.engine.dbg.n)
         with self.ingest_lock:
+            partition = getattr(self.engine, "partition", None)
+            if partition is not None:
+                raise Conflict(
+                    f"this backend serves shard "
+                    f"{partition.get('shard')} of "
+                    f"{partition.get('of')} of a partitioned "
+                    f"snapshot; the other shards' halos would keep "
+                    f"the old tuples, so deltas are refused — apply "
+                    f"it to the unsharded snapshot and partition "
+                    f"again")
+            payload = _parse_body(body)
+            banks = payload.get("banks_reweight", False)
+            if not isinstance(banks, bool):
+                raise BadRequest("'banks_reweight' must be a boolean")
+            delta = parse_delta(payload, base_nodes=self.engine.dbg.n)
             lsn = None
             if self.wal is not None:
                 lsn = self.wal.append_delta(

@@ -7,12 +7,13 @@ servable artifact covering one owned region of ``G_D`` plus the halo
 of context nodes its queries can reach. A JSON *routing manifest*
 (:mod:`repro.shard.manifest`) records the shard table, the node
 ownership map, and per-shard keyword Bloom summaries. A stateless
-*router* (:mod:`repro.shard.router`) fans queries out to per-shard
-backends over the existing :class:`~repro.service.ServiceClient` and
-reassembles exact answers with the merge algebra of
-:mod:`repro.shard.merge`: PDk streams are combined by k-way
-merge-by-cost (exact, because each shard enumerates in non-decreasing
-cost order), PDall answers by ownership-filtered union.
+asyncio *router* (:class:`repro.shard.aio.AsyncRouterService`, its
+policy in :class:`repro.shard.routing.RouterCore`) fans queries out to
+per-shard replica sets and reassembles exact answers with the merge
+algebra of :mod:`repro.shard.merge`: PDk streams are combined by
+k-way merge-by-cost (exact, because each shard enumerates in
+non-decreasing cost order), PDall answers by ownership-filtered
+union.
 
 The correctness backbone is *anchor ownership*: every community is
 uniquely determined by its core, each core has one anchor (its
@@ -46,9 +47,8 @@ from repro.shard.partition import (
     partition_graph,
     partition_snapshot,
 )
-from repro.shard.router import RouterService
-from repro.shard.routing import RouterCore, reload_fleet
-from repro.shard.transport import ReplicaSet, parse_shard_urls
+from repro.shard.routing import RouterCore, parse_shard_urls, \
+    reload_fleet
 
 __all__ = [
     "ROUTING_NAME",
@@ -68,9 +68,7 @@ __all__ = [
     "ShardBundle",
     "partition_graph",
     "partition_snapshot",
-    "RouterService",
     "RouterCore",
     "reload_fleet",
-    "ReplicaSet",
     "parse_shard_urls",
 ]

@@ -1,7 +1,6 @@
-"""The asyncio scatter-gather router front end.
+"""The scatter-gather router front end, on one asyncio event loop.
 
-Event-loop siblings of the threaded transport stack, sharing every
-line of routing *policy* with :mod:`repro.shard.router` through
+Transport half of the router; all routing *policy* lives in
 :class:`~repro.shard.routing.RouterCore`:
 
 * :class:`AsyncShardClient` — a dependency-free HTTP/1.1 client over
@@ -10,27 +9,47 @@ line of routing *policy* with :mod:`repro.shard.router` through
   taxonomy as :class:`~repro.service.client.ServiceClient`. Every
   exchange runs under :func:`asyncio.wait_for`, so one hung shard
   costs one leg's deadline, never a blocked thread.
-* :class:`AsyncReplicaSet` — per-shard replica failover with the
-  sticky active cursor of :class:`~repro.shard.transport.ReplicaSet`.
-* :class:`AsyncRouterService` — an ``asyncio.start_server`` front end
-  serving the same endpoints and envelopes as the threaded
-  :class:`~repro.shard.router.RouterService`. Fan-out legs are
-  ``asyncio.gather`` calls, so a round's concurrency is bounded by
-  the fleet, not a thread pool; overfetch rounds drive the sans-IO
-  :class:`~repro.shard.merge.TopKMerge` state machine, issuing each
-  round's refetches concurrently. The admin plane
-  (``/admin/reload``, including the cross-box ``transfer`` mode)
-  reuses the synchronous :func:`~repro.shard.routing.reload_fleet`
-  on an executor thread — reloads are rare and must not fork the
-  verify-then-rollback logic into a second implementation.
+* :class:`AsyncReplicaSet` — one shard's interchangeable backends
+  behind a sticky active cursor, failing a leg over to a sibling box
+  before the router gives the shard up.
+* :class:`AsyncRouterService` — an ``asyncio.start_server`` front
+  end. Fan-out legs are ``asyncio.gather`` calls, so a round's
+  concurrency is bounded by the fleet, not a thread pool; overfetch
+  rounds drive the sans-IO :class:`~repro.shard.merge.TopKMerge`
+  state machine, issuing each round's refetches concurrently. The
+  admin plane (``/admin/reload``, including the cross-box
+  ``transfer`` mode) runs the synchronous
+  :func:`~repro.shard.routing.reload_fleet` on an executor thread —
+  reloads are rare, walk every replica in order, and must not hold
+  up the loop.
 
-Why a second front end: the threaded router spends a thread per
-in-flight leg, so a fan-out of ``shards x replicas x concurrent
-clients`` legs is bounded by pool width and pays context-switch
-overhead per leg. The event loop multiplexes every leg on one
-thread; both front ends return byte-identical answers (the
-integration tests assert it), so operators choose per deployment
-with ``serve-router --async``.
+Endpoints mirror the single-box service where they overlap:
+
+* ``POST /query`` — fanned to the shards whose Bloom admits every
+  keyword; PDk answers come from the exact overfetching k-way merge,
+  PDall from the ownership-filtered union in canonical ``(cost,
+  core)`` order. The response envelope adds ``shards_answered`` /
+  ``shards_total`` / ``partial``: a shard whose whole replica set
+  times out, sheds, or crashes mid-fan-out costs *coverage*, not
+  availability — the router answers ``200`` with what the live
+  shards proved.
+* ``POST /batch`` — shard-aware batching: one ``/batch`` per shard
+  carrying exactly the entries that shard is eligible for, answers
+  reassembled per entry (each entry gets its own partiality fields).
+* ``GET /healthz`` — aggregated fleet health (per-shard rows with
+  per-replica detail plus a rolled-up status).
+* ``GET /metrics`` — ``repro_router_*`` counters/gauges (including
+  ``repro_router_failover_total``) plus per-shard fan-out latency
+  histograms.
+* ``POST /admin/reload`` — re-reads the routing manifest and
+  broadcasts per-replica reloads with rollback; with
+  ``{"transfer": true}`` each shard snapshot is pushed over the wire
+  first.
+
+The router holds no query state between requests — overfetch rounds
+re-ask shards with larger ``k`` (queries are idempotent stateless
+reads, retried by the client layer on torn connections), so any
+number of router replicas can sit behind one load balancer.
 """
 
 from __future__ import annotations
@@ -76,10 +95,10 @@ from repro.shard.routing import (
     DEFAULT_SHARD_TIMEOUT,
     QueryPlan,
     RouterCore,
-    build_replica_sets,
+    _should_failover,
+    parse_shard_urls,
     reload_fleet,
 )
-from repro.shard.transport import _should_failover
 
 PathLike = Union[str, Path]
 
@@ -377,12 +396,17 @@ class AsyncShardClient:
 
 
 class AsyncReplicaSet:
-    """Event-loop sibling of :class:`~repro.shard.transport.ReplicaSet`.
+    """One shard's interchangeable backends behind a sticky cursor.
 
-    Same sticky-active-cursor failover contract — each sibling tried
-    at most once per call, success promotes the answering sibling,
-    deterministic 4xx propagate immediately — with an awaitable
-    ``call``. No locks: instances belong to one event loop.
+    A shard may be served by several boxes holding the same shard
+    snapshot. Every call goes to the *active* replica; a transport
+    failure or a shedding reply (429/503, after the client's own
+    retries) fails the call over to the next sibling, each sibling
+    tried at most once per call. Success on a sibling makes it the
+    new active replica, so a dead primary costs one failover per
+    in-flight call, not one per future call. Deterministic errors
+    (400/404/410) propagate immediately — a replica cannot fix a bad
+    request. No locks: instances belong to one event loop.
     """
 
     def __init__(self, shard_id: int, urls: List[str],
@@ -447,21 +471,20 @@ class AsyncReplicaSet:
 class AsyncRouterService:
     """Event-loop scatter-gather front end over a shard fleet.
 
-    Endpoint-for-endpoint and byte-for-byte compatible with the
-    threaded :class:`~repro.shard.router.RouterService` (same
-    constructor signature, same envelopes, same metrics names); only
-    the transport differs. :meth:`start` runs the event loop on a
-    background thread so tests and embedders drive it exactly like
-    the threaded service; :meth:`serve_forever` runs it on the
-    calling thread for the CLI.
+    Each ``shard_urls`` entry names one shard's replica set — a
+    single URL, or comma-separated sibling URLs that serve the same
+    shard snapshot (``"http://a:8420,http://b:8420"``); entry ``i``
+    serves shard ``i``. ``root`` is the partition root the manifest
+    was loaded from; ``/admin/reload`` re-reads it and resolves
+    per-shard stores against it. :meth:`start` runs the event loop
+    on a background thread and returns once the socket is bound.
 
     The data plane (``/query``, ``/batch``, ``/healthz``) is fully
     async over :class:`AsyncReplicaSet` fan-outs. The admin plane
-    (``/admin/reload``) delegates to the shared synchronous
+    (``/admin/reload``) runs the synchronous
     :func:`~repro.shard.routing.reload_fleet` on an executor thread,
-    over a parallel set of synchronous
-    :class:`~repro.service.client.ServiceClient` replicas — one
-    implementation of verify-then-rollback, two front ends.
+    over one blocking :class:`~repro.service.client.ServiceClient`
+    per replica.
     """
 
     def __init__(self, manifest: RoutingManifest,
@@ -471,20 +494,31 @@ class AsyncRouterService:
                  shard_timeout: float = DEFAULT_SHARD_TIMEOUT,
                  shard_retries: int = DEFAULT_SHARD_RETRIES,
                  retry_seed: Optional[int] = None) -> None:
+        groups = parse_shard_urls(shard_urls)
+        if len(groups) != len(manifest.shards):
+            # At construction, so a misconfigured router dies at
+            # startup, not at first query.
+            raise ServiceError(
+                f"the routing manifest names {len(manifest.shards)} "
+                f"shards but {len(groups)} shard URLs were supplied; "
+                f"pass exactly one per shard, in shard order "
+                f"(comma-separate replica URLs within one)")
         self.core = RouterCore(manifest, root=root)
-        self.replica_sets = build_replica_sets(
-            manifest, shard_urls, self.core,
-            lambda url: AsyncShardClient(
-                url, timeout=shard_timeout, retries=shard_retries,
-                retry_seed=retry_seed),
-            set_factory=AsyncReplicaSet)
-        # The admin plane runs the shared synchronous reload logic on
-        # an executor thread; it needs blocking clients.
-        self._admin_replicas = build_replica_sets(
-            manifest, shard_urls, self.core,
-            lambda url: ServiceClient(
-                url, timeout=shard_timeout, retries=shard_retries,
-                retry_seed=retry_seed))
+        self.replica_sets = [
+            AsyncReplicaSet(
+                shard_id, urls,
+                client_factory=lambda url: AsyncShardClient(
+                    url, timeout=shard_timeout, retries=shard_retries,
+                    retry_seed=retry_seed),
+                on_failover=self.core.note_failover)
+            for shard_id, urls in enumerate(groups)]
+        # The admin plane runs the synchronous reload logic on an
+        # executor thread; it needs blocking clients.
+        self._admin_fleet = [
+            [ServiceClient(url, timeout=shard_timeout,
+                           retries=shard_retries,
+                           retry_seed=retry_seed) for url in urls]
+            for urls in groups]
         self._host_arg = host
         self._port_arg = port
         self._bound: Optional[Tuple[str, int]] = None
@@ -494,11 +528,6 @@ class AsyncRouterService:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
-
-    @property
-    def manifest(self) -> RoutingManifest:
-        """The live routing manifest (current generation)."""
-        return self.core.capture()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -535,10 +564,6 @@ class AsyncRouterService:
             if self._startup_error is not None:
                 raise self._startup_error
         return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._run_loop()
 
     def _run_loop(self) -> None:
         """Own one event loop for the server's whole lifetime."""
@@ -593,8 +618,9 @@ class AsyncRouterService:
             self._thread.join(timeout=10.0)
             self._thread = None
         self._loop = None
-        for replicas in self._admin_replicas:
-            replicas.close()
+        for clients in self._admin_fleet:
+            for client in clients:
+                client.close()
 
     def __enter__(self) -> "AsyncRouterService":
         """Context-manager entry (the server need not be started)."""
@@ -678,7 +704,7 @@ class AsyncRouterService:
         return method.upper(), target, headers, body
 
     # ------------------------------------------------------------------
-    # request handling (same ladder as the threaded front end)
+    # request handling (same ladder as CommunityService.handle)
     # ------------------------------------------------------------------
     async def handle_async(self, method: str, path: str,
                            body: bytes) -> Response:
@@ -731,7 +757,7 @@ class AsyncRouterService:
             loop = asyncio.get_running_loop()
             reply = await loop.run_in_executor(
                 None, reload_fleet, self.core,
-                self._admin_replicas, body)
+                self._admin_fleet, body)
             return "/admin/reload", json.dumps(reply), \
                 JSON_CONTENT_TYPE
         raise NotFound(f"no route {method} /{'/'.join(parts)}")
@@ -828,10 +854,13 @@ class AsyncRouterService:
     async def _batch(self, body: bytes) -> Dict[str, Any]:
         """``POST /batch``: shard-aware batched scatter-gather.
 
-        The same round-1 /batch-per-shard strategy as the threaded
-        front end; entries' top-k merges then proceed concurrently,
-        each reusing its shard's round-1 slice before issuing
-        individual refetch legs.
+        Round 1 sends each shard **one** ``/batch`` containing
+        exactly the entries it is eligible for — one HTTP round-trip
+        keeps every shard's worker pool busy, which is the point of
+        batching. Each entry's top-k merge then reuses its shard's
+        round-1 slice; entries that fail the exactness check (a
+        shard's filtered prefix ran short) refetch with single
+        ``/query`` legs of doubled ``k`` — rare, and still stateless.
         """
         manifest, plans, deadline, want_labels = \
             self.core.parse_batch(body)
@@ -950,7 +979,3 @@ class AsyncRouterService:
             for index, client in enumerate(replicas.clients)})
         return self.core.health_payload(manifest, self.replica_sets,
                                         responses)
-
-    def render_metrics(self) -> str:
-        """One Prometheus scrape of the router."""
-        return self.core.render_metrics(self.replica_sets)

@@ -151,10 +151,9 @@ class TopKMerge:
     fetching. A caller alternates :meth:`next_round` (which wants to
     ask, and for how much) with :meth:`feed` (what came back) until
     :attr:`done` flips true, then reads :meth:`outcome`.
-    The threaded router fans a round out over its worker pool, the
-    asyncio router over ``asyncio.gather`` — both drive the identical
-    state machine, so the two front ends cannot diverge on merge
-    policy.
+    The router fans each round out with ``asyncio.gather``;
+    :func:`merge_top_k` drives the same state machine over a
+    synchronous ``fetch_many`` for the tests and in-process callers.
 
     Exactness condition: the merged k-th answer's cost must be
     *strictly* below every live shard's frontier (ties at the

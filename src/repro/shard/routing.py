@@ -1,17 +1,16 @@
-"""Transport-agnostic routing core shared by both router front ends.
+"""Transport-agnostic routing policy behind the asyncio router.
 
 :class:`RouterCore` is everything the scatter-gather router knows
-that does **not** involve sockets or threads: validating query specs
-against the manifest's keyword Blooms, building per-shard leg
+that does **not** involve sockets or the event loop: validating query
+specs against the manifest's keyword Blooms, building per-shard leg
 payloads, globalizing and ownership-filtering shard answers,
 interpreting a leg's reply as a :class:`~repro.shard.merge.
 FetchResult`, assembling response envelopes with the partial-result
 contract, aggregating health rows, adopting new manifest
-generations, and rendering ``repro_router_*`` metrics. The threaded
-front end (:mod:`repro.shard.router`) and the asyncio front end
-(:mod:`repro.shard.aio`) both delegate here, so the two cannot
-diverge on routing semantics — the only code they own is *how*
-rounds fan out.
+generations, and rendering ``repro_router_*`` metrics. The front end
+(:class:`~repro.shard.aio.AsyncRouterService`) owns only *how* rounds
+fan out; every routing decision is made here, where the unit tests
+can reach it without a socket.
 
 Every request handler captures the manifest **once** via
 :meth:`RouterCore.capture` and threads it through the request: a
@@ -20,24 +19,28 @@ mid-request can therefore never mix two generations' owner maps or
 node maps inside one answer — the same capture-once discipline the
 engine applies to snapshots.
 
-:func:`reload_fleet` is the shared admin plane: the verify-then-
-rollback manifest rollout, including the cross-box form that pushes
-each shard's snapshot over the wire (:func:`~repro.service.http.
+:func:`reload_fleet` is the admin plane: the verify-then-rollback
+manifest rollout, including the cross-box form that pushes each
+shard's snapshot over the wire (:func:`~repro.service.http.
 push_snapshot`) and reloads by snapshot id, so partition and serve
 need no shared filesystem. It is deliberately synchronous — reloads
-are rare; the asyncio front end runs it on an executor thread.
+are rare and walk every replica in order; the router runs it on an
+executor thread over blocking
+:class:`~repro.service.client.ServiceClient` s.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.community import Community
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError, ServiceError
-from repro.service.errors import BadRequest
+from repro.service.client import ServiceClient
+from repro.service.errors import RETRYABLE_STATUSES, BadRequest
 from repro.service.http import push_snapshot
 from repro.service.metrics import ServiceMetrics
 from repro.service.serialize import (
@@ -59,7 +62,9 @@ from repro.shard.merge import (
     globalize,
     merge_all,
 )
-from repro.shard.transport import ReplicaSet, parse_shard_urls
+
+if TYPE_CHECKING:
+    from repro.shard.aio import AsyncReplicaSet
 
 PathLike = Union[str, Path]
 
@@ -70,6 +75,35 @@ DEFAULT_SHARD_TIMEOUT = 10.0
 
 #: Default idempotent-retry budget per shard leg (PR 5 semantics).
 DEFAULT_SHARD_RETRIES = 2
+
+
+def parse_shard_urls(specs: Sequence[str]) -> List[List[str]]:
+    """Expand ``--shard-url`` values into per-shard replica lists.
+
+    Each spec names one shard's siblings as a comma-separated URL
+    list (``"http://a:8420,http://b:8420"``); a bare URL is a
+    replica set of one. Empty specs raise
+    :class:`~repro.exceptions.ServiceError`.
+    """
+    groups: List[List[str]] = []
+    for position, spec in enumerate(specs):
+        urls = [url.strip().rstrip("/")
+                for url in str(spec).split(",") if url.strip()]
+        if not urls:
+            raise ServiceError(
+                f"shard URL #{position} is empty: every shard needs "
+                f"at least one replica URL")
+        groups.append(urls)
+    return groups
+
+
+def _should_failover(error: ServiceError) -> bool:
+    """Whether a sibling replica could plausibly answer instead.
+
+    Transport failures and shedding (429/503 — the retryable
+    statuses) are box-local conditions; deterministic 4xx rejections
+    are not."""
+    return getattr(error, "status", 500) in RETRYABLE_STATUSES
 
 
 class QueryPlan:
@@ -368,7 +402,7 @@ class RouterCore:
     # health
     # ------------------------------------------------------------------
     def health_payload(self, manifest: RoutingManifest,
-                       replica_sets: List[ReplicaSet],
+                       replica_sets: List[AsyncReplicaSet],
                        responses: Dict[Tuple[int, int], Any]
                        ) -> Dict[str, Any]:
         """``GET /healthz``: per-shard, per-replica rows + roll-up.
@@ -447,7 +481,7 @@ class RouterCore:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def render_metrics(self, replica_sets: List[ReplicaSet]) -> str:
+    def render_metrics(self, replica_sets: List[AsyncReplicaSet]) -> str:
         """One Prometheus scrape of the router.
 
         ``repro_router_*_total`` counters (fan-out legs, merge rounds
@@ -494,20 +528,21 @@ class RouterCore:
 
 
 # ----------------------------------------------------------------------
-# the shared admin plane: verify-then-rollback fleet reload
+# the admin plane: verify-then-rollback fleet reload
 # ----------------------------------------------------------------------
 def reload_fleet(core: RouterCore,
-                 replica_sets: List[ReplicaSet],
+                 fleet: List[List[ServiceClient]],
                  body: bytes) -> Dict[str, Any]:
     """``POST /admin/reload``: broadcast a manifest generation swap
     with rollback, optionally shipping snapshots cross-box.
 
-    Re-reads ``routing.json`` (from the configured partition root or
-    a ``path`` in the body), then walks every replica of every shard
-    in order: record what it serves now, roll it onto the new
-    manifest's shard snapshot, and verify it adopted the expected id.
-    With ``{"transfer": true}`` the shard snapshot is first **pushed
-    over the wire** into the replica's own store
+    ``fleet[shard_id]`` lists one blocking client per replica of
+    that shard. Re-reads ``routing.json`` (from the configured
+    partition root or a ``path`` in the body), then walks every
+    replica of every shard in order: record what it serves now, roll
+    it onto the new manifest's shard snapshot, and verify it adopted
+    the expected id. With ``{"transfer": true}`` the shard snapshot
+    is first **pushed over the wire** into the replica's own store
     (checksum-verified section by section) and the reload addresses
     it by snapshot id — the cross-box path, requiring no shared
     filesystem. Any failure rolls every already-switched replica
@@ -524,23 +559,22 @@ def reload_fleet(core: RouterCore,
             "with one or supply 'path' in the body")
     root = Path(source)
     new_manifest = RoutingManifest.load(root)
-    if len(new_manifest.shards) != len(replica_sets):
+    if len(new_manifest.shards) != len(fleet):
         raise BadRequest(
             f"new manifest names {len(new_manifest.shards)} "
-            f"shards; this router fronts {len(replica_sets)}")
+            f"shards; this router fronts {len(fleet)}")
     old_manifest = core.capture()
     if new_manifest.generation == old_manifest.generation:
         return {"reloaded": False,
                 "generation": old_manifest.generation,
-                "shards": len(replica_sets)}
+                "shards": len(fleet)}
     previous: List[Tuple[int, int, Optional[str]]] = []
     try:
-        for replicas in replica_sets:
-            shard_id = replicas.shard_id
+        for shard_id, clients in enumerate(fleet):
             entry = new_manifest.shards[shard_id]
             expected = entry.snapshot_id
             snapshot_dir = root / entry.store / expected
-            for index, client in enumerate(replicas.clients):
+            for index, client in enumerate(clients):
                 before = client.health().get("snapshot")
                 # Recorded before the reload is issued: a replica
                 # that adopts the wrong snapshot (and fails
@@ -556,13 +590,13 @@ def reload_fleet(core: RouterCore,
                 if adopted != expected:
                     raise ServiceError(
                         f"shard {shard_id} replica "
-                        f"{replicas.urls[index]} adopted "
+                        f"{client.base_url} adopted "
                         f"{adopted!r}, manifest expects "
                         f"{expected!r}")
     except Exception as error:  # noqa: BLE001 — any failed leg
         # triggers the fleet-wide rollback.
         core.count("reload_rollbacks")
-        _rollback(core, old_manifest, replica_sets, previous)
+        _rollback(core, old_manifest, fleet, previous)
         raise ServiceError(
             f"sharded reload failed and was rolled back: "
             f"{error}")
@@ -571,13 +605,13 @@ def reload_fleet(core: RouterCore,
     return {
         "reloaded": True,
         "generation": new_manifest.generation,
-        "shards": len(replica_sets),
+        "shards": len(fleet),
         "transfer": transfer,
     }
 
 
 def _rollback(core: RouterCore, old_manifest: RoutingManifest,
-              replica_sets: List[ReplicaSet],
+              fleet: List[List[ServiceClient]],
               previous: List[Tuple[int, int, Optional[str]]]
               ) -> None:
     """Point already-reloaded replicas back at their old snapshots.
@@ -593,7 +627,7 @@ def _rollback(core: RouterCore, old_manifest: RoutingManifest,
     for shard_id, index, snapshot_id in previous:
         if snapshot_id is None:
             continue
-        client = replica_sets[shard_id].clients[index]
+        client = fleet[shard_id][index]
         try:
             client.admin_reload(snapshot=snapshot_id)
             continue
@@ -607,30 +641,3 @@ def _rollback(core: RouterCore, old_manifest: RoutingManifest,
             client.admin_reload(path=str(store / snapshot_id))
         except ServiceError:
             continue
-
-
-def build_replica_sets(manifest: RoutingManifest,
-                       shard_urls: List[str],
-                       core: RouterCore,
-                       client_factory: Callable[[str], Any],
-                       set_factory: Callable[..., Any] = ReplicaSet
-                       ) -> List[Any]:
-    """Validate ``--shard-url`` arity and build one set per shard.
-
-    Raises :class:`~repro.exceptions.ServiceError` on a shard-count
-    mismatch — at construction, so a misconfigured router dies at
-    startup, not at first query. ``set_factory`` picks the replica-
-    set flavor: the threaded :class:`~repro.shard.transport.
-    ReplicaSet` (default) or the event-loop
-    :class:`~repro.shard.aio.AsyncReplicaSet`.
-    """
-    groups = parse_shard_urls(shard_urls)
-    if len(groups) != len(manifest.shards):
-        raise ServiceError(
-            f"manifest names {len(manifest.shards)} shards but "
-            f"{len(groups)} shard URLs were supplied")
-    return [
-        set_factory(entry.shard_id, urls,
-                    client_factory=client_factory,
-                    on_failover=core.note_failover)
-        for entry, urls in zip(manifest.shards, groups)]

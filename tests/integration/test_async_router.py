@@ -1,18 +1,18 @@
-"""The asyncio front end against the threaded one, over real sockets.
+"""The asyncio router over real sockets, against one unsharded box.
 
-Acceptance coverage for the event-loop router:
+Acceptance coverage for the router:
 
-* **byte identity** — the async router's ``/query`` and ``/batch``
-  responses equal the threaded router's, on fig4 and on seeded
-  property-test graphs (both fronts share :class:`RouterCore`, so any
-  divergence is a transport bug);
+* **single-box identity** — the routed ``/query`` and ``/batch``
+  answers equal an unsharded service's on the same graph, on fig4
+  and on seeded property-test graphs, under the k-boundary tie rule
+  (see :func:`_assert_same_answer`);
 * **replica failover** — a killed primary with a live sibling still
   yields the exact, non-partial answer, increments
   ``repro_router_failover_total`` once, and the promoted sibling
   stays sticky;
 * **concurrent reload** — queries in flight while ``/admin/reload``
-  rolls the fleet complete on the origin generation, on both front
-  ends, including a reload that fails and rolls back mid-query;
+  rolls the fleet complete on the origin generation, including a
+  reload that fails and rolls back mid-query;
 * **cross-box transfer reload** — ``{"transfer": true}`` pushes shard
   snapshots over the wire and survives a mid-transfer checksum
   mismatch with a fleet-wide rollback.
@@ -33,7 +33,7 @@ from repro.engine.engine import QueryEngine
 from repro.exceptions import ServiceError
 from repro.graph.generators import random_database_graph
 from repro.service import BadRequest, CommunityService, ServiceClient
-from repro.shard import RouterService, partition_snapshot
+from repro.shard import partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot import read_manifest
 from repro.snapshot.store import SnapshotStore
@@ -58,6 +58,41 @@ def _clean(response):
     return out
 
 
+def _keys(response):
+    """``(cost, core)`` per community, in response order."""
+    return [(round(c["cost"], 9), tuple(c["core"]))
+            for c in response["communities"]]
+
+
+def _assert_same_answer(routed, single, body, reference):
+    """The routed answer equals the unsharded one, up to ties at k.
+
+    Costs match rank by rank, and the router answers in canonical
+    ``(cost, core)`` order. A complete answer (COMM-all, or fewer
+    than ``k`` communities) matches core for core. A top-``k``
+    prefix matches core for core below its ``k``-th cost; at that
+    cost either box may pick any members of the equal-cost group, so
+    the routed cores there must be a subset of the whole tie group,
+    read from the reference's COMM-all answer.
+    """
+    got, want = _keys(routed), _keys(single)
+    assert routed["count"] == single["count"]
+    assert got == sorted(got)
+    assert [cost for cost, _ in got] == sorted(cost for cost, _ in want)
+    k = body.get("k")
+    if k is None or len(got) < k:
+        assert set(got) == set(want)
+        return
+    boundary = got[-1][0]
+    assert {key for key in got if key[0] < boundary} \
+        == {key for key in want if key[0] < boundary}
+    every = reference.request("POST", "/query", {
+        **{name: value for name, value in body.items()
+           if name != "k"}, "mode": "all"})
+    tied = {key for key in _keys(every) if key[0] == boundary}
+    assert {key for key in got if key[0] == boundary} <= tied
+
+
 def _partition(tmp, dbg, radius, parts_name, shards=2):
     """Publish ``dbg`` at ``radius`` and partition the latest."""
     SnapshotStore(tmp / "store").publish(
@@ -66,6 +101,13 @@ def _partition(tmp, dbg, radius, parts_name, shards=2):
     manifest, _ = partition_snapshot(tmp / "store", tmp / parts_name,
                                      shards)
     return manifest
+
+
+def _single_box(tmp):
+    """An unsharded service on the store's latest snapshot."""
+    return CommunityService(
+        QueryEngine.from_snapshot(SnapshotStore(tmp / "store").resolve()),
+        port=0).start()
 
 
 def _start_backends(manifest, parts_root, replicas=1, stores=None):
@@ -108,44 +150,48 @@ FIG4_BODIES = (
 
 
 @pytest.fixture(scope="module")
-def twin_fleet(tmp_path_factory):
-    """Both front ends over the SAME fig4 backends."""
-    tmp = tmp_path_factory.mktemp("twin")
+def fig4_fleet(tmp_path_factory):
+    """The router over a two-shard fig4 fleet, and one unsharded
+    service on the same graph."""
+    tmp = tmp_path_factory.mktemp("fig4")
     manifest = _partition(tmp, figure4_graph(), 10.0, "parts")
     shards, urls = _start_backends(manifest, tmp / "parts")
-    threaded = RouterService(manifest, urls,
-                             root=tmp / "parts").start()
-    via_async = AsyncRouterService(manifest, urls,
-                                   root=tmp / "parts").start()
-    yield threaded, via_async
-    _stop(threaded, via_async, *[s for g in shards for s in g])
+    router = AsyncRouterService(manifest, urls,
+                                root=tmp / "parts").start()
+    single = _single_box(tmp)
+    yield router, single
+    _stop(router, single, *[s for g in shards for s in g])
 
 
 class TestByteIdentity:
-    def test_query_responses_identical(self, twin_fleet):
-        threaded, via_async = twin_fleet
-        a = ServiceClient(threaded.url, timeout=30.0)
-        b = ServiceClient(via_async.url, timeout=30.0)
+    def test_query_responses_identical(self, fig4_fleet):
+        router, single = fig4_fleet
+        routed = ServiceClient(router.url, timeout=30.0)
+        reference = ServiceClient(single.url, timeout=30.0)
         for body in FIG4_BODIES:
-            got_a = _clean(a.request("POST", "/query", body))
-            got_b = _clean(b.request("POST", "/query", body))
-            assert got_a == got_b
-            assert got_b["partial"] is False
-            assert got_b["shards_answered"] == 2
+            got = routed.request("POST", "/query", body)
+            _assert_same_answer(
+                got, reference.request("POST", "/query", body), body,
+                reference)
+            assert got["partial"] is False
+            assert got["shards_answered"] == 2
 
-    def test_batch_responses_identical(self, twin_fleet):
-        threaded, via_async = twin_fleet
+    def test_batch_responses_identical(self, fig4_fleet):
+        router, single = fig4_fleet
+        reference = ServiceClient(single.url, timeout=30.0)
         body = {"queries": [dict(q) for q in FIG4_BODIES]}
-        got_a = ServiceClient(threaded.url, timeout=30.0).request(
+        got = ServiceClient(router.url, timeout=30.0).request(
             "POST", "/batch", body)
-        got_b = ServiceClient(via_async.url, timeout=30.0).request(
-            "POST", "/batch", body)
-        assert _clean(got_a) == _clean(got_b)
-        assert got_b["queries"] == len(FIG4_BODIES)
+        want = reference.request("POST", "/batch", body)
+        assert got["queries"] == want["queries"] == len(FIG4_BODIES)
+        for entry, got_one, want_one in zip(
+                FIG4_BODIES, got["results"], want["results"]):
+            _assert_same_answer(got_one, want_one, entry, reference)
+            assert got_one["partial"] is False
 
-    def test_async_health_and_metrics(self, twin_fleet):
-        _, via_async = twin_fleet
-        client = ServiceClient(via_async.url, timeout=30.0)
+    def test_async_health_and_metrics(self, fig4_fleet):
+        router, _ = fig4_fleet
+        client = ServiceClient(router.url, timeout=30.0)
         health = client.request("GET", "/healthz")
         assert health["status"] == "ok"
         assert all(len(row["replicas"]) == 1
@@ -154,13 +200,12 @@ class TestByteIdentity:
         assert "repro_router_failover_total 0" in metrics
         assert "repro_router_replicas 2" in metrics
 
-    def test_unknown_keyword_is_identical_400(self, twin_fleet):
-        threaded, via_async = twin_fleet
+    def test_unknown_keyword_is_identical_400(self, fig4_fleet):
         body = {"keywords": ["nosuchkeyword"], "rmax": FIG4_RMAX}
         errors = []
-        for router in (threaded, via_async):
+        for service in fig4_fleet:
             with pytest.raises(BadRequest) as excinfo:
-                ServiceClient(router.url, timeout=30.0).request(
+                ServiceClient(service.url, timeout=30.0).request(
                     "POST", "/query", body)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
@@ -177,13 +222,12 @@ class TestPropertyGraphIdentity:
         manifest = _partition(tmp_path, dbg, 4.0, "parts",
                               shards=shards)
         backends, urls = _start_backends(manifest, tmp_path / "parts")
-        threaded = RouterService(manifest, urls,
-                                 root=tmp_path / "parts").start()
-        via_async = AsyncRouterService(manifest, urls,
-                                       root=tmp_path / "parts").start()
+        router = AsyncRouterService(manifest, urls,
+                                    root=tmp_path / "parts").start()
+        single = _single_box(tmp_path)
         try:
-            a = ServiceClient(threaded.url, timeout=30.0)
-            b = ServiceClient(via_async.url, timeout=30.0)
+            routed = ServiceClient(router.url, timeout=30.0)
+            reference = ServiceClient(single.url, timeout=30.0)
             for body in (
                     {"keywords": ["a"], "rmax": 4.0, "k": 2},
                     {"keywords": ["a", "b"], "rmax": 4.0, "k": 5},
@@ -192,16 +236,16 @@ class TestPropertyGraphIdentity:
                     {"keywords": ["b", "c"], "rmax": 4.0,
                      "mode": "all"}):
                 try:
-                    got_a = _clean(a.request("POST", "/query", body))
+                    want = reference.request("POST", "/query", body)
                 except ServiceError as error:
                     with pytest.raises(type(error)):
-                        b.request("POST", "/query", body)
+                        routed.request("POST", "/query", body)
                     continue
-                got_b = _clean(b.request("POST", "/query", body))
-                assert got_a == got_b
+                _assert_same_answer(
+                    routed.request("POST", "/query", body), want,
+                    body, reference)
         finally:
-            _stop(threaded, via_async,
-                  *[s for g in backends for s in g])
+            _stop(router, single, *[s for g in backends for s in g])
 
 
 class TestReplicaFailover:
@@ -242,9 +286,9 @@ class TestReplicaFailover:
             _stop(router, *[s for g in backends for s in g])
 
 
-@pytest.fixture(params=["threaded", "async"])
-def reload_fleet_env(request, tmp_path):
-    """A two-generation fleet fronted by one router flavor.
+@pytest.fixture()
+def reload_fleet_env(tmp_path):
+    """A two-generation fleet behind the router.
 
     Generation 1 (index radius 10) is serving; generation 2 (radius
     4) is partitioned and ready to roll out from ``parts2``.
@@ -254,13 +298,9 @@ def reload_fleet_env(request, tmp_path):
     manifest2 = _partition(tmp_path, dbg, 4.0, "parts2")
     assert manifest2.generation != manifest1.generation
     backends, urls = _start_backends(manifest1, tmp_path / "parts1")
-    front = RouterService if request.param == "threaded" \
-        else AsyncRouterService
-    router = front(manifest1, urls, root=tmp_path / "parts1").start()
-    reference = CommunityService(
-        QueryEngine.from_snapshot(
-            SnapshotStore(tmp_path / "store").resolve()),
-        port=0).start()        # the store's latest = generation 2
+    router = AsyncRouterService(manifest1, urls,
+                                root=tmp_path / "parts1").start()
+    reference = _single_box(tmp_path)   # the store's latest = gen 2
     yield router, manifest2, tmp_path / "parts2", reference
     faults.clear()
     _stop(router, reference, *[s for g in backends for s in g])

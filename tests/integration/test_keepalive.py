@@ -74,6 +74,9 @@ class RudeServer:
                         length = int(value.strip())
                 while len(rest) < length:
                     rest += conn.recv(65536)
+                # Count before answering: once the client holds the
+                # reply, the count it reads must already include it.
+                self.served += 1
                 body = json.dumps({"count": 1}).encode()
                 conn.sendall(
                     b"HTTP/1.1 200 OK\r\n"
@@ -81,10 +84,15 @@ class RudeServer:
                     b"Connection: keep-alive\r\n"
                     b"Content-Length: %d\r\n\r\n%s"
                     % (len(body), body))
-                self.served += 1
             # ``with conn`` closed the socket: the hang-up.
 
     def close(self):
+        # Closing alone does not wake a thread blocked in accept();
+        # shutting the listener down does (accept raises OSError).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(timeout=5.0)
 

@@ -2,7 +2,7 @@
 
 A fig4 snapshot is partitioned into two shard snapshots; each shard
 runs a genuine :class:`CommunityService` on an ephemeral port, and a
-started :class:`RouterService` fans out to them over real HTTP.
+started :class:`AsyncRouterService` fans out to them over real HTTP.
 Covers the acceptance properties: routed answers identical to a
 single-snapshot service, and a dead shard degrading to a 200 partial
 response (``shards_answered``/``shards_total``) instead of a 503.
@@ -14,7 +14,8 @@ from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
     figure4_graph
 from repro.engine.engine import QueryEngine
 from repro.service import CommunityService, ServiceClient
-from repro.shard import RouterService, partition_snapshot
+from repro.shard import partition_snapshot
+from repro.shard.aio import AsyncRouterService
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
@@ -33,7 +34,7 @@ def _build_fleet(tmp, shard_timeout=10.0, retries=2):
         engine = QueryEngine.from_snapshot(
             tmp / "parts" / entry.store / entry.snapshot_id)
         shards.append(CommunityService(engine, port=0).start())
-    router = RouterService(
+    router = AsyncRouterService(
         manifest, [s.url for s in shards], root=tmp / "parts",
         shard_timeout=shard_timeout, shard_retries=retries).start()
     reference = CommunityService(

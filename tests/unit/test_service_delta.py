@@ -3,19 +3,27 @@ observability surface.
 
 Drives :meth:`CommunityService.handle` directly (no sockets): the
 WAL-before-apply ordering, the acknowledged LSN in the response, the
-typed 400s from boundary validation, the ``dirty``/``deltas_applied``
-health fields that exist even *without* a WAL, the ``wal`` healthz
-block, and the ``repro_wal_*`` / ``repro_engine_dirty`` metrics.
+typed 400s from boundary validation, validation against the graph the
+delta is applied to, the typed 409 of a shard backend, the
+``dirty``/``deltas_applied`` health fields that exist even *without*
+a WAL, the ``wal`` healthz block, and the ``repro_wal_*`` /
+``repro_engine_dirty`` metrics.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.datasets.paper_example import FIG4_RMAX
 from repro.engine import QueryEngine
 from repro.service import CommunityService
+from repro.shard import partition_snapshot
+from repro.snapshot import SnapshotStore
+from repro.text.inverted_index import CommunityIndex
+from repro.text.maintenance import apply_delta
 from repro.wal import WriteAheadLog
+from repro.wal.records import parse_delta
 
 
 @pytest.fixture()
@@ -123,6 +131,113 @@ class TestDeltaValidation:
                              {"edges": [[0, 999, 1.0]]})
         assert status == 400
         assert wal_service.wal.lsn == 0
+
+
+class RivalFirstLock:
+    """An ingest lock that a rival holder always wins first.
+
+    The first acquire runs ``rival`` — the work another holder of the
+    ingest lock (a reload, a compaction swap) does while this request
+    waits for it — and only then takes the lock. Deterministic, no
+    sleeps: anything the request read before acquiring is exactly
+    what the rival made stale.
+    """
+
+    def __init__(self, rival):
+        self._lock = threading.Lock()
+        self._rival = rival
+
+    def __enter__(self):
+        rival, self._rival = self._rival, None
+        if rival is not None:
+            rival()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestDeltaUnderIngestLock:
+    def test_validated_against_the_graph_it_is_applied_to(
+            self, fig4, tmp_path):
+        """A reload that grows the graph while a delta waits for the
+        ingest lock must not turn the (now valid) delta into a 400."""
+        index = CommunityIndex.build(fig4, FIG4_RMAX)
+        store = SnapshotStore(tmp_path / "store")
+        small = store.publish(fig4, index)
+        grown = store.publish(*apply_delta(
+            index, parse_delta(GOOD_DELTA, base_nodes=fig4.n)))
+        service = CommunityService(QueryEngine.from_snapshot(small.path),
+                                   port=0)
+        with service:
+            service.ingest_lock = RivalFirstLock(lambda: call(
+                service, "POST", "/admin/reload",
+                {"path": str(grown.path)}))
+            # Valid only against the grown graph: node 14 is the
+            # next dense id after the reload, 13 before it.
+            status, body = call(service, "POST", "/admin/delta", {
+                "nodes": [{"id": 14, "keywords": ["eta"]}],
+                "edges": [[14, 13, 1.0], [13, 14, 1.0]]})
+            assert status == 200, body
+            assert body["nodes_added"] == 1
+            assert service.engine.dbg.n == 15
+
+
+@pytest.fixture()
+def fig4_parts(fig4, tmp_path):
+    """(whole snapshot dir, shard-0 snapshot dir) of a 2-way fig4
+    partition."""
+    store = SnapshotStore(tmp_path / "store")
+    whole = store.publish(fig4, CommunityIndex.build(fig4, FIG4_RMAX))
+    manifest, _ = partition_snapshot(tmp_path / "store",
+                                     tmp_path / "parts", 2)
+    entry = manifest.shards[0]
+    return whole.path, tmp_path / "parts" / entry.store \
+        / entry.snapshot_id
+
+
+class TestShardBackendRefusesDeltas:
+    def test_shard_backend_answers_409_without_side_effects(
+            self, fig4_parts, tmp_path):
+        _, shard = fig4_parts
+        wal = WriteAheadLog(tmp_path / "shard.wal", fsync="off")
+        service = CommunityService(QueryEngine.from_snapshot(shard),
+                                   port=0, wal=wal)
+        with service:
+            generation = service.engine.generation
+            status, body = call(service, "POST", "/admin/delta",
+                                GOOD_DELTA)
+            assert status == 409
+            assert "shard 0 of 2" in body["error"]
+            # Refused before validation: a malformed delta is a 409
+            # too, never a 400.
+            status, _body = call(service, "POST", "/admin/delta", {})
+            assert status == 409
+            assert wal.lsn == 0
+            assert service.engine.generation == generation
+            assert service.engine.dirty is False
+        wal.close()
+
+    def test_refusal_follows_the_served_snapshot_across_reloads(
+            self, fig4_parts):
+        whole, shard = fig4_parts
+        service = CommunityService(QueryEngine.from_snapshot(whole),
+                                   port=0)
+        with service:
+            status, _body = call(service, "POST", "/admin/delta",
+                                 GOOD_DELTA)
+            assert status == 200
+            call(service, "POST", "/admin/reload",
+                 {"path": str(shard)})
+            status, _body = call(service, "POST", "/admin/delta",
+                                 GOOD_DELTA)
+            assert status == 409
+            call(service, "POST", "/admin/reload",
+                 {"path": str(whole)})
+            status, _body = call(service, "POST", "/admin/delta",
+                                 GOOD_DELTA)
+            assert status == 200
 
 
 class TestDeltaWithWal:

@@ -1,21 +1,25 @@
 """Router semantics against a real two-shard fig4 fleet.
 
 The shard backends are genuine :class:`CommunityService` servers on
-ephemeral ports (the router speaks HTTP to them through
-:class:`ServiceClient`); the router itself is driven through
-:meth:`RouterService.handle` — no router socket needed.
+ephemeral ports (the router speaks HTTP to them through its
+keep-alive shard clients); the router itself is driven through
+:meth:`AsyncRouterService.handle_async`, submitted to its own event
+loop — no client socket to the router needed.
 """
 
+import asyncio
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
     figure4_graph
 from repro.engine.engine import QueryEngine
 from repro.exceptions import ServiceError
 from repro.service import CommunityService
-from repro.shard import RouterService, partition_snapshot
+from repro.shard import partition_snapshot
+from repro.shard.aio import AsyncRouterService
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
@@ -37,7 +41,8 @@ def fleet(tmp_path_factory):
         service = CommunityService(engine, port=0).start()
         shards.append(service)
         urls.append(service.url)
-    router = RouterService(manifest, urls, root=tmp / "parts")
+    router = AsyncRouterService(manifest, urls,
+                                root=tmp / "parts").start()
     reference = CommunityService(
         QueryEngine.from_snapshot(snapshot.path), port=0)
     yield router, reference, manifest
@@ -47,9 +52,19 @@ def fleet(tmp_path_factory):
         service.shutdown()
 
 
+def _handle(service, method, path, body=b""):
+    """One request through ``service``; the router's runs on its own
+    event loop, the single-box reference's on the calling thread."""
+    if isinstance(service, AsyncRouterService):
+        return asyncio.run_coroutine_threadsafe(
+            service.handle_async(method, path, body),
+            service._loop).result(timeout=60)
+    return service.handle(method, path, body)
+
+
 def _post(service, path, payload):
-    status, _, body, _ = service.handle(
-        "POST", path, json.dumps(payload).encode())
+    status, _, body, _ = _handle(service, "POST", path,
+                                 json.dumps(payload).encode())
     return status, json.loads(body)
 
 
@@ -61,7 +76,21 @@ def _norm(response):
 def test_router_rejects_mismatched_urls(fleet):
     _, _, manifest = fleet
     with pytest.raises(ServiceError):
-        RouterService(manifest, ["http://127.0.0.1:1"])
+        AsyncRouterService(manifest, ["http://127.0.0.1:1"])
+
+
+def test_serve_router_still_parses_async_flag(fleet, capsys):
+    """``--async`` once chose the front end; launch scripts still pass
+    it, so it parses as a hidden no-op."""
+    router, _, _ = fleet
+    # One URL for two shards: the command parses, then stops at the
+    # arity check before binding anything.
+    assert main(["serve-router", "--manifest", str(router.core.root),
+                 "--shard-url", "http://127.0.0.1:1", "--async"]) == 2
+    assert "names 2 shards but 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["serve-router", "--help"])
+    assert "--async" not in capsys.readouterr().out
 
 
 def test_query_all_matches_single_box(fleet):
@@ -143,7 +172,7 @@ def test_batch_validation(fleet):
 
 def test_healthz_aggregates_fleet(fleet):
     router, _, manifest = fleet
-    status, _, body, _ = router.handle("GET", "/healthz", b"")
+    status, _, body, _ = _handle(router, "GET", "/healthz")
     assert status == 200
     health = json.loads(body)
     assert health["status"] == "ok"
@@ -157,8 +186,8 @@ def test_metrics_exposes_router_series(fleet):
     router, _, _ = fleet
     _post(router, "/query",
           {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX, "k": 2})
-    status, _, body, content_type = router.handle("GET", "/metrics",
-                                                  b"")
+    status, _, body, content_type = _handle(router, "GET",
+                                            "/metrics")
     assert status == 200
     assert content_type.startswith("text/plain")
     for series in ("repro_router_queries_total",
@@ -193,5 +222,5 @@ def test_reload_shard_count_mismatch_is_400(fleet, tmp_path):
 
 def test_unknown_route_404(fleet):
     router, _, _ = fleet
-    status, _, _, _ = router.handle("GET", "/nope", b"")
+    status, _, _, _ = _handle(router, "GET", "/nope")
     assert status == 404

@@ -1,11 +1,10 @@
-"""Replica-set failover semantics, threaded and async, no sockets.
+"""Replica-set failover semantics, no sockets.
 
-Fake clients stand in for :class:`ServiceClient`, so every branch of
-the sticky-cursor contract is driven deterministically: retryable
+Fake clients stand in for :class:`AsyncShardClient`, so every branch
+of the sticky-cursor contract is driven deterministically: retryable
 failures (429/503) move to the next sibling and promote it on
-success, deterministic 4xx propagate immediately, an exhausted set
-re-raises the last failure, and the async flavor matches the
-threaded one decision for decision.
+success, deterministic 4xx propagate immediately, and an exhausted
+set re-raises the last failure.
 """
 
 import asyncio
@@ -19,8 +18,8 @@ from repro.service.errors import (
     Overloaded,
     ServiceUnreachable,
 )
+from repro.shard import parse_shard_urls
 from repro.shard.aio import AsyncReplicaSet
-from repro.shard.transport import ReplicaSet, parse_shard_urls
 
 
 class FakeClient:
@@ -36,22 +35,25 @@ class FakeClient:
         self.plan = list(outcomes)
         return self
 
-    def step(self):
+    async def step(self):
         self.calls += 1
         outcome = self.plan.pop(0) if self.plan else {"ok": self.url}
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def close(self):
-        self.closed = True
-
     async def aclose(self):
         self.closed = True
 
 
 def _set(urls, **kwargs):
-    return ReplicaSet(0, urls, client_factory=FakeClient, **kwargs)
+    return AsyncReplicaSet(0, urls, client_factory=FakeClient,
+                           **kwargs)
+
+
+def _call(replicas):
+    """One ``call`` of the set, run to completion on a fresh loop."""
+    return asyncio.run(replicas.call(lambda c: c.step()))
 
 
 class TestParseShardUrls:
@@ -71,17 +73,17 @@ class TestParseShardUrls:
 class TestReplicaSetFailover:
     def test_single_replica_passthrough(self):
         replicas = _set(["http://a:1"])
-        assert replicas.call(lambda c: c.step()) == {"ok": "http://a:1"}
+        assert _call(replicas) == {"ok": "http://a:1"}
         assert replicas.failovers == 0
 
     def test_retryable_failure_fails_over_and_promotes(self):
         replicas = _set(["http://a:1", "http://b:2"])
         replicas.clients[0].script(ServiceUnreachable("down"))
-        assert replicas.call(lambda c: c.step()) == {"ok": "http://b:2"}
+        assert _call(replicas) == {"ok": "http://b:2"}
         assert replicas.failovers == 1
         assert replicas.active_url == "http://b:2"
         # Sticky: the next call starts at the promoted sibling.
-        assert replicas.call(lambda c: c.step()) == {"ok": "http://b:2"}
+        assert _call(replicas) == {"ok": "http://b:2"}
         assert replicas.failovers == 1
 
     @pytest.mark.parametrize("error", [Overloaded("shed"),
@@ -89,14 +91,14 @@ class TestReplicaSetFailover:
     def test_shedding_statuses_fail_over(self, error):
         replicas = _set(["http://a:1", "http://b:2"])
         replicas.clients[0].script(error)
-        assert replicas.call(lambda c: c.step())["ok"] == "http://b:2"
+        assert _call(replicas)["ok"] == "http://b:2"
         assert replicas.failovers == 1
 
     def test_deterministic_4xx_propagates_immediately(self):
         replicas = _set(["http://a:1", "http://b:2"])
         replicas.clients[0].script(BadRequest("no such keyword"))
         with pytest.raises(BadRequest):
-            replicas.call(lambda c: c.step())
+            _call(replicas)
         assert replicas.failovers == 0
         assert replicas.clients[1].calls == 0
 
@@ -105,7 +107,7 @@ class TestReplicaSetFailover:
         replicas.clients[0].script(ServiceUnreachable("a down"))
         replicas.clients[1].script(ServiceUnreachable("b down"))
         with pytest.raises(ServiceUnreachable, match="b down"):
-            replicas.call(lambda c: c.step())
+            _call(replicas)
         # The dead-end traversal counts one failover (a -> b); the
         # final failure on the last sibling is not a failover.
         assert replicas.failovers == 1
@@ -114,26 +116,26 @@ class TestReplicaSetFailover:
 
     def test_on_failover_callback_reports_urls(self):
         seen = []
-        replicas = ReplicaSet(
+        replicas = AsyncReplicaSet(
             3, ["http://a:1", "http://b:2"],
             client_factory=FakeClient,
             on_failover=lambda s, frm, to: seen.append((s, frm, to)))
         replicas.clients[0].script(ServiceUnreachable("down"))
-        replicas.call(lambda c: c.step())
+        _call(replicas)
         assert seen == [(3, "http://a:1", "http://b:2")]
 
     def test_close_releases_every_client(self):
         replicas = _set(["http://a:1", "http://b:2"])
-        replicas.close()
+        asyncio.run(replicas.aclose())
         assert all(c.closed for c in replicas.clients)
 
     def test_empty_url_list_rejected(self):
         with pytest.raises(ServiceError, match="no replica URLs"):
-            ReplicaSet(0, [], client_factory=FakeClient)
+            AsyncReplicaSet(0, [], client_factory=FakeClient)
 
 
 class TestAsyncReplicaSet:
-    """The event-loop flavor makes the same decisions."""
+    """Calls made from one running loop, as the router makes them."""
 
     def _run(self, coro):
         return asyncio.run(coro)
@@ -144,16 +146,21 @@ class TestAsyncReplicaSet:
 
     @staticmethod
     async def _step(client):
-        """Async shim over the scripted fake."""
-        return client.step()
+        return await client.step()
 
     def test_failover_promotes_sibling(self):
         replicas = self._aset(["http://a:1", "http://b:2"])
         replicas.clients[0].script(ServiceUnreachable("down"))
-        result = self._run(replicas.call(self._step))
-        assert result == {"ok": "http://b:2"}
+
+        async def two_calls():
+            return (await replicas.call(self._step),
+                    await replicas.call(self._step))
+
+        first, second = self._run(two_calls())
+        assert first == second == {"ok": "http://b:2"}
         assert replicas.failovers == 1
         assert replicas.active_url == "http://b:2"
+        assert replicas.clients[0].calls == 1
 
     def test_deterministic_4xx_propagates(self):
         replicas = self._aset(["http://a:1", "http://b:2"])
