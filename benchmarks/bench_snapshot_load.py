@@ -1,13 +1,18 @@
-"""Startup-path benchmark: legacy JSON load vs snapshot load.
+"""Startup-path benchmarks: snapshot load, worker spawn, memory.
 
 A serving worker's cold start is bounded by how fast it can get a
-graph + index into memory. The legacy path parses two JSON documents
-and re-runs the CSR build (sort, dedup, reverse-adjacency); the
-snapshot path memcpys little-endian sections straight into numpy
-arrays and reconstructs adjacency without re-sorting. This file
-measures both on the bench-scale datasets and records the ratio in
-``extra_info["speedup"]`` — the acceptance bar is that the snapshot
-load is measurably faster than the JSON load.
+graph + index into memory. A snapshot load maps every section
+read-only, verifies its checksum, range-checks the posting columns
+and derives the reverse CSR; the ``nodes.json`` parse and every
+per-node materialization are deferred to first use. Three
+measurements cover it:
+
+* **load** — ``load_snapshot`` per bench-scale dataset;
+* **worker spawn** — ``QueryEngine.from_snapshot``, the exact open a
+  pool worker (and every watchdog respawn) pays before it can serve;
+* **per-worker memory** — USS/RSS of pool workers at 1 vs 4 workers
+  (Linux only, read from ``/proc/<pid>/smaps_rollup``), recorded in
+  ``extra_info`` so the page-sharing claim is auditable.
 
 Run with ``pytest benchmarks/bench_snapshot_load.py --benchmark-json``
 and merge the medians into ``bench_results.json``.
@@ -15,67 +20,87 @@ and merge the medians into ``bench_results.json``.
 
 from __future__ import annotations
 
-import time
+import statistics
+import sys
 
 import pytest
 
-from repro.graph.io import load_database_graph, save_database_graph
+from repro.engine import QueryEngine
+from repro.parallel.pool import WorkerPool
 from repro.snapshot import load_snapshot, write_snapshot
-from repro.text.persistence import load_index, save_index
 
 
 @pytest.fixture(scope="session")
 def artifact_dir(tmp_path_factory, dblp, imdb):
-    """Both artifact forms of both bench datasets, written once."""
+    """Snapshots of both bench datasets, written once."""
     root = tmp_path_factory.mktemp("snapshot-bench")
     for name, bundle in (("dblp", dblp), ("imdb", imdb)):
-        save_database_graph(bundle.dbg, root / f"{name}.graph.json")
-        save_index(bundle.search.index, root / f"{name}.index.json")
         write_snapshot(root / f"{name}.snapshot", bundle.dbg,
                        bundle.search.index)
     return root
 
 
-def _load_json(root, name):
-    dbg = load_database_graph(root / f"{name}.graph.json")
-    index = load_index(root / f"{name}.index.json", dbg)
-    return dbg, index
+@pytest.mark.parametrize("dataset", ("dblp", "imdb"),
+                         ids=("snapshot-dblp", "snapshot-imdb"))
+def test_artifact_load(benchmark, dataset, artifact_dir):
+    snapshot = benchmark.pedantic(
+        lambda: load_snapshot(artifact_dir / f"{dataset}.snapshot"),
+        rounds=5, iterations=1)
+    assert snapshot.index is not None and snapshot.dbg.n > 0
 
 
-def _load_snapshot(root, name):
-    snapshot = load_snapshot(root / f"{name}.snapshot")
-    return snapshot.dbg, snapshot.index
+def test_worker_spawn(benchmark, artifact_dir):
+    path = artifact_dir / "dblp.snapshot"
+    engine = benchmark.pedantic(
+        lambda: QueryEngine.from_snapshot(path),
+        rounds=5, iterations=1)
+    assert engine.snapshot_id is not None
 
 
-@pytest.mark.parametrize("dataset", ("dblp", "imdb"))
-@pytest.mark.parametrize("form", ("json", "snapshot"))
-def test_artifact_load(benchmark, dataset, form, artifact_dir):
-    loader = _load_json if form == "json" else _load_snapshot
-    dbg, index = benchmark.pedantic(
-        lambda: loader(artifact_dir, dataset), rounds=5, iterations=1)
-    assert index is not None and dbg.n > 0
+def _smaps_rollup(pid):
+    """``{field: kiB}`` from ``/proc/<pid>/smaps_rollup``."""
+    fields = {}
+    with open(f"/proc/{pid}/smaps_rollup") as handle:
+        for line in handle:
+            parts = line.split()
+            if len(parts) >= 3 and parts[-1] == "kB":
+                fields[parts[0].rstrip(":")] = int(parts[-2])
+    return fields
 
 
-@pytest.mark.parametrize("dataset", ("dblp", "imdb"))
-def test_snapshot_load_faster_than_json(dataset, artifact_dir,
-                                        benchmark):
-    """The headline ratio, best-of-5 per side to dampen noise."""
-    def best_of(n, fn):
-        best = float("inf")
-        for _ in range(n):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
+def _worker_memory(snapshot_path, workers):
+    """Mean per-worker (USS kiB, RSS kiB) of a warmed pool."""
+    pool = WorkerPool(snapshot_path, workers=workers)
+    pool.start(wait_ready=True)
+    try:
+        pool.stats()                      # every worker answered once
+        uss, rss = [], []
+        for pid in pool.pids().values():
+            rollup = _smaps_rollup(pid)
+            uss.append(rollup.get("Private_Clean", 0)
+                       + rollup.get("Private_Dirty", 0))
+            rss.append(rollup.get("Rss", 0))
+        return (statistics.mean(uss), statistics.mean(rss))
+    finally:
+        pool.shutdown()
 
-    json_s = best_of(5, lambda: _load_json(artifact_dir, dataset))
-    snap_s = best_of(5, lambda: _load_snapshot(artifact_dir, dataset))
-    benchmark.pedantic(
-        lambda: _load_snapshot(artifact_dir, dataset),
-        rounds=3, iterations=1)
-    benchmark.extra_info["json_seconds"] = json_s
-    benchmark.extra_info["snapshot_seconds"] = snap_s
-    benchmark.extra_info["speedup"] = json_s / snap_s
-    assert snap_s < json_s, (
-        f"snapshot load ({snap_s:.4f}s) not faster than JSON load "
-        f"({json_s:.4f}s)")
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="needs /proc/<pid>/smaps_rollup")
+def test_worker_memory_sharing(benchmark, artifact_dir):
+    """Per-worker USS/RSS at 1 vs 4 workers.
+
+    Shared pages (the mapped sections) show up in RSS but not USS;
+    the recorded numbers let operators size ``--workers`` from the
+    *unique* per-worker footprint instead of naive RSS × N.
+    """
+    path = artifact_dir / "dblp.snapshot"
+    one_uss, one_rss = _worker_memory(path, workers=1)
+    four_uss, four_rss = _worker_memory(path, workers=4)
+    benchmark.pedantic(lambda: load_snapshot(path),
+                       rounds=5, iterations=1)
+    benchmark.extra_info["workers1_uss_kib"] = one_uss
+    benchmark.extra_info["workers1_rss_kib"] = one_rss
+    benchmark.extra_info["workers4_uss_kib"] = four_uss
+    benchmark.extra_info["workers4_rss_kib"] = four_rss
+    assert four_uss > 0 and four_rss >= four_uss

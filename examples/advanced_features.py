@@ -6,7 +6,7 @@ Covers, on one small citation database:
 2. tree answers vs communities (the paper's §I motivation);
 3. alternative cost aggregates (``max`` vs the paper's ``sum``);
 4. node weights (paper footnote 1);
-5. persistence (save/load graph + index);
+5. persistence (publish and load a graph + index snapshot);
 6. incremental growth (append tuples, update the index in place);
 7. Graphviz export of an answer.
 
@@ -21,11 +21,10 @@ from repro.analysis import community_to_dot, profile_results
 from repro.core import enumerate_trees
 from repro.datasets import figure1_graph, figure4_graph
 from repro.datasets.dblp import DBLPConfig, dblp_graph
-from repro.graph.io import load_database_graph, save_database_graph
 from repro.graph.node_weights import node_weighted_view
 from repro.rdb import col, query
+from repro.snapshot import SnapshotStore, load_snapshot
 from repro.text.maintenance import GraphDelta, apply_delta
-from repro.text.persistence import load_index, save_index
 
 
 def relational_queries() -> None:
@@ -88,20 +87,19 @@ def persistence_and_growth() -> None:
     index = search.build_index(radius=8.0)
 
     with tempfile.TemporaryDirectory() as tmp:
-        graph_path = Path(tmp) / "g.json.gz"
-        index_path = Path(tmp) / "i.json.gz"
-        save_database_graph(dbg, graph_path)
-        save_index(index, index_path)
-        dbg2 = load_database_graph(graph_path)
-        index2 = load_index(index_path, dbg2)
-        print(f"round-tripped graph ({graph_path.stat().st_size} B) "
-              f"and index ({index_path.stat().st_size} B)")
+        store = SnapshotStore(Path(tmp) / "store")
+        store.publish(dbg, index, provenance={"dataset": "fig4"})
+        snapshot = load_snapshot(store.resolve("latest"))
+        size = sum(section["bytes"] for section
+                   in snapshot.manifest["sections"].values())
+        print(f"round-tripped graph and index through snapshot "
+              f"{snapshot.id} ({size} B)")
 
-    # a new paper node containing all three keywords joins near v8
-    delta = GraphDelta(
-        new_nodes=[({"a", "b", "c"}, "v14", None)],
-        new_edges=[(7, 13, 1.0), (13, 7, 1.0)])
-    new_dbg, new_index = apply_delta(index2, delta)
+        # a new paper node containing all three keywords joins near v8
+        delta = GraphDelta(
+            new_nodes=[({"a", "b", "c"}, "v14", None)],
+            new_edges=[(7, 13, 1.0), (13, 7, 1.0)])
+        new_dbg, new_index = apply_delta(snapshot.index, delta)
     grown = CommunitySearch(new_dbg, index=new_index)
     best = grown.top_k(["a", "b", "c"], 1, rmax=8.0)[0]
     print(f"after growth the best community costs {best.cost:g} "

@@ -2,14 +2,11 @@
 
 Workflows:
 
-* build a demo graph+index and save them::
+* build a dataset's graph + index once and query the snapshot (or a
+  built-in dataset directly)::
 
-      python -m repro build --dataset dblp --out-graph g.json.gz \
-          --out-index idx.json.gz --radius 8
-
-* query saved artifacts (or a built-in dataset directly)::
-
-      python -m repro query --graph g.json.gz --index idx.json.gz \
+      python -m repro snapshot build --dataset dblp --store ./snaps
+      python -m repro query --snapshot ./snaps \
           --keywords kw0009a,kw0009b --rmax 6 --k 10
 
       python -m repro query --dataset imdb \
@@ -42,8 +39,6 @@ from repro.engine.context import QueryContext
 from repro.engine.spec import QuerySpec
 from repro.exceptions import ReproError
 from repro.graph.database_graph import DatabaseGraph
-from repro.graph.io import load_database_graph, save_database_graph
-from repro.text.persistence import load_index, save_index
 
 
 def _load_dataset(name: str) -> DatabaseGraph:
@@ -61,34 +56,17 @@ def _load_dataset(name: str) -> DatabaseGraph:
 
 
 def _resolve_search(args) -> Tuple[DatabaseGraph, CommunitySearch]:
-    if args.graph:
-        dbg = load_database_graph(args.graph)
-    elif args.dataset:
-        dbg = _load_dataset(args.dataset)
-    else:
-        raise ReproError("pass --graph FILE or --dataset NAME")
-    search = CommunitySearch(dbg)
-    if getattr(args, "index", None):
-        search.index = load_index(args.index, dbg)
-    return dbg, search
+    """The graph and search facade over the ``--snapshot`` source (a
+    published snapshot) or else the ``--dataset`` one (generated)."""
+    if args.snapshot:
+        from repro.snapshot.snapshot import load_snapshot
+        from repro.snapshot.store import locate_snapshot
 
-
-def cmd_build(args) -> int:
-    """``build``: generate a dataset; save graph and/or index."""
+        snapshot = load_snapshot(locate_snapshot(args.snapshot))
+        return snapshot.dbg, CommunitySearch(snapshot.dbg,
+                                             index=snapshot.index)
     dbg = _load_dataset(args.dataset)
-    print(f"{args.dataset}: {dbg.n} nodes, {dbg.m} edges")
-    if args.out_graph:
-        save_database_graph(dbg, args.out_graph)
-        print(f"graph -> {args.out_graph}")
-    if args.out_index:
-        search = CommunitySearch(dbg)
-        start = time.perf_counter()
-        index = search.build_index(radius=args.radius)
-        print(f"index built in {time.perf_counter() - start:.1f}s "
-              f"(R={args.radius:g}, {index.size_bytes() / 1e6:.1f} MB)")
-        save_index(index, args.out_index)
-        print(f"index -> {args.out_index}")
-    return 0
+    return dbg, CommunitySearch(dbg)
 
 
 def cmd_query(args) -> int:
@@ -166,7 +144,6 @@ def cmd_serve(args) -> int:
     from repro.service import CommunityService
 
     engine_close = None
-    snapshot_mode = getattr(args, "snapshot_mode", "auto")
     result_cache_bytes = int(
         getattr(args, "result_cache_mb", 64) * 1024 * 1024)
     wal = None
@@ -195,7 +172,6 @@ def cmd_serve(args) -> int:
             engine = ParallelQueryEngine(
                 path, workers=args.workers,
                 lease_seconds=args.worker_lease,
-                snapshot_mode=snapshot_mode,
                 result_cache_bytes=result_cache_bytes,
                 wal_path=wal).start()
             engine_close = engine.close
@@ -205,30 +181,22 @@ def cmd_serve(args) -> int:
             from repro.engine.engine import QueryEngine
 
             engine = QueryEngine.from_snapshot(
-                path, mode=snapshot_mode,
-                result_cache_bytes=result_cache_bytes,
+                path, result_cache_bytes=result_cache_bytes,
                 wal_path=wal)
         if wal is not None and engine.deltas_applied:
             print(f"replayed {engine.deltas_applied} pending "
                   f"delta(s) through LSN {engine.applied_lsn}",
                   file=sys.stderr)
         dbg = engine.dbg
-        resolved = engine.snapshot_mode or "copy"
         loaded_id = (engine.snapshot_id
                      or getattr(engine, "base_snapshot_id", None))
-        print(f"loaded snapshot {loaded_id} from {path} "
-              f"({resolved} mode)", file=sys.stderr)
-        if snapshot_mode != "copy" and resolved == "copy":
-            print("warning: snapshot has gzip-compressed sections; "
-                  "falling back to copy mode (workers cannot share "
-                  "pages). Rebuild without --compress to enable "
-                  "mmap.", file=sys.stderr)
+        print(f"loaded snapshot {loaded_id} from {path}",
+              file=sys.stderr)
     else:
         dbg, search = _resolve_search(args)
-        if search.index is None:
-            print(f"building index at R={args.radius:g} ...",
-                  file=sys.stderr)
-            search.build_index(radius=args.radius)
+        print(f"building index at R={args.radius:g} ...",
+              file=sys.stderr)
+        search.build_index(radius=args.radius)
         engine = search.engine
         from repro.engine.results import ResultCache
 
@@ -240,7 +208,6 @@ def cmd_serve(args) -> int:
         default_deadline=args.deadline,
         snapshot_source=getattr(args, "snapshot", None),
         drain_seconds=args.drain_seconds,
-        snapshot_mode=snapshot_mode,
         warm_top=getattr(args, "warm_top", 8),
         wal=wal)
     compactor = None
@@ -439,15 +406,13 @@ def cmd_snapshot_build(args) -> int:
             dbg, index,
             provenance={"dataset": "fig4",
                         "index_radius": args.radius,
-                        "builder": "repro.cli"},
-            compress=args.compress)
+                        "builder": "repro.cli"})
     else:
         from repro.bench.workloads import load_dataset, \
             publish_snapshot
 
         bundle = load_dataset(args.dataset, args.scale)
-        snapshot = publish_snapshot(args.store, bundle,
-                                    compress=args.compress)
+        snapshot = publish_snapshot(args.store, bundle)
     elapsed = time.perf_counter() - start
     counts = snapshot.counts
     print(f"published {snapshot.id} -> {snapshot.path}")
@@ -471,7 +436,7 @@ def cmd_snapshot_partition(args) -> int:
     start = time.perf_counter()
     manifest, path = partition_snapshot(
         args.snapshot, args.out, args.shards,
-        halo_radius=args.halo_radius, compress=args.compress)
+        halo_radius=args.halo_radius)
     elapsed = time.perf_counter() - start
     print(f"partitioned {manifest.source_snapshot} into "
           f"{len(manifest.shards)} shards "
@@ -507,11 +472,10 @@ def _inspect_routing(path, as_json: bool) -> int:
     print(f"nodes      {manifest.total_nodes} global")
     for entry in manifest.shards:
         counts = entry.counts
-        mmap = "mmap" if entry.mappable else "copy"
         print(f"shard {entry.shard_id:02d}   {entry.snapshot_id}  "
               f"{entry.owned_nodes} owned / "
               f"{len(entry.node_map)} nodes, "
-              f"{counts.get('vocab', 0)} keywords, {mmap}  "
+              f"{counts.get('vocab', 0)} keywords  "
               f"-> {entry.store}")
     return 0
 
@@ -525,17 +489,14 @@ def cmd_snapshot_inspect(args) -> int:
     import json as _json
 
     from repro.shard import is_routing_root
-    from repro.snapshot.snapshot import (read_manifest,
-                                         snapshot_is_mappable)
+    from repro.snapshot.snapshot import read_manifest
     from repro.snapshot.store import locate_snapshot
 
     if is_routing_root(args.path):
         return _inspect_routing(args.path, args.json)
     manifest = read_manifest(locate_snapshot(args.path))
     if args.json:
-        payload = dict(manifest)
-        payload["mmap"] = snapshot_is_mappable(manifest)
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(_json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     counts = manifest["counts"]
     print(f"snapshot   {manifest['id']}")
@@ -549,17 +510,10 @@ def cmd_snapshot_inspect(args) -> int:
     for name in sorted(manifest["sections"]):
         section = manifest["sections"][name]
         total += section["bytes"]
-        gz = " (gzip)" if section.get("gzip") else ""
         print(f"section    {name}: {section['file']} "
               f"{section['bytes']} bytes "
-              f"sha256={section['sha256'][:12]}...{gz}")
-    if snapshot_is_mappable(manifest):
-        print(f"mmap       yes ({total} bytes shareable across "
-              f"workers)")
-    else:
-        print("mmap       no (gzip-compressed sections; rebuild "
-              "without --compress to serve with --snapshot-mode "
-              "mmap)")
+              f"sha256={section['sha256'][:12]}...")
+    print(f"mapped     {total} bytes, shareable across workers")
     return 0
 
 
@@ -645,23 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "database graphs (Qin et al., ICDE 2009).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="generate and save a demo "
-                                         "graph and/or index")
-    build.add_argument("--dataset", required=True,
-                       choices=("dblp", "imdb", "fig4"))
-    build.add_argument("--out-graph", help="write the graph here "
-                                           "(.json or .json.gz)")
-    build.add_argument("--out-index", help="write the index here")
-    build.add_argument("--radius", type=float, default=8.0,
-                       help="index radius R (max Rmax; default 8)")
-    build.set_defaults(func=cmd_build)
-
     query = sub.add_parser("query", help="run a community query")
     source = query.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="a saved graph file")
+    source.add_argument("--snapshot",
+                        help="query a published snapshot (a snapshot "
+                             "directory or a store root, whose "
+                             "'latest' is used)")
     source.add_argument("--dataset", choices=("dblp", "imdb", "fig4"),
                         help="generate a built-in dataset instead")
-    query.add_argument("--index", help="a saved index file")
     query.add_argument("--keywords", required=True,
                        help="comma-separated query keywords")
     query.add_argument("--rmax", type=float, required=True,
@@ -687,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="serve queries over HTTP "
                                          "(JSON API + /metrics)")
     source = serve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="a saved graph file")
     source.add_argument("--dataset", choices=("dblp", "imdb", "fig4"),
                         help="generate a built-in dataset instead")
     source.add_argument("--snapshot",
@@ -695,17 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "directory or a store root, whose "
                              "'latest' is used); enables POST "
                              "/admin/reload")
-    serve.add_argument("--snapshot-mode", dest="snapshot_mode",
-                       choices=("auto", "mmap", "copy"),
-                       default="auto",
-                       help="how to materialize the snapshot: 'mmap' "
-                            "maps the uncompressed sections as "
-                            "read-only views shared by all workers "
-                            "through the page cache, 'copy' "
-                            "deserializes private objects, 'auto' "
-                            "(default) maps when the artifact allows "
-                            "it and warns on fallback")
-    serve.add_argument("--index", help="a saved index file")
     serve.add_argument("--radius", type=float, default=8.0,
                        help="index radius R when building in-process "
                             "(default 8)")
@@ -872,8 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap_build.add_argument("--radius", type=float, default=10.0,
                             help="index radius R for fig4 (dblp/imdb "
                                  "use their paper radius)")
-    snap_build.add_argument("--compress", action="store_true",
-                            help="gzip the section payloads")
     snap_build.set_defaults(func=cmd_snapshot_build)
 
     snap_partition = snapshot_sub.add_parser(
@@ -894,9 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default 3R, the proven exact "
                                      "bound; smaller risks wrong "
                                      "answers)")
-    snap_partition.add_argument("--compress", action="store_true",
-                                help="gzip the shard section "
-                                     "payloads")
     snap_partition.set_defaults(func=cmd_snapshot_partition)
 
     snap_inspect = snapshot_sub.add_parser(

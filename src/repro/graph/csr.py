@@ -5,13 +5,13 @@ edge directions (``Neighbor()`` walks edges backwards, ``GetCommunity()``
 walks both ways), so the compiled form keeps two CSR adjacencies — one
 for out-edges and one for in-edges — built once from the same edge set.
 
-The adjacency arrays are plain Python lists in the default (copy-mode)
-build: the hot loop (heap-based Dijkstra) indexes single elements,
-where list indexing is several times faster than numpy scalar
-extraction. numpy is used only transiently for the ``O(m log m)`` sort
-during construction.
+A graph built in memory (:meth:`CompiledGraph.from_edges`) keeps its
+adjacency as plain Python lists: the hot loop (heap-based Dijkstra)
+indexes single elements, where list indexing is several times faster
+than numpy scalar extraction. numpy is used only transiently for the
+``O(m log m)`` sort during construction.
 
-The mmap snapshot path is the exception: :meth:`CompiledGraph.from_csr_arrays`
+A loaded snapshot is the exception: :meth:`CompiledGraph.from_csr_arrays`
 wraps *read-only numpy views* over a memory-mapped section directly —
 no ``tolist()``, no re-packing — so every worker process shares one
 physical copy of the adjacency through the page cache. The two
@@ -37,9 +37,10 @@ class CSRAdjacency:
 
     For node ``u``, its neighbors are
     ``targets[indptr[u]:indptr[u + 1]]`` with matching ``weights``.
-    The three columns are either plain Python lists (copy mode) or
-    read-only int64/float64 numpy views (mmap mode); both support the
-    same single-element indexing the Dijkstra kernels rely on.
+    The three columns are either plain Python lists (built in memory)
+    or read-only int64/float64 numpy views (loaded from a snapshot);
+    both support the same single-element indexing the Dijkstra
+    kernels rely on.
     """
 
     __slots__ = ("indptr", "targets", "weights")
@@ -149,10 +150,24 @@ class CompiledGraph:
         reverse = _build_adjacency(n, dst, src, wgt)
         return cls(n, len(src), forward, reverse)
 
-    @staticmethod
-    def _validate_csr(n: int, indptr_arr: np.ndarray, dst: np.ndarray,
-                      wgt: np.ndarray) -> int:
-        """Shared forward-CSR validation; returns the edge count."""
+    @classmethod
+    def from_csr_arrays(cls, n: int, indptr: np.ndarray,
+                        targets: np.ndarray,
+                        weights: np.ndarray) -> "CompiledGraph":
+        """Wrap forward-CSR *array views* without copying them.
+
+        The snapshot load path: ``indptr``/``targets``/``weights`` are
+        read-only little-endian views over the mapped ``graph.bin``
+        section (already sorted and deduplicated) and become the
+        forward adjacency as-is, so the hot arrays stay backed by the
+        shared page cache. They are validated with vectorised
+        ``min``/``max``; only the reverse adjacency is derived (one
+        vectorized pass into private, read-only arrays — it has a
+        different sort order, so it cannot be a view of the section).
+        """
+        indptr_arr = np.asarray(indptr, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        wgt = np.asarray(weights, dtype=np.float64)
         if n < 0:
             raise EdgeError(f"node count must be non-negative, got {n}")
         if len(indptr_arr) != n + 1 or indptr_arr[0] != 0:
@@ -170,48 +185,6 @@ class CompiledGraph:
             raise NodeNotFoundError(bad, n)
         if m and not wgt.min() >= 0:  # catches negatives *and* NaN
             raise EdgeError("negative or NaN edge weight in CSR arrays")
-        return m
-
-    @classmethod
-    def from_csr(cls, n: int, indptr: Sequence[int],
-                 targets: Sequence[int],
-                 weights: Sequence[float]) -> "CompiledGraph":
-        """Rebuild from a forward-CSR dump (already sorted, deduped).
-
-        This is the copy-mode snapshot load path: the stored arrays
-        *are* the compiled forward adjacency, so only the reverse
-        adjacency is recomputed (one vectorized pass) — no per-edge
-        Python tuples, no re-sorting, no parallel-edge collapsing.
-        """
-        indptr_arr = np.asarray(indptr, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        wgt = np.asarray(weights, dtype=np.float64)
-        m = cls._validate_csr(n, indptr_arr, dst, wgt)
-        forward = CSRAdjacency(indptr_arr.tolist(), dst.tolist(),
-                               wgt.tolist())
-        src = np.repeat(np.arange(n, dtype=np.int64),
-                        np.diff(indptr_arr))
-        reverse = _build_adjacency(n, dst, src, wgt)
-        return cls(n, m, forward, reverse)
-
-    @classmethod
-    def from_csr_arrays(cls, n: int, indptr: np.ndarray,
-                        targets: np.ndarray,
-                        weights: np.ndarray) -> "CompiledGraph":
-        """Wrap forward-CSR *array views* without copying them.
-
-        The mmap snapshot load path: ``indptr``/``targets``/``weights``
-        are read-only little-endian views over the mapped ``graph.bin``
-        section and become the forward adjacency as-is, so the hot
-        arrays stay backed by the shared page cache. Only the reverse
-        adjacency is derived (one vectorized pass into private,
-        read-only arrays — it has a different sort order, so it cannot
-        be a view of the section).
-        """
-        indptr_arr = np.asarray(indptr, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        wgt = np.asarray(weights, dtype=np.float64)
-        m = cls._validate_csr(n, indptr_arr, dst, wgt)
         forward = CSRAdjacency(indptr_arr, dst, wgt)
         src = np.repeat(np.arange(n, dtype=np.int64),
                         np.diff(indptr_arr))

@@ -148,11 +148,11 @@ LazyPayload = Tuple[Sequence[str], Sequence[Sequence[int]],
 class LazyDatabaseGraph(DatabaseGraph):
     """A :class:`DatabaseGraph` that decodes node metadata on demand.
 
-    The mmap snapshot path uses this so worker spawn never pays the
-    eager per-node work the base constructor does (``frozenset`` per
-    node, provenance decode per node) — nor even the ``nodes.json``
-    parse: ``loader`` is invoked once, on the first metadata access,
-    and must return a :data:`LazyPayload`. Per-node keyword sets and
+    Snapshot loads use this so worker spawn never pays the eager
+    per-node work the base constructor does (``frozenset`` per node,
+    provenance decode per node) — nor even the ``nodes.json`` parse:
+    ``loader`` is invoked once, on the first metadata access, and
+    must return a :data:`LazyPayload`. Per-node keyword sets and
     provenance are then materialized node-by-node as queries touch
     them, memoized for reuse. All mutation happens behind accessor
     calls and is idempotent, so concurrent readers are safe under the
@@ -195,6 +195,12 @@ class LazyDatabaseGraph(DatabaseGraph):
             self._payload = payload
             self._loader = None  # free the closure (and its buffer)
         return payload
+
+    def decode(self) -> None:
+        """Parse the node metadata now instead of on first access
+        (how :func:`repro.snapshot.verify_snapshot` decodes every
+        section)."""
+        self._data()
 
     # -- overridden accessors ------------------------------------------
     def keywords_of(self, node: int) -> FrozenSet[str]:

@@ -64,18 +64,15 @@ class ParallelQueryEngine:
                  lease_seconds: Optional[float] = DEFAULT_LEASE_SECONDS,
                  max_respawns: int = DEFAULT_MAX_RESPAWNS,
                  respawn_window: float = DEFAULT_RESPAWN_WINDOW,
-                 snapshot_mode: str = "copy",
                  result_cache_bytes: Optional[int] = None,
                  wal_path: Optional[Union[str, Path, Any]] = None
                  ) -> None:
         self.path = locate_snapshot(source)
-        #: Requested materialization for parent and workers alike
-        #: (``"copy"`` / ``"mmap"`` / ``"auto"``). In mmap mode all
-        #: N+1 processes share one page-cache copy of the sections.
-        self._mode_request = snapshot_mode
         #: The snapshot everyone (parent + workers) currently serves;
-        #: kept so a failed swap can roll back to it.
-        self._active = load_snapshot(self.path, mode=snapshot_mode)
+        #: kept so a failed swap can roll back to it. All N+1
+        #: processes map the same sections, so they share one
+        #: page-cache copy.
+        self._active = load_snapshot(self.path)
         #: The delta WAL (an open ``WriteAheadLog`` or a path); the
         #: parent replays it here, workers replay the file themselves
         #: on every (re)spawn — only its *path* crosses the process
@@ -91,7 +88,6 @@ class ParallelQueryEngine:
                                lease_seconds=lease_seconds,
                                max_respawns=max_respawns,
                                respawn_window=respawn_window,
-                               snapshot_mode=snapshot_mode,
                                result_cache_bytes=result_cache_bytes,
                                wal_path=pool_wal)
 
@@ -157,13 +153,6 @@ class ParallelQueryEngine:
         """Shard provenance of the served snapshot (see
         :attr:`QueryEngine.partition`)."""
         return self.local.partition
-
-    @property
-    def snapshot_mode(self) -> Optional[str]:
-        """Materialization actually in effect (``"copy"``/``"mmap"``)
-        — an ``"auto"`` request resolves against the artifact. Same
-        surface as :attr:`QueryEngine.snapshot_mode`."""
-        return self.local.snapshot_mode
 
     @property
     def index(self):
@@ -386,10 +375,8 @@ class ParallelQueryEngine:
 
     def load_snapshot(self, path: Union[str, Path],
                       verify: bool = True) -> Snapshot:
-        """Load ``path`` (in the configured mode) and swap everyone
-        onto it."""
-        snapshot = load_snapshot(path, verify=verify,
-                                 mode=self._mode_request)
+        """Load ``path`` and swap everyone onto it."""
+        snapshot = load_snapshot(path, verify=verify)
         self.swap_snapshot(snapshot)
         return snapshot
 

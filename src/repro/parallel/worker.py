@@ -84,7 +84,6 @@ def _stats(worker_id: int, engine: QueryEngine) -> Dict[str, Any]:
         "worker": worker_id,
         "pid": os.getpid(),
         "snapshot_id": engine.snapshot_id,
-        "snapshot_mode": engine.snapshot_mode,
         "generation": engine.generation,
         "dijkstra_memo_hits": memo.hits,
         "dijkstra_memo_misses": memo.misses,
@@ -122,16 +121,13 @@ def _apply_delta(worker_id: int, engine: QueryEngine,
 
 def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
                 result_queue: Any,
-                snapshot_mode: str = "copy",
                 result_cache_bytes: Any = None,
                 wal_path: Any = None) -> None:
     """Process target: load the snapshot, serve tasks until sentinel.
 
-    ``snapshot_mode`` is how this worker materializes the artifact —
-    ``"mmap"``/``"auto"`` let every worker share one page-cache copy
-    of the uncompressed sections, making spawn (and watchdog respawn,
-    and reload) skip the full deserialization. The engine remembers
-    the mode, so ``reload`` tasks stay in it.
+    Every worker maps the same section files, so the pool shares one
+    page-cache copy of the artifact and spawn (and watchdog respawn,
+    and reload) skips any deserialization.
     """
     # A spawned (not forked) worker starts with a fresh interpreter:
     # re-read REPRO_FAILPOINTS so chaos scenarios reach it too.
@@ -139,8 +135,7 @@ def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
     faults.hit("worker.start")
     faults.hit(f"worker.{worker_id}.start")
     engine = QueryEngine.from_snapshot(
-        snapshot_path, mode=snapshot_mode,
-        result_cache_bytes=result_cache_bytes,
+        snapshot_path, result_cache_bytes=result_cache_bytes,
         wal_path=wal_path)
     parent = os.getppid()
     while True:

@@ -209,9 +209,9 @@ class ServiceClient:
         """Like :meth:`request` but bytes in, bytes out.
 
         The snapshot-transfer endpoints move binary section payloads
-        (gzip frames, packed arrays) that must not round-trip through
-        JSON. Returns ``(body, headers)``; non-2xx responses raise
-        the same :class:`~repro.exceptions.ServiceError` taxonomy as
+        (packed arrays) that must not round-trip through JSON.
+        Returns ``(body, headers)``; non-2xx responses raise the same
+        :class:`~repro.exceptions.ServiceError` taxonomy as
         :meth:`request`, and the same retry policy applies.
         """
         status, headers, out = self._with_retries(

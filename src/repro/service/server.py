@@ -284,7 +284,6 @@ class CommunityService:
                  default_deadline: Optional[float] = None,
                  snapshot_source: Optional[Union[str, Path]] = None,
                  drain_seconds: float = DEFAULT_DRAIN_SECONDS,
-                 snapshot_mode: str = "copy",
                  warm_top: int = DEFAULT_WARM_TOP,
                  querylog_capacity: int = DEFAULT_QUERYLOG_CAPACITY,
                  wal: Optional[Any] = None
@@ -317,11 +316,6 @@ class CommunityService:
         #: Where ``POST /admin/reload`` looks for the newest published
         #: snapshot: a snapshot directory or a store root.
         self.snapshot_source = snapshot_source
-        #: Materialization requested for admin reload loads
-        #: (``"copy"`` / ``"mmap"`` / ``"auto"``) — should match how
-        #: the engine itself was loaded, so a reload never silently
-        #: changes the serving mode.
-        self.snapshot_mode = snapshot_mode
         #: Cross-box transfer state (``/admin/snapshot...`` routes);
         #: ``None`` when no snapshot store is derivable, in which
         #: case those routes answer 400.
@@ -544,8 +538,6 @@ class CommunityService:
             "status": "ok",
             "generation": self.engine.generation,
             "snapshot": self.engine.snapshot_id,
-            "snapshot_mode": getattr(self.engine, "snapshot_mode",
-                                     None),
             # Delta divergence is surfaced whether or not a WAL is
             # attached: a dirty engine with no WAL is exactly the
             # state an operator must notice (a restart loses it).
@@ -612,8 +604,7 @@ class CommunityService:
                 "no snapshot source configured; serve with a "
                 "--snapshot source or supply 'path' in the body")
         try:
-            snapshot = load_snapshot(locate_snapshot(source),
-                                     mode=self.snapshot_mode)
+            snapshot = load_snapshot(locate_snapshot(source))
         except SnapshotNotFoundError as error:
             raise NotFound(str(error))
         except SnapshotError as error:
@@ -987,14 +978,10 @@ class CommunityService:
                 bool(self.compactor.degraded))
         infos: Dict[str, Any] = {}
         if self.engine.snapshot_id is not None:
-            mode = getattr(self.engine, "snapshot_mode", None)
             infos["repro_snapshot_info"] = {
-                "snapshot_id": self.engine.snapshot_id,
-                "mode": mode or "unknown"}
+                "snapshot_id": self.engine.snapshot_id}
             gauges["repro_snapshot_loaded_timestamp_seconds"] = \
                 float(self.engine.snapshot_loaded_at or 0.0)
-            gauges["repro_snapshot_mmap"] = (
-                1.0 if mode == "mmap" else 0.0)
         self._worker_metrics(counters, gauges, infos)
         return self.metrics.render(counters=counters, gauges=gauges,
                                    infos=infos)

@@ -9,8 +9,8 @@ content-addressed artifact that moves unchanged through the pipeline:
   verify, manifest;
 * :mod:`repro.snapshot.store` — publishing: atomic rename into a
   store directory, ``latest`` pointer, pruning;
-* :mod:`repro.snapshot.codec` — payload encodings shared with the
-  legacy single-file formats.
+* :mod:`repro.snapshot.codec` — the provenance encoding of the
+  ``nodes.json`` section.
 
 The snapshot id doubles as the engine's cache-invalidation generation
 (see :meth:`repro.engine.engine.QueryEngine.swap_snapshot`).
@@ -20,11 +20,9 @@ from repro.snapshot.snapshot import (
     FORMAT_NAME,
     FORMAT_VERSION,
     MANIFEST_NAME,
-    SNAPSHOT_MODES,
     Snapshot,
     load_snapshot,
     read_manifest,
-    snapshot_is_mappable,
     verify_snapshot,
     write_snapshot,
 )
@@ -34,13 +32,11 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
-    "SNAPSHOT_MODES",
     "Snapshot",
     "SnapshotStore",
     "load_snapshot",
     "locate_snapshot",
     "read_manifest",
-    "snapshot_is_mappable",
     "verify_snapshot",
     "write_snapshot",
 ]

@@ -1,35 +1,16 @@
-"""Canonical payload encoding shared by snapshots and legacy files.
+"""Provenance encoding for the snapshot ``nodes.json`` section.
 
-One module owns the translation between in-memory artifacts
-(:class:`~repro.graph.database_graph.DatabaseGraph`,
-:class:`~repro.text.inverted_index.CommunityIndex`) and their
-JSON-able payload dictionaries. The legacy single-file formats
-(:mod:`repro.graph.io`, :mod:`repro.text.persistence`) are thin shims
-over these functions, and the snapshot reader/writer
-(:mod:`repro.snapshot.snapshot`) reuses the same provenance and
-posting encodings for its sections — so a graph round-trips
-identically whichever container it travels in.
-
-Notable here: :func:`index_payload` unions the node- and edge-index
-keyword sets. The pre-snapshot writer iterated only
-``node_index.keywords()`` when dumping ``edge_postings``, silently
-dropping any keyword present solely in the edge index (possible when
-an index is built over an explicit vocabulary containing words absent
-from the graph).
+A node's provenance is its source tuple's ``(table, primary key)``;
+composite keys are tuples, which JSON turns into lists. These helpers
+translate between the in-memory form and the JSON-able one, so a
+graph's provenance round-trips exactly through a snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.exceptions import QueryError
-from repro.graph.csr import CompiledGraph
-from repro.graph.database_graph import DatabaseGraph, Provenance
-from repro.text.inverted_index import (
-    CommunityIndex,
-    EdgeInvertedIndex,
-    NodeInvertedIndex,
-)
+from repro.graph.database_graph import Provenance
 
 
 def encode_pk(pk: object) -> object:
@@ -58,103 +39,3 @@ def decode_provenance(entry: Optional[List]) -> Optional[Provenance]:
     if entry is None:
         return None
     return (entry[0], decode_pk(entry[1]))
-
-
-# ----------------------------------------------------------------------
-# database graph <-> payload
-# ----------------------------------------------------------------------
-def graph_payload(dbg: DatabaseGraph) -> Dict[str, Any]:
-    """``dbg`` as the legacy JSON payload (sans format header)."""
-    return {
-        "n": dbg.n,
-        "edges": [[u, v, w] for u, v, w in dbg.graph.edges()],
-        "keywords": [sorted(dbg.keywords_of(u)) for u in range(dbg.n)],
-        "labels": [dbg.label_of(u) for u in range(dbg.n)],
-        "provenance": [encode_provenance(dbg.provenance_of(u))
-                       for u in range(dbg.n)],
-    }
-
-
-def graph_from_payload(payload: Dict[str, Any]) -> DatabaseGraph:
-    """Inverse of :func:`graph_payload`."""
-    graph = CompiledGraph.from_edges(
-        payload["n"],
-        [(u, v, w) for u, v, w in payload["edges"]])
-    return DatabaseGraph(
-        graph,
-        [set(kws) for kws in payload["keywords"]],
-        payload["labels"],
-        [decode_provenance(entry) for entry in payload["provenance"]],
-    )
-
-
-# ----------------------------------------------------------------------
-# community index <-> payload
-# ----------------------------------------------------------------------
-def index_payload(index: CommunityIndex) -> Dict[str, Any]:
-    """``index`` postings as the legacy JSON payload.
-
-    Both posting maps are dumped over the *union* of the node- and
-    edge-index keyword sets, so a keyword present in only one of the
-    two survives the round trip.
-    """
-    keywords = sorted(set(index.node_index.keywords())
-                      | set(index.edge_index.keywords()))
-    return {
-        "radius": index.radius,
-        "build_seconds": index.build_seconds,
-        "node_postings": {
-            kw: index.node_index.nodes(kw) for kw in keywords},
-        "edge_postings": {
-            kw: [[u, v, w] for u, v, w in index.edge_index.edges(kw)]
-            for kw in keywords},
-    }
-
-
-def index_from_payload(payload: Dict[str, Any],
-                       dbg: DatabaseGraph) -> CommunityIndex:
-    """Inverse of :func:`index_payload`, re-attached to ``dbg``.
-
-    A cheap sanity check rejects node postings outside the graph's
-    node range — the symptom of pairing an index file with the wrong
-    graph — plus NaN and negative edge weights, which no valid build
-    can produce but a hand-edited or damaged file can. Each posting
-    is validated in the same pass that converts it, rather than
-    re-scanning every list with ``min``/``max`` afterwards.
-    """
-    n = dbg.n
-    node_postings: Dict[str, List[int]] = {}
-    for kw, nodes in payload["node_postings"].items():
-        converted = []
-        for u in nodes:
-            u = int(u)
-            if not 0 <= u < n:
-                raise QueryError(
-                    f"index posting for {kw!r} references node {u} "
-                    f"outside the supplied graph (n={n}); wrong "
-                    f"graph?")
-            converted.append(u)
-        node_postings[kw] = converted
-    edge_postings: Dict[str, List] = {}
-    for kw, edges in payload["edge_postings"].items():
-        converted_edges = []
-        for u, v, w in edges:
-            w = float(w)
-            if w != w:  # NaN
-                raise QueryError(
-                    f"index edge posting for {kw!r} carries a NaN "
-                    f"weight")
-            if w < 0:
-                raise QueryError(
-                    f"index edge posting for {kw!r} carries a "
-                    f"negative weight ({w})")
-            converted_edges.append((int(u), int(v), w))
-        edge_postings[kw] = converted_edges
-    radius = float(payload["radius"])
-    return CommunityIndex(
-        dbg,
-        NodeInvertedIndex(node_postings),
-        EdgeInvertedIndex(edge_postings, radius),
-        radius,
-        float(payload.get("build_seconds", 0.0)),
-    )

@@ -11,19 +11,22 @@ On-disk layout (one directory per snapshot)::
     <dir>/
       manifest.json        format, version, id, created_at, counts,
                            build provenance, per-section SHA-256
-      graph.bin[.gz]       forward CSR: indptr | targets | weights
-      nodes.json[.gz]      labels, provenance, vocab, per-node
+      graph.bin            forward CSR: indptr | targets | weights
+      nodes.json           labels, provenance, vocab, per-node
                            keyword ids
-      index.json[.gz]      radius, build seconds, posting directory
-      postings.bin[.gz]    node postings | edge (u | v | w) columns
+      index.json           radius, build seconds, posting directory
+      postings.bin         node postings | edge (u | v | w) columns
 
-Binary sections are little-endian ``int64``/``float64`` columns —
-loading is ``np.frombuffer`` + one vectorized reverse-CSR pass
-(:meth:`~repro.graph.csr.CompiledGraph.from_csr`), which is what makes
-snapshot loads several times faster than parsing the legacy JSON edge
-list. Sections may be gzip-compressed (``compress=True``); checksums
-and the snapshot id are computed over the *uncompressed* payload, so
-the id is a pure function of content.
+Binary sections are little-endian ``int64``/``float64`` columns.
+:func:`load_snapshot` maps every section read-only and wraps the
+columns in ``np.frombuffer`` views, so the forward CSR and the posting
+columns *are* the mapped pages, shared through the page cache by
+every process serving the same artifact; only the reverse CSR is
+derived (:meth:`~repro.graph.csr.CompiledGraph.from_csr_arrays`), and
+``nodes.json`` is parsed on first metadata access. Manifests written
+by earlier releases may flag gzip-compressed sections; those cannot be
+mapped and are refused with a typed error telling the operator to
+rebuild.
 
 The snapshot **id** (``sn-`` + 12 hex chars) digests every section,
 which gives the engine a durable cache-invalidation generation: two
@@ -41,7 +44,6 @@ snapshot) and :class:`~repro.exceptions.SnapshotIntegrityError`
 from __future__ import annotations
 
 import datetime
-import gzip
 import hashlib
 import json
 import mmap as _mmap
@@ -65,8 +67,6 @@ from repro.text.inverted_index import (
     ArrayEdgeInvertedIndex,
     ArrayNodeInvertedIndex,
     CommunityIndex,
-    EdgeInvertedIndex,
-    NodeInvertedIndex,
 )
 
 FORMAT_NAME = "repro.snapshot"
@@ -100,27 +100,22 @@ def _json_bytes(payload: Dict[str, Any]) -> bytes:
 class Snapshot:
     """One loaded (or just-written) snapshot artifact.
 
-    Bundles the manifest with the materialized
+    Bundles the manifest with the
     :class:`~repro.graph.database_graph.DatabaseGraph` and (when the
     snapshot carries one) the
     :class:`~repro.text.inverted_index.CommunityIndex`, plus the path
-    it lives at.
+    it lives at. A loaded snapshot's graph and index are read-only
+    views over the mapped sections; a just-written one wraps the
+    in-memory objects it was built from.
     """
 
     def __init__(self, path: Path, manifest: Dict[str, Any],
                  dbg: DatabaseGraph,
-                 index: Optional[CommunityIndex],
-                 mode: str = "copy") -> None:
+                 index: Optional[CommunityIndex]) -> None:
         self.path = Path(path)
         self.manifest = manifest
         self.dbg = dbg
         self.index = index
-        #: How the artifact was materialized: ``"copy"`` (private
-        #: Python objects, the legacy path) or ``"mmap"`` (read-only
-        #: array views over the mapped section files). A just-written
-        #: snapshot wraps the in-memory objects it was built from and
-        #: reports ``"copy"``.
-        self.mode = mode
 
     @property
     def id(self) -> str:
@@ -152,8 +147,7 @@ class Snapshot:
     def __repr__(self) -> str:
         return (f"Snapshot(id={self.id!r}, nodes="
                 f"{self.counts['nodes']}, edges={self.counts['edges']}"
-                f", index={self.index is not None}, "
-                f"mode={self.mode!r})")
+                f", index={self.index is not None})")
 
 
 # ----------------------------------------------------------------------
@@ -250,15 +244,13 @@ def snapshot_vocab(dbg: DatabaseGraph,
 # ----------------------------------------------------------------------
 def write_snapshot(path: PathLike, dbg: DatabaseGraph,
                    index: Optional[CommunityIndex] = None,
-                   provenance: Optional[Dict[str, Any]] = None,
-                   compress: bool = False) -> Snapshot:
+                   provenance: Optional[Dict[str, Any]] = None
+                   ) -> Snapshot:
     """Write one snapshot directory at ``path`` and return it.
 
     ``path`` must not already contain a snapshot (publishing with
     overwrite/atomicity semantics is
     :meth:`repro.snapshot.store.SnapshotStore.publish`'s job).
-    ``compress`` gzips the section payloads; the manifest stays plain
-    JSON either way, and checksums cover the uncompressed bytes.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -284,14 +276,12 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
         digest.update(name.encode())
         digest.update(sha.encode())
         suffix = ".json" if name in ("nodes", "index") else ".bin"
-        filename = f"{name}{suffix}" + (".gz" if compress else "")
-        stored = gzip.compress(data, mtime=0) if compress else data
-        (path / filename).write_bytes(stored)
+        filename = f"{name}{suffix}"
+        (path / filename).write_bytes(data)
         sections[name] = {
             "file": filename,
             "sha256": sha,
             "bytes": len(data),
-            "gzip": compress,
         }
 
     counts = {
@@ -347,42 +337,24 @@ def read_manifest(path: PathLike) -> Dict[str, Any]:
     return manifest
 
 
-def _read_section(path: Path, manifest: Dict[str, Any], name: str,
-                  verify: bool) -> bytes:
-    """One section's uncompressed bytes, optionally checksum-checked."""
-    entry = manifest["sections"].get(name)
-    if entry is None:
+def require_uncompressed(manifest: Dict[str, Any]) -> None:
+    """Refuse a manifest that flags gzip-compressed sections.
+
+    Earlier releases could gzip sections at rest. A compressed
+    section cannot be mapped, and snapshots have one load path, so
+    such an artifact fails with
+    :class:`~repro.exceptions.SnapshotFormatError` — at load and when
+    a cross-box ingest begins — telling the operator to rebuild.
+    """
+    packed = sorted(name for name, entry
+                    in (manifest.get("sections") or {}).items()
+                    if entry.get("gzip"))
+    if packed:
         raise SnapshotFormatError(
-            f"snapshot {manifest.get('id')} has no {name!r} section")
-    section_path = path / entry["file"]
-    if not section_path.is_file():
-        raise SnapshotIntegrityError(
-            f"snapshot section {section_path} is missing")
-    raw = section_path.read_bytes()
-    if entry.get("gzip"):
-        try:
-            raw = gzip.decompress(raw)
-        except (OSError, EOFError, ValueError) as exc:
-            raise SnapshotIntegrityError(
-                f"snapshot section {section_path} is corrupt "
-                f"(gzip: {exc})") from exc
-    # Failpoint: simulate on-disk damage (bit rot, torn write) after
-    # decompression so the checksum below is what catches it — the
-    # exact production detection path.
-    raw = faults.corrupt(f"snapshot.section.{name}",
-                         faults.corrupt("snapshot.section", raw))
-    if len(raw) != entry["bytes"]:
-        raise SnapshotIntegrityError(
-            f"snapshot section {section_path} is truncated: "
-            f"{len(raw)} bytes, manifest says {entry['bytes']}")
-    if verify:
-        sha = hashlib.sha256(raw).hexdigest()
-        if sha != entry["sha256"]:
-            raise SnapshotIntegrityError(
-                f"snapshot section {section_path} failed its "
-                f"checksum (sha256 {sha[:12]}..., manifest "
-                f"{entry['sha256'][:12]}...)")
-    return raw
+            f"snapshot {manifest.get('id')} has gzip-compressed "
+            f"sections ({', '.join(packed)}), which are no longer "
+            f"supported; rebuild it with 'python -m repro snapshot "
+            f"build' (or republish it through SnapshotStore.publish)")
 
 
 def _split(data: bytes, *specs) -> List[np.ndarray]:
@@ -405,113 +377,22 @@ def _split(data: bytes, *specs) -> List[np.ndarray]:
     return arrays
 
 
-def _decode_graph(manifest: Dict[str, Any], graph_data: bytes,
-                  nodes_data: bytes) -> DatabaseGraph:
-    """Rebuild the :class:`DatabaseGraph` from its two sections."""
-    n = manifest["counts"]["nodes"]
-    m = manifest["counts"]["edges"]
-    indptr, targets, weights = _split(
-        graph_data, (_INT, n + 1), (_INT, m), (_FLOAT, m))
-    try:
-        graph = CompiledGraph.from_csr(n, indptr, targets, weights)
-    except GraphError as exc:
-        raise SnapshotIntegrityError(
-            f"snapshot graph section is inconsistent: {exc}") from exc
-    try:
-        nodes = json.loads(nodes_data.decode("utf-8"))
-        vocab = nodes["vocab"]
-        keywords = [[vocab[i] for i in ids]
-                    for ids in nodes["node_keywords"]]
-        provenance = [decode_provenance(entry)
-                      for entry in nodes["provenance"]]
-        labels = nodes["labels"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise SnapshotIntegrityError(
-            f"snapshot nodes section is undecodable: {exc}") from exc
-    try:
-        return DatabaseGraph(graph, keywords, labels, provenance)
-    except GraphError as exc:
-        raise SnapshotIntegrityError(
-            f"snapshot node sections disagree with the graph: "
-            f"{exc}") from exc
-
-
-def _decode_index(dbg: DatabaseGraph, vocab: List[str],
-                  index_data: bytes,
-                  postings_data: bytes) -> CommunityIndex:
-    """Rebuild the :class:`CommunityIndex` from its two sections."""
-    try:
-        directory = json.loads(index_data.decode("utf-8"))
-        node_kws = [vocab[i] for i in directory["node_keywords"]]
-        edge_kws = [vocab[i] for i in directory["edge_keywords"]]
-        node_counts = [int(c) for c in directory["node_counts"]]
-        edge_counts = [int(c) for c in directory["edge_counts"]]
-        radius = float(directory["radius"])
-        build_seconds = float(directory.get("build_seconds", 0.0))
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise SnapshotIntegrityError(
-            f"snapshot index section is undecodable: {exc}") from exc
-    if len(node_counts) != len(node_kws) \
-            or len(edge_counts) != len(edge_kws):
-        raise SnapshotIntegrityError(
-            "snapshot index directory counts do not align with its "
-            "keyword lists")
-    total_nodes = sum(node_counts)
-    total_edges = sum(edge_counts)
-    node_flat, edge_u, edge_v, edge_w = _split(
-        postings_data, (_INT, total_nodes), (_INT, total_edges),
-        (_INT, total_edges), (_FLOAT, total_edges))
-
-    node_postings: Dict[str, List[int]] = {}
-    offset = 0
-    for kw, count in zip(node_kws, node_counts):
-        node_postings[kw] = node_flat[offset:offset + count].tolist()
-        offset += count
-    edge_postings: Dict[str, List] = {}
-    offset = 0
-    us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
-    for kw, count in zip(edge_kws, edge_counts):
-        edge_postings[kw] = list(zip(us[offset:offset + count],
-                                     vs[offset:offset + count],
-                                     ws[offset:offset + count]))
-        offset += count
-    for kw, nodes in node_postings.items():
-        if nodes and (min(nodes) < 0 or max(nodes) >= dbg.n):
-            raise SnapshotIntegrityError(
-                f"snapshot posting for {kw!r} references node "
-                f"outside the bundled graph (n={dbg.n})")
-    return CommunityIndex(
-        dbg, NodeInvertedIndex(node_postings),
-        EdgeInvertedIndex(edge_postings, radius), radius,
-        build_seconds)
-
-
-def snapshot_is_mappable(manifest: Dict[str, Any]) -> bool:
-    """True when every section can be memory-mapped (no gzip)."""
-    return not any(entry.get("gzip")
-                   for entry in manifest["sections"].values())
-
-
 def _map_section(path: Path, manifest: Dict[str, Any], name: str,
                  verify: bool):
     """One section as a read-only mapped buffer, checksum-checked.
 
     Returns an ``mmap.mmap`` (or ``b""`` for an empty section) whose
     pages every process mapping the same file shares through the page
-    cache. The same failpoints as :func:`_read_section` apply: with
-    fault injection armed, the buffer content is copied through
-    :func:`repro.faults.corrupt` so chaos tests exercise the identical
-    detection path (checksum mismatch -> typed integrity error), at
-    the cost of the copy — production runs never take that branch.
+    cache. With fault injection armed, the content is copied through
+    :func:`repro.faults.corrupt` (the ``snapshot.section[.<name>]``
+    sites) so chaos tests exercise the production detection path —
+    checksum mismatch, typed integrity error — at the cost of the
+    copy; production runs never take that branch.
     """
     entry = manifest["sections"].get(name)
     if entry is None:
         raise SnapshotFormatError(
             f"snapshot {manifest.get('id')} has no {name!r} section")
-    if entry.get("gzip"):
-        raise SnapshotFormatError(
-            f"snapshot section {name!r} is gzip-compressed and "
-            f"cannot be memory-mapped")
     section_path = path / entry["file"]
     if not section_path.is_file():
         raise SnapshotIntegrityError(
@@ -540,18 +421,19 @@ def _map_section(path: Path, manifest: Dict[str, Any], name: str,
     return data
 
 
-def _load_mmap(path: Path, manifest: Dict[str, Any], verify: bool
-               ) -> Tuple[DatabaseGraph, Optional[CommunityIndex]]:
+def _load_mapped(path: Path, manifest: Dict[str, Any], verify: bool
+                 ) -> Tuple[LazyDatabaseGraph,
+                            Optional[CommunityIndex]]:
     """Open the snapshot as read-only views over mapped sections.
 
-    The graph's forward CSR and both posting columns become
+    The graph's forward CSR and the posting columns become
     ``np.frombuffer`` views of the mapped files — zero copies, shared
-    page-cache pages across workers. ``nodes.json`` is *not* parsed
-    here: its decode (plus per-node keyword/provenance
-    materialization) happens lazily on first metadata access, which is
-    what makes worker spawn O(ms). Checksums are still verified
-    eagerly over the mapped bytes, so integrity detection is identical
-    to copy mode.
+    page-cache pages across workers. Every column is range-checked
+    with vectorised ``min``/``max`` here, at load; ``nodes.json`` is
+    *not* parsed: its decode (plus per-node keyword/provenance
+    materialization) happens lazily on first metadata access, which
+    is what makes worker spawn O(ms), and that decode checks every
+    keyword id against the vocabulary.
     """
     graph_buf = _map_section(path, manifest, "graph", verify)
     nodes_buf = _map_section(path, manifest, "nodes", verify)
@@ -565,6 +447,50 @@ def _load_mmap(path: Path, manifest: Dict[str, Any], verify: bool
     except GraphError as exc:
         raise SnapshotIntegrityError(
             f"snapshot graph section is inconsistent: {exc}") from exc
+
+    index_kw_ids: List[int] = []
+    if manifest.get("has_index"):
+        index_buf = _map_section(path, manifest, "index", verify)
+        postings_buf = _map_section(path, manifest, "postings",
+                                    verify)
+        try:
+            directory = json.loads(bytes(index_buf).decode("utf-8"))
+            node_kw_ids = [int(i) for i in directory["node_keywords"]]
+            edge_kw_ids = [int(i) for i in directory["edge_keywords"]]
+            node_counts = [int(c) for c in directory["node_counts"]]
+            edge_counts = [int(c) for c in directory["edge_counts"]]
+            radius = float(directory["radius"])
+            build_seconds = float(directory.get("build_seconds", 0.0))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SnapshotIntegrityError(
+                f"snapshot index section is undecodable: "
+                f"{exc}") from exc
+        if len(node_counts) != len(node_kw_ids) \
+                or len(edge_counts) != len(edge_kw_ids):
+            raise SnapshotIntegrityError(
+                "snapshot index directory counts do not align with "
+                "its keyword lists")
+        index_kw_ids = node_kw_ids + edge_kw_ids
+        total_nodes = sum(node_counts)
+        total_edges = sum(edge_counts)
+        node_flat, edge_u, edge_v, edge_w = _split(
+            postings_buf, (_INT, total_nodes), (_INT, total_edges),
+            (_INT, total_edges), (_FLOAT, total_edges))
+        if total_nodes and (node_flat.min() < 0
+                            or node_flat.max() >= n):
+            raise SnapshotIntegrityError(
+                f"snapshot node posting references a node outside "
+                f"the bundled graph (n={n})")
+        if total_edges:
+            if min(edge_u.min(), edge_v.min()) < 0 \
+                    or max(edge_u.max(), edge_v.max()) >= n:
+                raise SnapshotIntegrityError(
+                    f"snapshot edge posting references a node "
+                    f"outside the bundled graph (n={n})")
+            if not edge_w.min() >= 0:  # catches negatives *and* NaN
+                raise SnapshotIntegrityError(
+                    "snapshot edge posting carries a negative or NaN "
+                    "weight")
 
     payload_box: List[tuple] = []
 
@@ -590,51 +516,19 @@ def _load_mmap(path: Path, manifest: Dict[str, Any], verify: bool
                     f"entries for {n} nodes")
             vocab_size = len(vocab)
             if any(i < 0 or i >= vocab_size
-                   for ids in node_kws for i in ids):
+                   for ids in (*node_kws, index_kw_ids) for i in ids):
                 raise SnapshotIntegrityError(
-                    "snapshot nodes section references a keyword id "
-                    "outside its vocabulary")
+                    "snapshot references a keyword id outside its "
+                    "vocabulary")
             payload_box.append((vocab, node_kws, labels, provenance))
         return payload_box[0]
 
-    dbg: DatabaseGraph = LazyDatabaseGraph(graph, nodes_payload,
-                                           decode_provenance)
+    def resolve_vocab() -> List[str]:
+        return nodes_payload()[0]
+
+    dbg = LazyDatabaseGraph(graph, nodes_payload, decode_provenance)
     index: Optional[CommunityIndex] = None
     if manifest.get("has_index"):
-        index_buf = _map_section(path, manifest, "index", verify)
-        postings_buf = _map_section(path, manifest, "postings",
-                                    verify)
-        try:
-            directory = json.loads(bytes(index_buf).decode("utf-8"))
-            node_kw_ids = [int(i) for i in directory["node_keywords"]]
-            edge_kw_ids = [int(i) for i in directory["edge_keywords"]]
-            node_counts = [int(c) for c in directory["node_counts"]]
-            edge_counts = [int(c) for c in directory["edge_counts"]]
-            radius = float(directory["radius"])
-            build_seconds = float(directory.get("build_seconds", 0.0))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SnapshotIntegrityError(
-                f"snapshot index section is undecodable: "
-                f"{exc}") from exc
-        if len(node_counts) != len(node_kw_ids) \
-                or len(edge_counts) != len(edge_kw_ids):
-            raise SnapshotIntegrityError(
-                "snapshot index directory counts do not align with "
-                "its keyword lists")
-        total_nodes = sum(node_counts)
-        total_edges = sum(edge_counts)
-        node_flat, edge_u, edge_v, edge_w = _split(
-            postings_buf, (_INT, total_nodes), (_INT, total_edges),
-            (_INT, total_edges), (_FLOAT, total_edges))
-        if total_nodes and (node_flat.min() < 0
-                            or node_flat.max() >= n):
-            raise SnapshotIntegrityError(
-                f"snapshot posting references node outside the "
-                f"bundled graph (n={n})")
-
-        def resolve_vocab() -> List[str]:
-            return nodes_payload()[0]
-
         index = CommunityIndex(
             dbg,
             ArrayNodeInvertedIndex(node_kw_ids, node_counts,
@@ -646,65 +540,39 @@ def _load_mmap(path: Path, manifest: Dict[str, Any], verify: bool
     return dbg, index
 
 
-#: Accepted ``load_snapshot`` modes. ``"auto"`` maps when the
-#: artifact allows it and silently falls back to copy otherwise.
-SNAPSHOT_MODES = ("copy", "mmap", "auto")
-
-
-def load_snapshot(path: PathLike, verify: bool = True,
-                  mode: str = "copy") -> Snapshot:
+def load_snapshot(path: PathLike, verify: bool = True) -> Snapshot:
     """Load the snapshot directory at ``path``.
 
-    With ``verify`` (the default, and what every production path
-    uses) each section's SHA-256 is recomputed against the manifest
-    before decoding; a flipped byte anywhere raises
-    :class:`~repro.exceptions.SnapshotIntegrityError`.
-
-    ``mode`` selects the materialization: ``"copy"`` (default)
-    deserializes every section into private Python objects, exactly
-    as before; ``"mmap"`` maps the uncompressed section files and
-    wraps read-only array views (raising
-    :class:`~repro.exceptions.SnapshotFormatError` when a section is
-    gzip-compressed); ``"auto"`` picks mmap when possible and falls
-    back to copy. Query results are identical across modes.
+    Every section is mapped read-only and wrapped in array views (see
+    the module docstring); query results equal those of the in-memory
+    graph and index the snapshot was written from. With ``verify``
+    (the default, and what every production path uses) each section's
+    SHA-256 is recomputed over the mapped bytes before any view is
+    handed out; a flipped byte anywhere raises
+    :class:`~repro.exceptions.SnapshotIntegrityError`, as does a
+    posting outside the graph or a negative or NaN edge weight. A
+    manifest flagging gzip-compressed sections raises
+    :class:`~repro.exceptions.SnapshotFormatError` (see
+    :func:`require_uncompressed`).
     """
-    if mode not in SNAPSHOT_MODES:
-        raise ValueError(
-            f"unknown snapshot mode {mode!r}; "
-            f"expected one of {SNAPSHOT_MODES}")
     path = Path(path)
     faults.hit("snapshot.load")
     manifest = read_manifest(path)
-    use_mmap = False
-    if mode == "mmap":
-        if not snapshot_is_mappable(manifest):
-            raise SnapshotFormatError(
-                f"snapshot {manifest['id']} has gzip-compressed "
-                f"sections and cannot be memory-mapped; rebuild it "
-                f"without --compress or load with mode='copy'")
-        use_mmap = True
-    elif mode == "auto":
-        use_mmap = snapshot_is_mappable(manifest)
-    if use_mmap:
-        dbg, index = _load_mmap(path, manifest, verify)
-        return Snapshot(path, manifest, dbg, index, mode="mmap")
-    graph_data = _read_section(path, manifest, "graph", verify)
-    nodes_data = _read_section(path, manifest, "nodes", verify)
-    dbg = _decode_graph(manifest, graph_data, nodes_data)
-    index: Optional[CommunityIndex] = None
-    if manifest.get("has_index"):
-        vocab = json.loads(nodes_data.decode("utf-8"))["vocab"]
-        index_data = _read_section(path, manifest, "index", verify)
-        postings_data = _read_section(path, manifest, "postings",
-                                      verify)
-        index = _decode_index(dbg, vocab, index_data, postings_data)
-    return Snapshot(path, manifest, dbg, index, mode="copy")
+    require_uncompressed(manifest)
+    dbg, index = _load_mapped(path, manifest, verify)
+    return Snapshot(path, manifest, dbg, index)
 
 
 def verify_snapshot(path: PathLike) -> Dict[str, Any]:
-    """Check every section checksum and decode the snapshot.
+    """Check every section checksum and decode every section.
 
-    Returns the manifest on success; raises the matching
+    :func:`load_snapshot` defers the ``nodes.json`` parse to first
+    metadata access; this forces it, so a section that checksums
+    clean but does not decode (a keyword id outside the vocabulary,
+    say) fails here rather than on some later query. Returns the
+    manifest on success; raises the matching
     :class:`~repro.exceptions.SnapshotError` subclass otherwise.
     """
-    return load_snapshot(path, verify=True).manifest
+    snapshot = load_snapshot(path, verify=True)
+    snapshot.dbg.decode()
+    return snapshot.manifest

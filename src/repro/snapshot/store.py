@@ -20,10 +20,10 @@ and only repoints ``LATEST``.
 
 **Cross-box ingest.** :meth:`SnapshotStore.ingest` accepts a snapshot
 manifest produced elsewhere and returns a :class:`SnapshotIngest`
-that receives the section payloads one at a time (the wire form: the
-stored bytes, gzip frames included), verifying each against the
-manifest's length and SHA-256 before it touches the store. The
-transfer stages in a hidden sibling directory and only an explicit
+that receives the section payloads one at a time (the wire form is
+the stored file bytes), verifying each against the manifest's length
+and SHA-256 before it touches the store. The transfer stages in a
+hidden sibling directory and only an explicit
 :meth:`SnapshotIngest.commit` renames it into place — a torn or
 corrupted transfer never becomes visible, which is what lets a router
 push shard snapshots to backends with no shared filesystem.
@@ -31,7 +31,6 @@ push shard snapshots to backends with no shared filesystem.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
@@ -54,6 +53,7 @@ from repro.snapshot.snapshot import (
     Snapshot,
     load_snapshot,
     read_manifest,
+    require_uncompressed,
     write_snapshot,
 )
 from repro.text.inverted_index import CommunityIndex
@@ -75,8 +75,8 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def publish(self, dbg: DatabaseGraph,
                 index: Optional[CommunityIndex] = None,
-                provenance: Optional[Dict[str, Any]] = None,
-                compress: bool = False) -> Snapshot:
+                provenance: Optional[Dict[str, Any]] = None
+                ) -> Snapshot:
         """Write a snapshot into the store and repoint ``latest``.
 
         The artifact is staged in a temporary directory inside the
@@ -88,8 +88,7 @@ class SnapshotStore:
                                         dir=str(self.root)))
         try:
             snapshot = write_snapshot(staging, dbg, index=index,
-                                      provenance=provenance,
-                                      compress=compress)
+                                      provenance=provenance)
             final = self.root / snapshot.id
             if final.exists():
                 # Content-identical snapshot already published.
@@ -126,8 +125,11 @@ class SnapshotStore:
         dict; its format, version, and content-derived id are
         validated up front (the id is recomputed from the section
         checksums, so a tampered manifest is rejected before any
-        bytes move). Returns a :class:`SnapshotIngest` to feed the
-        section payloads into.
+        bytes move), and a manifest flagging gzip-compressed sections
+        is refused (see
+        :func:`~repro.snapshot.snapshot.require_uncompressed`).
+        Returns a :class:`SnapshotIngest` to feed the section
+        payloads into.
         """
         return SnapshotIngest(self, manifest)
 
@@ -222,12 +224,11 @@ class SnapshotStore:
 class SnapshotIngest:
     """One in-flight snapshot transfer into a :class:`SnapshotStore`.
 
-    Sections arrive in their *stored* (wire) form — gzip frames when
-    the manifest says so — and are verified section by section:
-    decompress, check the byte length, check the SHA-256 against the
-    manifest. Everything stages under a hidden directory inside the
-    store; :meth:`commit` atomically renames it into place and
-    repoints ``LATEST``, :meth:`abort` discards it. A crashed or
+    Sections arrive as their stored file bytes and are verified
+    section by section: check the byte length, check the SHA-256
+    against the manifest. Everything stages under a hidden directory
+    inside the store; :meth:`commit` atomically renames it into place
+    and repoints ``LATEST``, :meth:`abort` discards it. A crashed or
     failed transfer is invisible to readers either way.
     """
 
@@ -241,6 +242,7 @@ class SnapshotIngest:
                 f"ingest manifest has unsupported version "
                 f"{manifest.get('version')!r} "
                 f"(expected {FORMAT_VERSION})")
+        require_uncompressed(manifest)
         sections = manifest.get("sections") or {}
         digest = hashlib.sha256()
         digest.update(f"{FORMAT_NAME}:{FORMAT_VERSION}".encode())
@@ -267,10 +269,9 @@ class SnapshotIngest:
                 if name not in self._received]
 
     def write_section(self, name: str, stored: bytes) -> None:
-        """Receive one section's wire bytes, verify, and stage it.
+        """Receive one section's stored bytes, verify, and stage it.
 
-        ``stored`` is the on-disk form (compressed when the manifest
-        flags it). Verification failures raise
+        Verification failures raise
         :class:`~repro.exceptions.SnapshotIntegrityError` and leave
         the ingest usable — the caller may re-send the section.
         """
@@ -285,18 +286,9 @@ class SnapshotIngest:
         # Failpoint: damage the payload in flight (a torn proxy, a
         # bad NIC) so the checksum below is what catches it — the
         # exact cross-box detection path.
-        wire = faults.corrupt(f"snapshot.transfer.{name}",
-                              faults.corrupt("snapshot.transfer",
-                                             stored))
-        raw = wire
-        if entry.get("gzip"):
-            try:
-                raw = gzip.decompress(wire)
-            except (OSError, EOFError, ValueError) as exc:
-                raise SnapshotIntegrityError(
-                    f"transferred section {name!r} of "
-                    f"{self.snapshot_id} is corrupt (gzip: {exc})"
-                ) from exc
+        raw = faults.corrupt(f"snapshot.transfer.{name}",
+                             faults.corrupt("snapshot.transfer",
+                                            stored))
         if len(raw) != entry["bytes"]:
             raise SnapshotIntegrityError(
                 f"transferred section {name!r} of {self.snapshot_id} "
@@ -308,9 +300,7 @@ class SnapshotIngest:
                 f"transferred section {name!r} of {self.snapshot_id} "
                 f"failed its checksum (sha256 {sha[:12]}..., "
                 f"manifest {entry['sha256'][:12]}...)")
-        # Stage the stored (wire) form, so the staged file matches
-        # the original artifact byte for byte.
-        (self._staging / entry["file"]).write_bytes(wire)
+        (self._staging / entry["file"]).write_bytes(raw)
         self._received[name] = True
 
     def commit(self) -> Path:

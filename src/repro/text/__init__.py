@@ -14,7 +14,6 @@ from repro.text.inverted_index import (
     NodeInvertedIndex,
 )
 from repro.text.maintenance import GraphDelta, apply_delta, update_index
-from repro.text.persistence import load_index, save_index
 from repro.text.tokenizer import Tokenizer, tokenize
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "NodeInvertedIndex",
     "Tokenizer",
     "apply_delta",
-    "load_index",
-    "save_index",
     "tokenize",
     "update_index",
 ]

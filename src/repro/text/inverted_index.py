@@ -146,7 +146,7 @@ class EdgeInvertedIndex:
 class ArrayNodeInvertedIndex(NodeInvertedIndex):
     """``invertedN`` served out of flat posting arrays, on demand.
 
-    The mmap snapshot path: instead of materializing every posting
+    The snapshot load path: instead of materializing every posting
     list at load, this variant keeps the snapshot's flat node-posting
     column (a read-only int64 view over the mapped ``postings.bin``)
     plus the per-keyword ``(id, count)`` directory, and slices a

@@ -239,24 +239,27 @@ class TestSnapshotSites:
 
 
 class TestMmapSnapshotSites:
-    """The mmap load path hits the same failpoints as the copy path
-    and fails with the same *typed* errors — never a bare numpy or
-    struct error escaping from the view layer."""
+    """Every load maps its sections read-only; damage in any mapped
+    section fails with a *typed* error — never a bare numpy or struct
+    error escaping from the view layer."""
 
     def test_corrupted_section_is_a_typed_error_in_mmap_mode(
             self, fig4_store):
+        import numpy as np
+
         from repro.exceptions import SnapshotError
         from repro.snapshot import SnapshotStore
         from repro.snapshot.snapshot import load_snapshot
 
         path = SnapshotStore(fig4_store).resolve()
-        assert load_snapshot(path, mode="mmap").mode == "mmap"
+        targets = load_snapshot(path).dbg.graph.forward.targets
+        assert not np.asarray(targets).flags.writeable   # mapped
         faults.activate("snapshot.section", "always:corrupt")
         with pytest.raises(SnapshotIntegrityError) as excinfo:
-            load_snapshot(path, mode="mmap")
+            load_snapshot(path)
         assert isinstance(excinfo.value, SnapshotError)
         faults.clear()
-        load_snapshot(path, mode="mmap")            # clean again
+        load_snapshot(path)                         # clean again
 
     @pytest.mark.parametrize("section",
                              ("graph", "nodes", "index", "postings"))
@@ -269,14 +272,20 @@ class TestMmapSnapshotSites:
         faults.activate(f"snapshot.section.{section}",
                         "always:corrupt")
         with pytest.raises(SnapshotIntegrityError):
-            load_snapshot(path, mode="mmap")
+            load_snapshot(path)
 
     def test_load_site_fires_before_any_mapping(self, fig4_store):
+        """With both sites armed the load site wins: it fires before
+        any section is mapped (so before the section site can)."""
         from repro.snapshot import SnapshotStore
         from repro.snapshot.snapshot import load_snapshot
 
         path = SnapshotStore(fig4_store).resolve()
         faults.activate("snapshot.load", "once:raise")
+        faults.activate("snapshot.section", "always:corrupt")
         with pytest.raises(FaultInjectedError):
-            load_snapshot(path, mode="mmap")
-        load_snapshot(path, mode="mmap")
+            load_snapshot(path)
+        with pytest.raises(SnapshotIntegrityError):
+            load_snapshot(path)                     # load site spent
+        faults.clear()
+        load_snapshot(path)

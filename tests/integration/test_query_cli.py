@@ -7,27 +7,17 @@ from repro.cli import main
 
 class TestBuild:
     def test_build_and_query_round_trip(self, tmp_path, capsys):
-        graph_path = tmp_path / "g.json.gz"
-        index_path = tmp_path / "i.json.gz"
-        assert main(["build", "--dataset", "fig4",
-                     "--out-graph", str(graph_path),
-                     "--out-index", str(index_path),
-                     "--radius", "8"]) == 0
-        assert graph_path.exists() and index_path.exists()
+        store = tmp_path / "store"
+        assert main(["snapshot", "build", "--dataset", "fig4",
+                     "--store", str(store), "--radius", "8"]) == 0
+        assert (store / "LATEST").exists()
 
-        assert main(["query", "--graph", str(graph_path),
-                     "--index", str(index_path),
+        assert main(["query", "--snapshot", str(store),
                      "--keywords", "a,b,c", "--rmax", "8",
                      "--k", "5"]) == 0
         out = capsys.readouterr().out
         assert "cost=7" in out
         assert "5 communities" in out
-
-    def test_build_graph_only(self, tmp_path, capsys):
-        graph_path = tmp_path / "g.json"
-        assert main(["build", "--dataset", "fig4",
-                     "--out-graph", str(graph_path)]) == 0
-        assert graph_path.exists()
 
 
 class TestQuery:

@@ -1,13 +1,14 @@
-"""Property tests for the mmap snapshot mode.
+"""Property tests for the mapped snapshot load.
 
-Two properties back the zero-copy refactor:
+Two properties back the one load path:
 
-1. every array a mmap-mode load hands out is a read-only view —
-   mutation raises instead of silently corrupting the shared pages;
-2. a copy-mode engine and a mmap-mode engine over the same artifact
-   answer PDall and PDk identically, community for community, on
-   adversarial Hypothesis graphs — so ``--snapshot-mode`` can never
-   change what a query returns, only how the bytes are materialized.
+1. every array a load hands out is a read-only view — mutation raises
+   instead of silently corrupting the shared pages;
+2. an engine over the loaded snapshot answers PDall and PDk exactly
+   like an engine over the in-memory graph and index the snapshot was
+   written from, community for community, on adversarial Hypothesis
+   graphs — and the answers serialize to the same JSON, so no numpy
+   scalar leaks out of the mapped arrays.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import QueryEngine
 from repro.engine.spec import QuerySpec
+from repro.service.serialize import results_to_dict
 from repro.snapshot import load_snapshot, write_snapshot
 
 from test_snapshot_props import _same_graph, _same_index, artifacts
@@ -32,11 +34,10 @@ def _community_key(communities):
 @given(case=artifacts())
 def test_mmap_load_round_trips_and_views_are_read_only(
         case, tmp_path_factory):
-    dbg, index, _ = case
+    dbg, index = case
     path = tmp_path_factory.mktemp("mmap") / "s"
-    write_snapshot(path, dbg, index)       # uncompressed: mappable
-    loaded = load_snapshot(path, mode="mmap")
-    assert loaded.mode == "mmap"
+    write_snapshot(path, dbg, index)
+    loaded = load_snapshot(path)
     _same_graph(loaded.dbg, dbg)
     if index is not None:
         _same_index(index, loaded.index)
@@ -52,15 +53,13 @@ def test_mmap_load_round_trips_and_views_are_read_only(
 
 @settings(max_examples=20, deadline=None)
 @given(case=artifacts(), data=st.data())
-def test_copy_and_mmap_engines_answer_identically(
+def test_in_memory_and_loaded_engines_answer_identically(
         case, data, tmp_path_factory):
-    dbg, index, _ = case
-    path = tmp_path_factory.mktemp("modes") / "s"
+    dbg, index = case
+    path = tmp_path_factory.mktemp("loaded") / "s"
     write_snapshot(path, dbg, index)
-    copied = QueryEngine.from_snapshot(path, mode="copy")
-    mapped = QueryEngine.from_snapshot(path, mode="mmap")
-    assert copied.snapshot_mode == "copy"
-    assert mapped.snapshot_mode == "mmap"
+    in_memory = QueryEngine(dbg, index)
+    loaded = QueryEngine.from_snapshot(path)
 
     vocab = sorted(dbg.vocabulary())
     if not vocab:
@@ -74,14 +73,14 @@ def test_copy_and_mmap_engines_answer_identically(
         rmax = min(rmax, index.radius)
 
     spec = QuerySpec(tuple(keywords), rmax, mode="all")
-    all_a = _community_key(copied.run_all(spec))
-    all_b = _community_key(mapped.run_all(spec))
-    assert all_a == all_b
+    expected = in_memory.run_all(spec)
+    got = loaded.run_all(spec)
+    assert _community_key(got) == _community_key(expected)
     # The same answers serialize to the same JSON — no numpy scalar
-    # may leak out of the mmap path.
-    assert json.dumps(all_b, default=str) \
-        == json.dumps(all_a, default=str)
+    # may leak out of the mapped arrays (json.dumps would reject it).
+    assert json.dumps(results_to_dict(got, dbg=loaded.dbg)) \
+        == json.dumps(results_to_dict(expected, dbg=dbg))
 
-    stream_a = copied.top_k_stream(keywords, rmax).take(3)
-    stream_b = mapped.top_k_stream(keywords, rmax).take(3)
-    assert _community_key(stream_a) == _community_key(stream_b)
+    stream_a = in_memory.top_k_stream(keywords, rmax).take(3)
+    stream_b = loaded.top_k_stream(keywords, rmax).take(3)
+    assert _community_key(stream_b) == _community_key(stream_a)

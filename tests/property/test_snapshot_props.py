@@ -1,14 +1,12 @@
-"""Property tests for snapshot and legacy-file round trips.
+"""Property tests for snapshot round trips.
 
 One generator produces adversarial artifacts — composite-tuple
 provenance primary keys, unicode keywords and labels, keywords with
 empty postings (explicit build vocabularies containing words absent
-from the graph), gzip on and off — and the properties assert that
+from the graph) — and the properties assert that
 
 1. a snapshot round-trips the graph and index exactly;
-2. the legacy single-file formats (now shims over the same codec)
-   round-trip them exactly too;
-3. re-serializing loaded content reproduces the identical snapshot id
+2. re-serializing loaded content reproduces the identical snapshot id
    — serialization is deterministic, so content-addressing is stable
    across write/load/write cycles.
 """
@@ -17,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.csr import CompiledGraph
 from repro.graph.database_graph import DatabaseGraph
-from repro.graph.io import load_database_graph, save_database_graph
 from repro.snapshot import load_snapshot, write_snapshot
 from repro.text.inverted_index import CommunityIndex
-from repro.text.persistence import load_index, save_index
 
 _TEXT = st.text(
     st.characters(blacklist_categories=("Cs",)),  # no lone surrogates
@@ -34,7 +30,7 @@ _PK = st.recursive(
 
 @st.composite
 def artifacts(draw):
-    """A ``(dbg, index_or_None, compress)`` case."""
+    """A ``(dbg, index_or_None)`` case."""
     n = draw(st.integers(min_value=0, max_value=8))
     vocab = draw(st.lists(_TEXT, min_size=1, max_size=4,
                           unique=True))
@@ -62,7 +58,7 @@ def artifacts(draw):
             # produces keywords whose postings are empty.
             explicit = vocab + [draw(_TEXT)]
         index = CommunityIndex.build(dbg, radius, keywords=explicit)
-    return dbg, index, draw(st.booleans())
+    return dbg, index
 
 
 def _same_graph(a: DatabaseGraph, b: DatabaseGraph) -> None:
@@ -76,9 +72,6 @@ def _same_graph(a: DatabaseGraph, b: DatabaseGraph) -> None:
 
 def _same_index(a: CommunityIndex, b: CommunityIndex) -> None:
     assert a.radius == b.radius
-    # Snapshot round trips preserve every keyword of both maps
-    # (including empty posting lists); the legacy format unions the
-    # two keyword sets, so presence can only grow, never shrink.
     for kw in a.node_index.keywords():
         assert a.node_index.nodes(kw) == b.node_index.nodes(kw)
     for kw in a.edge_index.keywords():
@@ -88,9 +81,9 @@ def _same_index(a: CommunityIndex, b: CommunityIndex) -> None:
 @settings(max_examples=30, deadline=None)
 @given(case=artifacts())
 def test_snapshot_round_trip(case, tmp_path_factory):
-    dbg, index, compress = case
+    dbg, index = case
     path = tmp_path_factory.mktemp("snap") / "s"
-    write_snapshot(path, dbg, index, compress=compress)
+    write_snapshot(path, dbg, index)
     loaded = load_snapshot(path)
     _same_graph(loaded.dbg, dbg)
     if index is None:
@@ -103,29 +96,13 @@ def test_snapshot_round_trip(case, tmp_path_factory):
             == index.edge_index.keywords()
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=artifacts())
-def test_legacy_files_round_trip(case, tmp_path_factory):
-    dbg, index, compress = case
-    tmp = tmp_path_factory.mktemp("legacy")
-    suffix = ".json.gz" if compress else ".json"
-    save_database_graph(dbg, tmp / f"g{suffix}")
-    loaded_dbg = load_database_graph(tmp / f"g{suffix}")
-    _same_graph(loaded_dbg, dbg)
-    if index is not None:
-        save_index(index, tmp / f"i{suffix}")
-        loaded_index = load_index(tmp / f"i{suffix}", loaded_dbg)
-        _same_index(index, loaded_index)
-
-
 @settings(max_examples=20, deadline=None)
 @given(case=artifacts())
 def test_snapshot_id_stable_across_reserialization(case,
                                                    tmp_path_factory):
-    dbg, index, compress = case
+    dbg, index = case
     tmp = tmp_path_factory.mktemp("stable")
-    first = write_snapshot(tmp / "a", dbg, index, compress=compress)
+    first = write_snapshot(tmp / "a", dbg, index)
     loaded = load_snapshot(tmp / "a")
-    second = write_snapshot(tmp / "b", loaded.dbg, loaded.index,
-                            compress=not compress)
+    second = write_snapshot(tmp / "b", loaded.dbg, loaded.index)
     assert second.id == first.id

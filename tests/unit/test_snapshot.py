@@ -3,10 +3,10 @@
 Covers the PR's acceptance properties at the unit level:
 
 * a snapshot round-trips bit-identically — rewriting the same content
-  reproduces the same per-section checksums and the same id, with or
-  without gzip;
+  reproduces the same per-section checksums and the same id;
 * every flipped byte is rejected at load/verify time with the typed
-  error taxonomy;
+  error taxonomy, and so is a gzip-flagged manifest from an earlier
+  release;
 * the store publishes atomically, resolves ``latest``, lists and
   prunes; republishing identical content is idempotent;
 * the engine adopts the snapshot id as its generation, swaps
@@ -14,6 +14,7 @@ Covers the PR's acceptance properties at the unit level:
   stays warm).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -93,16 +94,22 @@ class TestFormat:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
-    def test_gzip_preserves_id_and_content(self, fig4, fig4_index,
-                                           tmp_path):
-        plain = write_snapshot(tmp_path / "p", fig4, fig4_index)
-        gz = write_snapshot(tmp_path / "z", fig4, fig4_index,
-                            compress=True)
-        assert gz.id == plain.id      # checksums over uncompressed
-        assert (tmp_path / "z" / "graph.bin.gz").exists()
-        loaded = load_snapshot(tmp_path / "z")
-        _assert_same_graph(loaded.dbg, fig4)
-        _assert_same_index(loaded.index, fig4_index)
+    def test_gzip_flagged_manifest_is_refused(self, fig4, fig4_index,
+                                              tmp_path):
+        """At-rest gzip is gone: a manifest from an earlier release
+        that flags a compressed section fails with a typed error that
+        says to rebuild — at load and when an ingest begins."""
+        write_snapshot(tmp_path / "s", fig4, fig4_index)
+        manifest_path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sections"]["graph"]["gzip"] = True
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotFormatError, match="rebuild"):
+            load_snapshot(tmp_path / "s")
+        store = SnapshotStore(tmp_path / "store")
+        with pytest.raises(SnapshotFormatError, match="gzip"):
+            store.ingest(manifest)
+        assert [p.name for p in store.root.iterdir()] == []
 
     def test_graph_only_snapshot(self, fig4, tmp_path):
         snap = write_snapshot(tmp_path / "g", fig4)
@@ -191,11 +198,29 @@ class TestCorruption:
         with pytest.raises(SnapshotIntegrityError):
             load_snapshot(snap_dir, verify=False)
 
+    def test_verify_decodes_what_load_defers(self, snap_dir):
+        """A ``nodes.json`` that checksums clean but references a
+        keyword id outside its vocabulary fails ``verify_snapshot``,
+        which decodes every section (loading defers that parse)."""
+        target = snap_dir / "nodes.json"
+        nodes = json.loads(target.read_text(encoding="utf-8"))
+        nodes["node_keywords"][0] = [len(nodes["vocab"])]
+        data = json.dumps(nodes).encode("utf-8")
+        target.write_bytes(data)
+        manifest_path = snap_dir / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sections"]["nodes"]["sha256"] = \
+            hashlib.sha256(data).hexdigest()
+        manifest["sections"]["nodes"]["bytes"] = len(data)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotIntegrityError):
+            verify_snapshot(snap_dir)
+
 
 class TestEdgeOnlyKeywords:
     """Regression: edge-index keywords absent from the node index
-    used to be silently dropped by ``save_index`` (which iterated
-    only ``node_index.keywords()``)."""
+    used to be silently dropped by a writer that iterated only
+    ``node_index.keywords()``."""
 
     def test_snapshot_round_trip_keeps_edge_only_keyword(
             self, fig4, tmp_path):
@@ -210,18 +235,6 @@ class TestEdgeOnlyKeywords:
         assert "edgeonly" in loaded.edge_index
         assert loaded.edge_index.edges("edgeonly") \
             == [(1, 2, 3.0), (2, 3, 1.5)]
-
-    def test_legacy_save_keeps_edge_only_keyword(self, fig4,
-                                                 tmp_path):
-        from repro.text.persistence import load_index, save_index
-
-        index = CommunityIndex(
-            fig4, NodeInvertedIndex({"a": [0]}),
-            EdgeInvertedIndex({"a": [], "ghost": [(0, 1, 1.0)]}, 4.0),
-            4.0, 0.0)
-        save_index(index, tmp_path / "idx.json")
-        loaded = load_index(tmp_path / "idx.json", fig4)
-        assert loaded.edge_index.edges("ghost") == [(0, 1, 1.0)]
 
     def test_explicit_vocabulary_survives(self, fig4, tmp_path):
         """An index built over an explicit vocabulary keeps keywords

@@ -1,13 +1,15 @@
-"""Unit tests for the zero-copy mmap snapshot path.
+"""Unit tests for the mapped snapshot load.
 
-The mmap mode serves a snapshot out of read-only array views over
-memory-mapped section files, so N workers share one physical copy of
-the index. These tests pin down the mode surface (``copy`` / ``mmap``
-/ ``auto``), the gzip fallback, view immutability, the lazy metadata
-decode, the engine/CLI plumbing, and the codec's single-pass posting
-validation (NaN / negative weights, out-of-range nodes).
+Every snapshot loads as read-only array views over memory-mapped
+section files, so N workers share one physical copy of the index.
+These tests pin down view immutability, the lazy metadata decode, the
+engine/CLI plumbing, the refusal of gzip-compressed artifacts, and the
+loader's posting validation (NaN / negative edge weights, out-of-range
+node and edge postings).
 """
 
+import gzip
+import hashlib
 import json
 
 import numpy as np
@@ -17,16 +19,9 @@ from repro.cli import main
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX
 from repro.engine import QueryEngine
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError, SnapshotFormatError
+from repro.exceptions import SnapshotFormatError, SnapshotIntegrityError
 from repro.graph.database_graph import LazyDatabaseGraph
-from repro.snapshot import (
-    SNAPSHOT_MODES,
-    load_snapshot,
-    read_manifest,
-    snapshot_is_mappable,
-    write_snapshot,
-)
-from repro.snapshot.codec import index_from_payload, index_payload
+from repro.snapshot import MANIFEST_NAME, load_snapshot, write_snapshot
 from repro.text.inverted_index import (
     ArrayEdgeInvertedIndex,
     ArrayNodeInvertedIndex,
@@ -41,50 +36,51 @@ def fig4_index(fig4):
 
 @pytest.fixture()
 def snap_dir(fig4, fig4_index, tmp_path):
-    """An uncompressed (mmap-able) fig4 snapshot directory."""
+    """A fig4 snapshot directory."""
     write_snapshot(tmp_path / "s", fig4, fig4_index)
     return tmp_path / "s"
 
 
 @pytest.fixture()
-def gzip_snap_dir(fig4, fig4_index, tmp_path):
-    """A gzip-compressed (copy-only) fig4 snapshot directory."""
-    write_snapshot(tmp_path / "z", fig4, fig4_index, compress=True)
-    return tmp_path / "z"
+def gzip_snap_dir(snap_dir):
+    """The fig4 snapshot rewritten in an earlier release's at-rest
+    gzip layout: every section stored as ``<file>.gz`` and flagged
+    ``"gzip": true``, checksums still over the uncompressed bytes."""
+    manifest_path = snap_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["sections"].values():
+        plain = snap_dir / entry["file"]
+        entry["file"] += ".gz"
+        entry["gzip"] = True
+        (snap_dir / entry["file"]).write_bytes(
+            gzip.compress(plain.read_bytes(), mtime=0))
+        plain.unlink()
+    manifest_path.write_text(json.dumps(manifest))
+    return snap_dir
 
 
 class TestModes:
-    def test_mode_constants(self):
-        assert SNAPSHOT_MODES == ("copy", "mmap", "auto")
-
     def test_unknown_mode_rejected(self, snap_dir):
-        with pytest.raises(ValueError, match="snapshot mode"):
-            load_snapshot(snap_dir, mode="turbo")
-
-    def test_mode_recorded_on_snapshot(self, snap_dir):
-        assert load_snapshot(snap_dir, mode="copy").mode == "copy"
-        mapped = load_snapshot(snap_dir, mode="mmap")
-        assert mapped.mode == "mmap"
-        assert "mmap" in repr(mapped)
-
-    def test_auto_resolves_against_the_artifact(self, snap_dir,
-                                                gzip_snap_dir):
-        assert load_snapshot(snap_dir, mode="auto").mode == "mmap"
-        assert load_snapshot(gzip_snap_dir,
-                             mode="auto").mode == "copy"
+        """``from_snapshot`` keeps accepting ``mode="mmap"`` only."""
+        QueryEngine.from_snapshot(snap_dir, mode="mmap")
+        for mode in ("copy", "auto", "turbo"):
+            with pytest.raises(ValueError, match="snapshot mode"):
+                QueryEngine.from_snapshot(snap_dir, mode=mode)
 
     def test_mmap_on_gzip_is_a_typed_format_error(self,
                                                   gzip_snap_dir):
-        with pytest.raises(SnapshotFormatError, match="gzip"):
-            load_snapshot(gzip_snap_dir, mode="mmap")
-
-    def test_mappability_predicate(self, snap_dir, gzip_snap_dir):
-        assert snapshot_is_mappable(read_manifest(snap_dir))
-        assert not snapshot_is_mappable(read_manifest(gzip_snap_dir))
+        """A compressed section cannot be mapped, and no other load
+        path exists: the loader refuses the artifact with a typed
+        error naming the compressed sections."""
+        with pytest.raises(SnapshotFormatError,
+                           match="gzip.*graph, index, nodes, postings"):
+            load_snapshot(gzip_snap_dir)
+        with pytest.raises(SnapshotFormatError, match="rebuild"):
+            QueryEngine.from_snapshot(gzip_snap_dir)
 
     def test_mmap_round_trips_content(self, fig4, fig4_index,
                                       snap_dir):
-        loaded = load_snapshot(snap_dir, mode="mmap")
+        loaded = load_snapshot(snap_dir)
         assert loaded.dbg.n == fig4.n and loaded.dbg.m == fig4.m
         assert list(loaded.dbg.graph.edges()) \
             == list(fig4.graph.edges())
@@ -105,7 +101,7 @@ class TestModes:
                 == fig4_index.edge_index.edges(kw)
 
     def test_mmap_uses_array_backed_classes(self, snap_dir):
-        loaded = load_snapshot(snap_dir, mode="mmap")
+        loaded = load_snapshot(snap_dir)
         assert isinstance(loaded.dbg, LazyDatabaseGraph)
         assert isinstance(loaded.index.node_index,
                           ArrayNodeInvertedIndex)
@@ -115,7 +111,7 @@ class TestModes:
 
 class TestReadOnlyViews:
     def test_graph_views_reject_mutation(self, snap_dir):
-        graph = load_snapshot(snap_dir, mode="mmap").dbg.graph
+        graph = load_snapshot(snap_dir).dbg.graph
         for arr in (graph.forward.indptr, graph.forward.targets,
                     graph.forward.weights):
             arr = np.asarray(arr)
@@ -124,7 +120,7 @@ class TestReadOnlyViews:
                 arr[0] = 1
 
     def test_postings_decode_to_plain_python(self, snap_dir):
-        index = load_snapshot(snap_dir, mode="mmap").index
+        index = load_snapshot(snap_dir).index
         for kw in index.node_index.keywords():
             nodes = index.node_index.nodes(kw)
             assert all(type(u) is int for u in nodes)
@@ -137,129 +133,134 @@ class TestReadOnlyViews:
                     "e": index.edge_index.edges(kw)})
 
     def test_node_metadata_parse_is_deferred(self, snap_dir):
-        dbg = load_snapshot(snap_dir, mode="mmap").dbg
+        dbg = load_snapshot(snap_dir).dbg
         assert dbg._payload is None        # spawn paid no JSON parse
         dbg.label_of(0)
         assert dbg._payload is not None    # first access paid it once
 
 
 class TestQueryEquivalence:
-    def test_comm_all_identical_across_modes(self, snap_dir):
+    """An engine over the mapped snapshot answers exactly like one
+    over the in-memory graph and index the snapshot was written
+    from (the Hypothesis version is in ``test_mmap_props``)."""
+
+    def test_comm_all_identical_across_modes(self, fig4, fig4_index,
+                                             snap_dir):
         spec = QuerySpec(tuple(FIG4_QUERY), FIG4_RMAX, mode="all")
-        copied = QueryEngine.from_snapshot(snap_dir, mode="copy")
-        mapped = QueryEngine.from_snapshot(snap_dir, mode="mmap")
+        in_memory = QueryEngine(fig4, fig4_index)
+        mapped = QueryEngine.from_snapshot(snap_dir)
         key = [(c.core, c.cost, c.nodes, c.edges, c.centers)
-               for c in copied.run_all(spec)]
+               for c in in_memory.run_all(spec)]
         assert key == [(c.core, c.cost, c.nodes, c.edges, c.centers)
                        for c in mapped.run_all(spec)]
 
-    def test_pdk_stream_identical_across_modes(self, snap_dir):
-        copied = QueryEngine.from_snapshot(snap_dir, mode="copy")
-        mapped = QueryEngine.from_snapshot(snap_dir, mode="mmap")
-        a = copied.top_k_stream(list(FIG4_QUERY), FIG4_RMAX).take(3)
+    def test_pdk_stream_identical_across_modes(self, fig4, fig4_index,
+                                               snap_dir):
+        in_memory = QueryEngine(fig4, fig4_index)
+        mapped = QueryEngine.from_snapshot(snap_dir)
+        a = in_memory.top_k_stream(list(FIG4_QUERY),
+                                   FIG4_RMAX).take(3)
         b = mapped.top_k_stream(list(FIG4_QUERY), FIG4_RMAX).take(3)
         assert [(c.core, c.cost, c.nodes) for c in a] \
             == [(c.core, c.cost, c.nodes) for c in b]
+        assert [c.cost for c in b] == [7.0, 10.0, 11.0]
 
 
 class TestEnginePlumbing:
-    def test_engine_reports_resolved_mode(self, snap_dir):
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="mmap").snapshot_mode == "mmap"
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="copy").snapshot_mode == "copy"
-
-    def test_auto_request_reports_resolution(self, snap_dir,
-                                             gzip_snap_dir):
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="auto").snapshot_mode == "mmap"
-        assert QueryEngine.from_snapshot(
-            gzip_snap_dir, mode="auto").snapshot_mode == "copy"
-
-    def test_engine_adopts_snapshot_object_mode(self, snap_dir):
-        snapshot = load_snapshot(snap_dir, mode="mmap")
-        engine = QueryEngine.from_snapshot(snapshot)
-        assert engine.snapshot_mode == "mmap"
-
-    def test_reload_preserves_the_mode_request(self, fig4,
-                                               fig4_index, snap_dir,
-                                               tmp_path):
-        engine = QueryEngine.from_snapshot(snap_dir, mode="mmap")
-        write_snapshot(tmp_path / "next", fig4,
-                       CommunityIndex.build(fig4, FIG4_RMAX + 1))
+    def test_reload_stays_mapped(self, fig4, snap_dir, tmp_path):
+        engine = QueryEngine.from_snapshot(snap_dir)
+        nxt = write_snapshot(tmp_path / "next", fig4,
+                             CommunityIndex.build(fig4, FIG4_RMAX + 1))
         engine.load_snapshot(tmp_path / "next")
-        assert engine.snapshot_mode == "mmap"
+        assert engine.generation == nxt.id
+        assert isinstance(engine.dbg, LazyDatabaseGraph)
+        assert not np.asarray(
+            engine.dbg.graph.forward.targets).flags.writeable
+        answers = engine.top_k_stream(list(FIG4_QUERY),
+                                      FIG4_RMAX).take(3)
+        assert [c.cost for c in answers] == [7.0, 10.0, 11.0]
 
-    def test_index_mutation_clears_the_mode(self, snap_dir):
-        engine = QueryEngine.from_snapshot(snap_dir, mode="mmap")
-        engine.build_index(radius=FIG4_RMAX)
-        assert engine.snapshot_mode is None
+
+def _rewrite_postings(snap_dir, patch):
+    """Apply ``patch(node_flat, edge_u, edge_v, edge_w)`` to writable
+    copies of the posting columns, rewrite ``postings.bin`` and fix
+    its manifest checksum — damage that checksums clean."""
+    directory = json.loads((snap_dir / "index.json").read_text())
+    nodes = sum(directory["node_counts"])
+    edges = sum(directory["edge_counts"])
+    raw = (snap_dir / "postings.bin").read_bytes()
+    ints = np.frombuffer(raw, dtype="<i8",
+                         count=nodes + 2 * edges).copy()
+    weights = np.frombuffer(raw, dtype="<f8", count=edges,
+                            offset=8 * (nodes + 2 * edges)).copy()
+    patch(ints[:nodes], ints[nodes:nodes + edges],
+          ints[nodes + edges:], weights)
+    data = ints.tobytes() + weights.tobytes()
+    (snap_dir / "postings.bin").write_bytes(data)
+    manifest_path = snap_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sections"]["postings"]["sha256"] = \
+        hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestCodecValidation:
-    """Satellite: single-pass posting validation in the codec."""
+    """The loader range-checks every posting column at load, with
+    vectorised ``min``/``max`` over the mapped arrays."""
 
-    def _payload(self, fig4_index):
-        return json.loads(json.dumps(index_payload(fig4_index)))
+    def _assert_rejected(self, snap_dir, patch, match):
+        _rewrite_postings(snap_dir, patch)
+        with pytest.raises(SnapshotIntegrityError, match=match):
+            load_snapshot(snap_dir)
 
-    def test_round_trip_is_clean(self, fig4, fig4_index):
-        index_from_payload(self._payload(fig4_index), fig4)
+    def test_round_trip_is_clean(self, snap_dir):
+        _rewrite_postings(snap_dir, lambda *columns: None)
+        engine = QueryEngine.from_snapshot(snap_dir)
+        answers = engine.top_k_stream(list(FIG4_QUERY),
+                                      FIG4_RMAX).take(3)
+        assert [c.cost for c in answers] == [7.0, 10.0, 11.0]
 
-    def test_nan_edge_weight_rejected(self, fig4, fig4_index):
-        payload = self._payload(fig4_index)
-        kw = next(k for k, v in payload["edge_postings"].items()
-                  if v)
-        payload["edge_postings"][kw][0][2] = float("nan")
-        with pytest.raises(QueryError, match="NaN"):
-            index_from_payload(payload, fig4)
+    def test_nan_edge_weight_rejected(self, snap_dir):
+        def patch(nodes, us, vs, ws):
+            ws[0] = float("nan")
+        self._assert_rejected(snap_dir, patch, "NaN")
 
-    def test_negative_edge_weight_rejected(self, fig4, fig4_index):
-        payload = self._payload(fig4_index)
-        kw = next(k for k, v in payload["edge_postings"].items()
-                  if v)
-        payload["edge_postings"][kw][0][2] = -1.0
-        with pytest.raises(QueryError, match="negative"):
-            index_from_payload(payload, fig4)
+    def test_negative_edge_weight_rejected(self, snap_dir):
+        def patch(nodes, us, vs, ws):
+            ws[0] = -1.0
+        self._assert_rejected(snap_dir, patch, "negative")
+
+    @pytest.mark.parametrize("column", ("u", "v"))
+    def test_out_of_range_edge_endpoint_rejected(self, fig4, snap_dir,
+                                                 column):
+        def patch(nodes, us, vs, ws):
+            (us if column == "u" else vs)[0] = fig4.n
+        self._assert_rejected(snap_dir, patch, "outside")
 
     def test_out_of_range_node_posting_rejected(self, fig4,
-                                                fig4_index):
-        payload = self._payload(fig4_index)
-        kw = next(k for k, v in payload["node_postings"].items()
-                  if v)
-        payload["node_postings"][kw][0] = fig4.n
-        with pytest.raises(QueryError, match="outside"):
-            index_from_payload(payload, fig4)
+                                                snap_dir):
+        def patch(nodes, us, vs, ws):
+            nodes[0] = fig4.n
+        self._assert_rejected(snap_dir, patch, "outside")
 
-    def test_negative_node_posting_rejected(self, fig4, fig4_index):
-        payload = self._payload(fig4_index)
-        kw = next(k for k, v in payload["node_postings"].items()
-                  if v)
-        payload["node_postings"][kw][0] = -1
-        with pytest.raises(QueryError, match="outside"):
-            index_from_payload(payload, fig4)
+    def test_negative_node_posting_rejected(self, snap_dir):
+        def patch(nodes, us, vs, ws):
+            nodes[0] = -1
+        self._assert_rejected(snap_dir, patch, "outside")
 
 
 class TestInspectCli:
-    def test_json_reports_mappability(self, snap_dir, gzip_snap_dir,
-                                      capsys):
+    def test_json_prints_the_raw_manifest(self, snap_dir, capsys):
         assert main(["snapshot", "inspect", str(snap_dir),
                      "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["mmap"] is True
-        assert main(["snapshot", "inspect", str(gzip_snap_dir),
-                     "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["mmap"] is False
+        assert json.loads(capsys.readouterr().out) \
+            == json.loads((snap_dir / MANIFEST_NAME).read_text())
 
     def test_text_reports_bytes_and_mappability(self, snap_dir,
                                                 capsys):
         assert main(["snapshot", "inspect", str(snap_dir)]) == 0
         out = capsys.readouterr().out
-        assert "mmap       yes" in out
-        assert "bytes shareable across workers" in out
-
-    def test_text_explains_gzip_fallback(self, gzip_snap_dir,
-                                         capsys):
-        assert main(["snapshot", "inspect",
-                     str(gzip_snap_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "mmap       no" in out
-        assert "--snapshot-mode" in out
+        total = sum(section["bytes"] for section in json.loads(
+            (snap_dir / MANIFEST_NAME).read_text())["sections"].values())
+        assert f"mapped     {total} bytes, shareable across " \
+            f"workers" in out
