@@ -128,6 +128,22 @@ JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 Response = Tuple[int, str, Union[str, bytes], str]
 
 
+def content_length(value: Optional[str]) -> int:
+    """A request's body size from its ``Content-Length`` header.
+
+    No header (or an empty one) means no body. Any other value but a
+    decimal count raises :class:`BadRequest`: the body's framing is
+    then unknown, so the front end answers 400 without reading it and
+    closes the connection.
+    """
+    if not value:
+        return 0
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        raise BadRequest(f"invalid Content-Length: {value!r}")
+    return int(value)
+
+
 def _parse_body(body: bytes) -> Dict[str, Any]:
     """The request body as a JSON object (empty body -> ``{}``)."""
     if not body:
@@ -224,6 +240,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted connection. A response
+    #: leaves as two writes, headers then body; with Nagle on, the
+    #: body waits for the client's delayed ACK of the headers, about
+    #: 40 ms on a busy keep-alive connection.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:            # noqa: N802 — http.server API
         """Route GET requests."""
@@ -247,10 +268,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
         service: "CommunityService" = self.server.service  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = content_length(self.headers.get("Content-Length"))
+        except BadRequest as error:
+            self._respond(400, json.dumps(
+                {"error": str(error), "status": 400}),
+                JSON_CONTENT_TYPE, close=True)
+            return
         body = self.rfile.read(length) if length else b""
-        status, template, payload, content_type = service.handle(
+        status, _, payload, content_type = service.handle(
             method, self.path, body)
+        self._respond(status, payload, content_type)
+
+    def _respond(self, status: int, payload: Union[str, bytes],
+                 content_type: str, close: bool = False) -> None:
         data = (payload if isinstance(payload, bytes)
                 else payload.encode("utf-8"))
         self.send_response(status)
@@ -260,6 +291,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # Both shed classes are transient: tell clients when to
             # come back, so their retry loops need not guess.
             self.send_header("Retry-After", str(RETRY_AFTER_SECONDS))
+        if close:
+            # Also sets ``close_connection``: the server hangs up
+            # after this response.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

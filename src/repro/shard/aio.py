@@ -78,6 +78,7 @@ from repro.service.client import (
 )
 from repro.service.errors import (
     RETRYABLE_STATUSES,
+    BadRequest,
     NotFound,
     ServiceUnreachable,
     for_status,
@@ -87,6 +88,7 @@ from repro.service.server import (
     METRICS_CONTENT_TYPE,
     RETRY_AFTER_SECONDS,
     Response,
+    content_length,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.merge import FetchResult, MergeOutcome, TopKMerge
@@ -642,7 +644,13 @@ class AsyncRouterService:
             self._conn_tasks.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except BadRequest as error:
+                    await self._respond(writer, 400, json.dumps(
+                        {"error": str(error), "status": 400}),
+                        JSON_CONTENT_TYPE, close=True)
+                    break
                 if request is None:
                     break
                 method, path, req_headers, body = request
@@ -650,18 +658,8 @@ class AsyncRouterService:
                     await self.handle_async(method, path, body)
                 close = (req_headers.get("Connection", "")
                          .lower() == "close")
-                data = (payload if isinstance(payload, bytes)
-                        else payload.encode("utf-8"))
-                reason = http.client.responses.get(status, "")
-                head = (f"HTTP/1.1 {status} {reason}\r\n"
-                        f"Content-Type: {content_type}\r\n"
-                        f"Content-Length: {len(data)}\r\n")
-                if status in (429, 503):
-                    head += f"Retry-After: {RETRY_AFTER_SECONDS}\r\n"
-                head += ("Connection: close\r\n" if close
-                         else "Connection: keep-alive\r\n")
-                writer.write(head.encode("latin-1") + b"\r\n" + data)
-                await writer.drain()
+                await self._respond(writer, status, payload,
+                                    content_type, close)
                 if close:
                     break
         except (ConnectionError, asyncio.IncompleteReadError,
@@ -677,11 +675,32 @@ class AsyncRouterService:
                 pass
 
     @staticmethod
+    async def _respond(writer: asyncio.StreamWriter, status: int,
+                       payload: Union[str, bytes], content_type: str,
+                       close: bool) -> None:
+        """Write one response in a single send."""
+        data = (payload if isinstance(payload, bytes)
+                else payload.encode("utf-8"))
+        reason = http.client.responses.get(status, "")
+        head = (f"HTTP/1.1 {status} {reason}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n")
+        if status in (429, 503):
+            head += f"Retry-After: {RETRY_AFTER_SECONDS}\r\n"
+        head += ("Connection: close\r\n" if close
+                 else "Connection: keep-alive\r\n")
+        writer.write(head.encode("latin-1") + b"\r\n" + data)
+        await writer.drain()
+
+    @staticmethod
     async def _read_request(reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str,
                                                 Dict[str, str],
                                                 bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
+        """Parse one HTTP/1.1 request; ``None`` on clean EOF.
+
+        Raises :class:`BadRequest`, with the body unread, when its
+        ``Content-Length`` is malformed."""
         line = await reader.readline()
         if not line:
             return None
@@ -699,7 +718,7 @@ class AsyncRouterService:
                 return None
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().title()] = value.strip()
-        length = int(headers.get("Content-Length", 0) or 0)
+        length = content_length(headers.get("Content-Length"))
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 

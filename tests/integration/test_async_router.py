@@ -15,9 +15,13 @@ Acceptance coverage for the router:
   reload that fails and rolls back mid-query;
 * **cross-box transfer reload** — ``{"transfer": true}`` pushes shard
   snapshots over the wire and survives a mid-transfer checksum
-  mismatch with a fleet-wide rollback.
+  mismatch with a fleet-wide rollback;
+* **the wire** — a routed read pays no delayed-ACK floor on any hop,
+  and a malformed ``Content-Length`` gets a typed 400 and a closed
+  connection.
 """
 
+import json
 import threading
 import time
 
@@ -38,6 +42,13 @@ from repro.shard.aio import AsyncRouterService
 from repro.snapshot import read_manifest
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
+
+from wire_helpers import (
+    MEDIAN_BOUND_SECONDS,
+    TCP_QUICKACK,
+    delayed_ack_round_trips,
+    malformed_length_reply,
+)
 
 
 def _norm(response):
@@ -209,6 +220,28 @@ class TestByteIdentity:
                     "POST", "/query", body)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
+
+
+@pytest.mark.skipif(TCP_QUICKACK is None,
+                    reason="TCP_QUICKACK is Linux-only")
+def test_routed_query_stays_under_the_delayed_ack_floor(fig4_fleet):
+    """Neither the router's answer nor its legs to the backends wait
+    for a delayed ACK: a routed read costs a few ms, not ~40 ms per
+    leg round."""
+    router, _ = fig4_fleet
+    median, statuses = delayed_ack_round_trips(
+        router.port, "POST", "/query", json.dumps(FIG4_BODIES[1]))
+    assert statuses == {200}
+    assert median < MEDIAN_BOUND_SECONDS, f"median {median * 1e3:.1f} ms"
+
+
+@pytest.mark.parametrize("value", [b"abc", b"-1"])
+def test_malformed_content_length_is_a_typed_400(fig4_fleet, value):
+    router, _ = fig4_fleet
+    status, headers, body = malformed_length_reply(router.port, value)
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
 
 
 class TestPropertyGraphIdentity:

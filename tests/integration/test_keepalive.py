@@ -7,12 +7,18 @@ requests: a burst of calls opens exactly one physical connection
 pooled socket goes stale because the server restarted, the next
 request replays once on a fresh connection instead of surfacing the
 torn socket to the caller.
+
+The service answers on such a connection without waiting for the
+client's delayed ACK, and a request whose body framing is unreadable
+(a malformed ``Content-Length``) gets a 400 and a closed connection.
 """
 
 import asyncio
 import json
 import socket
 import threading
+
+import pytest
 
 from repro.datasets.paper_example import (
     FIG4_QUERY,
@@ -22,6 +28,13 @@ from repro.datasets.paper_example import (
 from repro.engine import QueryEngine
 from repro.service import CommunityService, ServiceClient
 from repro.shard.aio import AsyncShardClient
+
+from wire_helpers import (
+    MEDIAN_BOUND_SECONDS,
+    TCP_QUICKACK,
+    delayed_ack_round_trips,
+    malformed_length_reply,
+)
 
 
 def _service(port=0):
@@ -163,3 +176,41 @@ class TestAsyncShardClientKeepAlive:
             assert server.served == 2
         finally:
             server.close()
+
+
+@pytest.fixture(scope="module")
+def fig4_service():
+    with _service() as service:
+        yield service
+
+
+@pytest.mark.skipif(TCP_QUICKACK is None,
+                    reason="TCP_QUICKACK is Linux-only")
+class TestDelayedAckFloor:
+    """No response waits for the client's ACK of its headers, so a
+    pooled connection pays no ~40 ms floor per request."""
+
+    @pytest.mark.parametrize("method,path,body,status", [
+        ("POST", "/query", json.dumps({**BODY, "k": 3}), 200),
+        ("GET", "/healthz", None, 200),
+        ("GET", "/metrics", None, 200),
+        ("GET", "/no/such/route", None, 404),
+    ], ids=["query", "healthz", "metrics", "not-found"])
+    def test_round_trip_stays_under_the_floor(self, fig4_service,
+                                              method, path, body,
+                                              status):
+        median, statuses = delayed_ack_round_trips(
+            fig4_service.port, method, path, body)
+        assert statuses == {status}
+        assert median < MEDIAN_BOUND_SECONDS, f"median {median * 1e3:.1f} ms"
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("value", [b"abc", b"-1"])
+    def test_typed_400_and_the_connection_closes(self, fig4_service,
+                                                  value):
+        status, headers, body = malformed_length_reply(
+            fig4_service.port, value)
+        assert status.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in headers
+        assert json.loads(body)["status"] == 400
