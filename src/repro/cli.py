@@ -188,8 +188,7 @@ def cmd_serve(args) -> int:
                   f"delta(s) through LSN {engine.applied_lsn}",
                   file=sys.stderr)
         dbg = engine.dbg
-        loaded_id = (engine.snapshot_id
-                     or getattr(engine, "base_snapshot_id", None))
+        loaded_id = engine.snapshot_id or engine.base_snapshot_id
         print(f"loaded snapshot {loaded_id} from {path}",
               file=sys.stderr)
     else:

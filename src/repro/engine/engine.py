@@ -169,11 +169,7 @@ class QueryEngine:
         engine = cls(snapshot.dbg, snapshot.index, registry=registry,
                      cache_capacity=cache_capacity,
                      result_cache_bytes=result_cache_bytes)
-        engine._generation = snapshot.id
-        engine._snapshot_id = snapshot.id
-        engine._base_snapshot_id = snapshot.id
-        engine._partition = snapshot.provenance.get("partition")
-        engine._snapshot_loaded_at = time.time()
+        engine._adopt(snapshot)
         if wal_path is not None:
             from repro.wal.log import replay
             replay(engine, wal_path)
@@ -203,19 +199,25 @@ class QueryEngine:
             if self._generation == snapshot.id:
                 self._snapshot_loaded_at = time.time()
                 return False
-            self.dbg = snapshot.dbg
-            self._index = snapshot.index
+            self._adopt(snapshot)
             self._epoch += 1
-            self._generation = snapshot.id
-            self._snapshot_id = snapshot.id
-            self._base_snapshot_id = snapshot.id
-            self._partition = snapshot.provenance.get("partition")
-            self._deltas_applied = 0
-            self._applied_lsn = 0
-            self._snapshot_loaded_at = time.time()
         self.cache.invalidate()
         self.results.invalidate()
         return True
+
+    def _adopt(self, snapshot: Snapshot) -> None:
+        """Serve ``snapshot``'s graph and index under its identity:
+        the snapshot id becomes the generation and the lineage base,
+        and the delta counters restart from zero."""
+        self.dbg = snapshot.dbg
+        self._index = snapshot.index
+        self._generation = snapshot.id
+        self._snapshot_id = snapshot.id
+        self._base_snapshot_id = snapshot.id
+        self._partition = snapshot.provenance.get("partition")
+        self._deltas_applied = 0
+        self._applied_lsn = 0
+        self._snapshot_loaded_at = time.time()
 
     @property
     def snapshot_id(self) -> Optional[str]:
@@ -530,10 +532,29 @@ class QueryEngine:
     def execute(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
-        """Run any spec to a materialized answer list."""
+        """Run any spec to a materialized answer list, in-process.
+
+        The calls name this class, not ``self``: a subclass that
+        ships ``top_k``/``run_all`` to other processes still computes
+        here when it calls this method, which is how :meth:`warm`
+        fills this engine's own result cache.
+        """
         if spec.mode == "topk":
-            return self.top_k(spec, context)
-        return self.run_all(spec, context)
+            return QueryEngine.top_k(self, spec, context)
+        return QueryEngine.run_all(self, spec, context)
+
+    def execute_batch(self, specs: Sequence[QuerySpec],
+                      contexts: Optional[Sequence[QueryContext]] = None
+                      ) -> List[List[Community]]:
+        """Run specs in order; one answer list per spec.
+
+        With ``contexts`` given (one per spec), each query's stats go
+        to its own context.
+        """
+        if contexts is None:
+            contexts = [QueryContext() for _ in specs]
+        return [self.execute(spec, context)
+                for spec, context in zip(specs, contexts)]
 
     def top_k_stream(self, keywords: Sequence[str], rmax: float,
                      use_projection: Optional[bool] = None,
@@ -584,17 +605,17 @@ class QueryEngine:
         return CachedStream(self.results, entry, context=ctx)
 
     def warm(self, specs: Sequence[QuerySpec]) -> int:
-        """Run specs so their answers are cached; returns how many
-        actually computed (the rest were already warm or failed
-        validation — an unknown keyword after a reload is skipped, not
-        fatal)."""
+        """Run specs so this engine's result cache holds their
+        answers; returns how many actually computed (the rest were
+        already warm or failed validation — an unknown keyword after a
+        reload is skipped, not fatal)."""
         warmed = 0
         for spec in specs:
             if not self._result_cacheable(spec):
                 continue
             ctx = QueryContext()
             try:
-                self.execute(spec, ctx)
+                QueryEngine.execute(self, spec, ctx)
             except QueryError:
                 continue
             if ctx.counter("result_cache_hits") == 0:

@@ -66,7 +66,7 @@ class QuerySpec:
             tuple(sorted(kw.casefold() for kw in self.keywords)))
         if not self.keywords:
             raise QueryError("a query needs at least one keyword")
-        if self.rmax < 0:
+        if not self.rmax >= 0:          # NaN fails every comparison
             raise QueryError(f"Rmax must be >= 0, got {self.rmax}")
         if self.mode not in MODES:
             raise QueryError(

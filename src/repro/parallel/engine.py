@@ -1,41 +1,45 @@
-"""A drop-in engine facade that executes queries on a process pool.
+"""A :class:`~repro.engine.QueryEngine` whose queries run on processes.
 
 CPython threads cannot run the enumeration kernels in parallel (the
 GIL serializes them), so the service's thread pool only ever overlaps
-I/O. :class:`ParallelQueryEngine` keeps the :class:`~repro.engine.
-QueryEngine` surface the service already programs against — same
-``execute``/``run_all``/``top_k``, same ``generation``/``snapshot_id``
-/``swap_snapshot``, same ``top_k_stream`` for PDk sessions — but ships
-each materialized query to a :class:`~repro.parallel.pool.WorkerPool`
-whose workers are separate processes, each serving the same immutable
-snapshot. N cores then give ~N× aggregate COMM-all throughput.
+I/O. :class:`ParallelQueryEngine` is a ``QueryEngine`` subclass that
+ships each materialized query to a :class:`~repro.parallel.pool.
+WorkerPool` whose workers are separate processes, each serving the
+same immutable snapshot. N cores then give ~N× aggregate COMM-all
+throughput.
 
 Division of labor:
 
-* **workers** run ``execute`` (COMM-all / COMM-k) — the CPU-bound,
-  stateless bulk of the traffic. Results come back as the same
-  :class:`~repro.core.community.Community` dataclasses a local engine
-  returns, and the worker's stage timings/counters are merged into
-  the caller's :class:`~repro.engine.context.QueryContext`, so
-  ``/metrics`` aggregation is unchanged;
-* **the parent's local engine** serves everything stateful or cheap:
-  PDk session streams (leases hold generators, which cannot cross a
-  process boundary), projections requested directly, label lookups
-  (``dbg``), and the generation/snapshot identity the session manager
-  stale-checks against.
+* **workers** run ``execute``, ``run_all``, ``top_k`` and
+  ``execute_batch`` — the CPU-bound, stateless bulk of the traffic.
+  Results come back as the same :class:`~repro.core.community.
+  Community` dataclasses an in-process engine returns, and the
+  worker's stage timings/counters are merged into the caller's
+  :class:`~repro.engine.context.QueryContext`, so ``/metrics``
+  aggregation is unchanged;
+* **the parent** is itself the engine, so everything stateful or
+  cheap is inherited and stays in-process: PDk session streams
+  (``top_k_stream`` — leases hold generators, which cannot cross a
+  process boundary), lazy ``iter_all`` streams, projections requested
+  directly, label lookups (``dbg``), and the generation/snapshot
+  identity the session manager stale-checks against;
+* ``warm``, ``apply_delta`` and ``swap_snapshot`` do the parent's
+  half through the inherited method, then broadcast the same
+  operation to every worker.
 
-Hot swap: :meth:`swap_snapshot` swaps the local engine first (new
-queries immediately see the new generation), then broadcasts a
-``reload`` control task to every worker. Control tasks ride the same
-per-worker queues as queries, so each worker finishes its in-flight
-work, reloads, and keeps going — no query is dropped, and the next
-``stats`` broadcast shows every worker on the new snapshot id.
+Hot swap: :meth:`~ParallelQueryEngine.swap_snapshot` swaps the parent
+first (new queries immediately see the new generation), then
+broadcasts a ``reload`` control task to every worker. Control tasks
+ride the same per-worker queues as queries, so each worker finishes
+its in-flight work, reloads, and keeps going — no query is dropped,
+and the next ``stats`` broadcast shows every worker on the new
+snapshot id.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.community import Community
 from repro.engine.context import QueryContext, ensure_context
@@ -50,13 +54,15 @@ from repro.parallel.pool import (
 )
 from repro.snapshot.snapshot import Snapshot, load_snapshot
 from repro.snapshot.store import locate_snapshot
+from repro.wal.log import replay
+from repro.wal.records import delta_to_wire
 
 #: Default number of worker processes.
 DEFAULT_POOL_WORKERS = 2
 
 
-class ParallelQueryEngine:
-    """``QueryEngine``-shaped facade over a process worker pool."""
+class ParallelQueryEngine(QueryEngine):
+    """A :class:`QueryEngine` that executes queries on a process pool."""
 
     def __init__(self, source: Union[str, Path],
                  workers: int = DEFAULT_POOL_WORKERS,
@@ -73,14 +79,14 @@ class ParallelQueryEngine:
         #: processes map the same sections, so they share one
         #: page-cache copy.
         self._active = load_snapshot(self.path)
+        super().__init__(self._active.dbg, self._active.index,
+                         result_cache_bytes=result_cache_bytes)
+        self._adopt(self._active)
         #: The delta WAL (an open ``WriteAheadLog`` or a path); the
         #: parent replays it here, workers replay the file themselves
-        #: on every (re)spawn — only its *path* crosses the process
-        #: boundary.
+        #: on every (re)spawn and reload — only its *path* crosses the
+        #: process boundary.
         self.wal = wal_path
-        self.local = QueryEngine.from_snapshot(
-            self._active, result_cache_bytes=result_cache_bytes,
-            wal_path=wal_path)
         pool_wal = (str(getattr(wal_path, "path", wal_path))
                     if wal_path is not None else None)
         self.pool = WorkerPool(self.path, workers=workers,
@@ -90,6 +96,10 @@ class ParallelQueryEngine:
                                respawn_window=respawn_window,
                                result_cache_bytes=result_cache_bytes,
                                wal_path=pool_wal)
+        if wal_path is not None:
+            # The pool has no workers yet, so these deltas broadcast
+            # to nobody; each worker replays the log when it spawns.
+            replay(self, wal_path)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -100,7 +110,7 @@ class ParallelQueryEngine:
         return self
 
     def close(self) -> None:
-        """Shut the pool down; the local engine needs no teardown."""
+        """Shut the pool down; the parent needs no teardown."""
         self.pool.shutdown()
 
     def __enter__(self) -> "ParallelQueryEngine":
@@ -110,94 +120,13 @@ class ParallelQueryEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    # identity / stateful surface — delegated to the local engine
-    # ------------------------------------------------------------------
-    @property
-    def dbg(self):
-        """The served database graph (labels, serialization)."""
-        return self.local.dbg
-
-    @property
-    def cache(self):
-        """The parent-side projection cache (sessions/projections)."""
-        return self.local.cache
-
-    @property
-    def results(self):
-        """The parent-side result cache (sessions and ``/healthz``;
-        workers keep their own — see :meth:`worker_stats`)."""
-        return self.local.results
-
-    @property
-    def generation(self) -> str:
-        """Generation token — the snapshot id while unmodified."""
-        return self.local.generation
-
-    @property
-    def generation_epoch(self) -> int:
-        """Monotonic index-change count of the local engine."""
-        return self.local.generation_epoch
-
-    @property
-    def snapshot_id(self) -> Optional[str]:
-        """Id of the snapshot the parent (and workers) serve."""
-        return self.local.snapshot_id
-
-    @property
-    def snapshot_loaded_at(self) -> Optional[float]:
-        """Epoch seconds of the last snapshot load/swap."""
-        return self.local.snapshot_loaded_at
-
-    @property
-    def partition(self) -> Optional[Dict[str, Any]]:
-        """Shard provenance of the served snapshot (see
-        :attr:`QueryEngine.partition`)."""
-        return self.local.partition
-
-    @property
-    def index(self):
-        """The local engine's community index."""
-        return self.local.index
-
-    @property
-    def dirty(self) -> bool:
-        """True when deltas diverged the fleet from its snapshot."""
-        return self.local.dirty
-
-    @property
-    def deltas_applied(self) -> int:
-        """Deltas applied since the last snapshot load/swap."""
-        return self.local.deltas_applied
-
-    @property
-    def base_snapshot_id(self) -> Optional[str]:
-        """The snapshot the current delta state grew from."""
-        return self.local.base_snapshot_id
-
-    @property
-    def applied_lsn(self) -> int:
-        """Highest WAL LSN the parent engine has applied."""
-        return self.local.applied_lsn
-
-    def project(self, *args: Any, **kwargs: Any):
-        """Projection on the parent (sessions and direct callers)."""
-        return self.local.project(*args, **kwargs)
-
-    def top_k_stream(self, *args: Any, **kwargs: Any):
-        """PDk streams stay in-process — leases hold live iterators."""
-        return self.local.top_k_stream(*args, **kwargs)
-
-    # ------------------------------------------------------------------
     # execution — shipped to the pool
     # ------------------------------------------------------------------
     def execute(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
         """Run one spec on a pool worker; merge its stats locally."""
-        future = self.pool.submit("query", spec)
-        communities, timings, counters = future.result()
-        self._merge(ensure_context(context), timings, counters)
-        return list(communities)
+        return self.execute_batch([spec], [ensure_context(context)])[0]
 
     def run_all(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
@@ -217,13 +146,6 @@ class ParallelQueryEngine:
                 f"top_k needs a 'topk' spec, got {spec.mode!r}")
         return self.execute(spec, context)
 
-    def iter_all(self, spec: QuerySpec,
-                 context: Optional[QueryContext] = None
-                 ) -> Iterator[Community]:
-        """API parity with ``QueryEngine.iter_all`` (materialized —
-        answers cross a process boundary, so laziness is gone)."""
-        return iter(self.run_all(spec, context))
-
     def execute_batch(self, specs: Sequence[QuerySpec],
                       contexts: Optional[Sequence[QueryContext]] = None
                       ) -> List[List[Community]]:
@@ -235,26 +157,31 @@ class ParallelQueryEngine:
         stats merge into its own context.
         """
         futures = [self.pool.submit("query", spec) for spec in specs]
+        if contexts is None:
+            contexts = [QueryContext() for _ in specs]
         results: List[List[Community]] = []
-        for position, future in enumerate(futures):
+        for future, context in zip(futures, contexts):
             communities, timings, counters = future.result()
-            if contexts is not None:
-                self._merge(contexts[position], timings, counters)
+            context.merge(QueryContext(timings, counters))
             results.append(list(communities))
         return results
 
+    # ------------------------------------------------------------------
+    # the parent's half, then every worker's
+    # ------------------------------------------------------------------
     def warm(self, specs: Sequence[QuerySpec]) -> int:
-        """Pre-warm every result cache in the pool (and the parent's).
+        """Pre-warm the parent's result cache, then every worker's.
 
-        The specs are broadcast as one ``warm`` control task per
-        worker — each worker executes them into its private cache and
-        reports only a count, so warming N workers costs no community
+        The parent warms in-process (sessions attach to its entries).
+        The specs then go out as one ``warm`` control task per worker
+        — each worker executes them into its private cache and reports
+        only a count, so warming N workers costs no community
         serialization. Returns the parent-side warmed count (the
         fleet's caches are private; a dead worker is skipped, not
         fatal — warming is an optimization, never a failure source).
         """
         specs = list(specs)
-        warmed = self.local.warm(specs)
+        warmed = super().warm(specs)
         for future in self.pool.broadcast("warm", specs).values():
             try:
                 future.result()
@@ -279,9 +206,7 @@ class ParallelQueryEngine:
         the failure propagates as :class:`~repro.exceptions.
         WorkerError` instead of leaving the pool split-brained.
         """
-        from repro.wal.records import delta_to_wire
-        result = self.local.apply_delta(delta, banks_reweight,
-                                        lsn=lsn)
+        result = super().apply_delta(delta, banks_reweight, lsn=lsn)
         payload = (lsn, delta_to_wire(delta), bool(banks_reweight))
         failures: Dict[int, Exception] = {}
         for worker_id, future in self.pool.broadcast(
@@ -306,18 +231,6 @@ class ParallelQueryEngine:
                     f"restart the service to reconverge")
         return result
 
-    @staticmethod
-    def _merge(context: QueryContext, timings: Dict[str, float],
-               counters: Dict[str, int]) -> None:
-        """Fold a worker's stage stats into a parent-side context."""
-        for name, seconds in timings.items():
-            context.add_time(name, seconds)
-        for name, value in counters.items():
-            context.count(name, value)
-
-    # ------------------------------------------------------------------
-    # snapshot lifecycle
-    # ------------------------------------------------------------------
     def swap_snapshot(self, snapshot: Snapshot) -> bool:
         """Swap the parent, then fan the reload out to every worker.
 
@@ -332,12 +245,16 @@ class ParallelQueryEngine:
         re-pointed at it, and :class:`~repro.exceptions.SnapshotError`
         is raised — the pool never serves two generations at once,
         and a failed ``POST /admin/reload`` keeps answering from the
-        old graph. The pool's ``snapshot_path`` tracks every swap and
-        rollback, so a worker the monitor respawns (crash, watchdog
-        kill) always loads the currently adopted artifact too.
+        old graph. With a WAL attached, each worker's reload replays
+        the log onto the previous snapshot, and so does the parent,
+        so every process ends in the same delta state; without one,
+        every process serves the previous snapshot as published. The
+        pool's ``snapshot_path`` tracks every swap and rollback, so a
+        worker the monitor respawns (crash, watchdog kill) always
+        loads the currently adopted artifact too.
         """
         previous = self._active
-        changed = self.local.swap_snapshot(snapshot)
+        changed = super().swap_snapshot(snapshot)
         # Re-point respawns *before* the broadcast: a worker the
         # monitor replaces from here on must load the artifact being
         # adopted, never the one the pool was constructed with —
@@ -354,7 +271,7 @@ class ParallelQueryEngine:
                 failures[worker_id] = error
         if failures:
             self.pool.snapshot_path = str(previous.path)
-            self.local.swap_snapshot(previous)
+            super().swap_snapshot(previous)
             for future in self.pool.broadcast(
                     "reload", str(previous.path)).values():
                 try:
@@ -363,6 +280,10 @@ class ParallelQueryEngine:
                     # worker that failed both ways answers from its
                     # old in-memory engine anyway.
                     pass
+            if self.wal is not None:
+                # The workers' copies of these LSNs are no-ops: each
+                # replayed the log in its reload above.
+                replay(self, self.wal)
             detail = "; ".join(
                 f"worker {wid}: {error}"
                 for wid, error in sorted(failures.items()))
@@ -372,13 +293,6 @@ class ParallelQueryEngine:
                 f"({detail}); rolled back to {previous.id}")
         self._active = snapshot
         return changed
-
-    def load_snapshot(self, path: Union[str, Path],
-                      verify: bool = True) -> Snapshot:
-        """Load ``path`` and swap everyone onto it."""
-        snapshot = load_snapshot(path, verify=verify)
-        self.swap_snapshot(snapshot)
-        return snapshot
 
     # ------------------------------------------------------------------
     # observability

@@ -9,8 +9,8 @@
   ``mode``, ``algorithm``, ``aggregate``, ``deadline_seconds``,
   ``labels``);
 * ``POST /batch`` — a list of such queries in one request, answered
-  in order; with a :class:`~repro.parallel.ParallelQueryEngine` the
-  entries execute concurrently across the worker processes;
+  in order by the engine's ``execute_batch`` (a pool engine runs the
+  entries concurrently across its worker processes);
 * ``POST /sessions`` — open an interactive PDk session (projection +
   heap seeding happen here, once);
 * ``POST /sessions/{id}/next`` — enlarge ``k``: up to ``k`` further
@@ -64,8 +64,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import faults
+from repro.core.cost import resolve_aggregate
 from repro.engine.context import QueryContext
 from repro.engine.engine import QueryEngine
+from repro.engine.registry import AlgorithmRegistry
 from repro.engine.spec import QuerySpec
 from repro.exceptions import (
     QueryError,
@@ -194,6 +196,55 @@ def _int_of(payload: Dict[str, Any], name: str,
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequest(f"{name!r} must be an integer")
     return value
+
+
+def _name_of(payload: Dict[str, Any], name: str, default: str) -> str:
+    """A field naming a backend or an aggregate: a string."""
+    value = payload.get(name, default)
+    if not isinstance(value, str):
+        raise BadRequest(f"{name!r} must be a string")
+    return value
+
+
+def _aggregate_of(payload: Dict[str, Any]) -> str:
+    """The ``aggregate`` field: the name of a known cost aggregate."""
+    aggregate = _name_of(payload, "aggregate", "sum")
+    resolve_aggregate(aggregate)
+    return aggregate
+
+
+def queries_of(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The ``queries`` of a ``/batch`` body: a non-empty list of query
+    payloads (each then parsed by :func:`spec_of`)."""
+    queries = payload.get("queries")
+    if not isinstance(queries, list) or not queries:
+        raise BadRequest(
+            "'queries' must be a non-empty list of query objects")
+    if not all(isinstance(q, dict) for q in queries):
+        raise BadRequest("every batch entry must be an object")
+    return queries
+
+
+def spec_of(payload: Dict[str, Any],
+            registry: AlgorithmRegistry) -> QuerySpec:
+    """A validated :class:`QuerySpec` from one query payload.
+
+    The request parser of both front ends: the service passes its
+    engine's registry, the shard router the default one its backends
+    serve. Unknown algorithm and aggregate names are refused here
+    (400), before any engine or shard leg sees the query.
+    """
+    keywords = _keywords_of(payload)
+    rmax = _float_of(payload, "rmax")
+    k = _int_of(payload, "k")
+    mode = payload.get("mode") or ("topk" if k is not None else "all")
+    algorithm = _name_of(payload, "algorithm", "pd")
+    registry.get(algorithm)
+    return QuerySpec(
+        tuple(keywords), rmax, mode=mode, k=k, algorithm=algorithm,
+        aggregate=_aggregate_of(payload),
+        budget_seconds=_float_of(payload, "budget_seconds",
+                                 required=False))
 
 
 def _served_from_cache(context: QueryContext) -> bool:
@@ -576,9 +627,8 @@ class CommunityService:
             # Delta divergence is surfaced whether or not a WAL is
             # attached: a dirty engine with no WAL is exactly the
             # state an operator must notice (a restart loses it).
-            "dirty": bool(getattr(self.engine, "dirty", False)),
-            "deltas_applied": int(getattr(self.engine,
-                                          "deltas_applied", 0)),
+            "dirty": self.engine.dirty,
+            "deltas_applied": self.engine.deltas_applied,
             "sessions": self.sessions.count,
             "queued": self.admission.queued,
             "in_flight": self.admission.in_flight,
@@ -591,9 +641,7 @@ class CommunityService:
                 if self.compactor.degraded:
                     health["status"] = "degraded"
             health["wal"] = wal_block
-        results = getattr(self.engine, "results", None)
-        if results is not None:
-            health["result_cache"] = results.as_dict()
+        health["result_cache"] = self.engine.results.as_dict()
         health["querylog"] = self.querylog.as_dict()
         pool = getattr(self.engine, "pool", None)
         if pool is not None:
@@ -700,12 +748,12 @@ class CommunityService:
         400 before any side effect); then the delta is appended to
         the WAL — fsynced per the serving policy — and only then
         applied to the engine: an acknowledged LSN is always
-        recoverable. On a :class:`~repro.parallel.ParallelQueryEngine`
-        the apply also fans the delta out to every pool worker.
+        recoverable. A pool engine's apply also fans the delta out to
+        every worker.
         """
         faults.hit("service.delta")
         with self.ingest_lock:
-            partition = getattr(self.engine, "partition", None)
+            partition = self.engine.partition
             if partition is not None:
                 raise Conflict(
                     f"this backend serves shard "
@@ -723,9 +771,7 @@ class CommunityService:
             lsn = None
             if self.wal is not None:
                 lsn = self.wal.append_delta(
-                    delta,
-                    base=getattr(self.engine, "base_snapshot_id",
-                                 None),
+                    delta, base=self.engine.base_snapshot_id,
                     banks_reweight=banks)
             self.engine.apply_delta(delta, banks, lsn=lsn)
         # Sessions opened against the pre-delta generation now answer
@@ -736,9 +782,8 @@ class CommunityService:
             "nodes_added": delta.node_count(),
             "edges_added": len(delta.new_edges),
             "generation": self.engine.generation,
-            "dirty": getattr(self.engine, "dirty", True),
-            "deltas_applied": getattr(self.engine, "deltas_applied",
-                                      0),
+            "dirty": self.engine.dirty,
+            "deltas_applied": self.engine.deltas_applied,
         }
         if self.wal is not None:
             result["pending_deltas"] = self.wal.pending_count
@@ -769,29 +814,11 @@ class CommunityService:
             specs = self.querylog.top_specs(limit)
         if not specs:
             return 0
-        warm = getattr(self.engine, "warm", None)
-        if warm is None:
-            return 0
         try:
-            return int(warm(list(specs)))
+            return self.engine.warm(list(specs))
         except Exception:  # noqa: BLE001 — warming must never take
             # the service down; a cold cache just recomputes.
             return 0
-
-    @staticmethod
-    def _spec_of(payload: Dict[str, Any]) -> QuerySpec:
-        """A validated :class:`QuerySpec` from one query payload."""
-        keywords = _keywords_of(payload)
-        rmax = _float_of(payload, "rmax")
-        k = _int_of(payload, "k")
-        mode = payload.get("mode") or ("topk" if k is not None
-                                       else "all")
-        return QuerySpec(
-            tuple(keywords), rmax, mode=mode, k=k,
-            algorithm=payload.get("algorithm", "pd"),
-            aggregate=payload.get("aggregate", "sum"),
-            budget_seconds=_float_of(payload, "budget_seconds",
-                                     required=False))
 
     @staticmethod
     def _clamp_budget(spec: QuerySpec,
@@ -806,7 +833,7 @@ class CommunityService:
     def _query(self, body: bytes) -> Dict[str, Any]:
         """``POST /query``: one-shot COMM-all / COMM-k."""
         payload = _parse_body(body)
-        spec = self._spec_of(payload)
+        spec = spec_of(payload, self.engine.registry)
         deadline = _float_of(payload, "deadline_seconds",
                              required=False,
                              default=self.default_deadline)
@@ -829,28 +856,20 @@ class CommunityService:
             cached=_served_from_cache(context))
 
     def _batch(self, body: bytes) -> Dict[str, Any]:
-        """``POST /batch``: fan a list of queries across the pool.
+        """``POST /batch``: a list of queries in one request.
 
         Body: ``{"queries": [<query payload>, ...]}`` plus optional
         batch-wide ``deadline_seconds``/``labels``. The batch is one
-        admission job (one queue slot, one deadline) but its queries
-        run **concurrently** when the engine is a
-        :class:`~repro.parallel.ParallelQueryEngine` — that is the
-        whole point: one HTTP round-trip keeps every worker process
+        admission job (one queue slot, one deadline) that hands every
+        spec to the engine's ``execute_batch``: an in-process engine
+        runs them in order, a pool engine concurrently across its
+        worker processes, so one HTTP round-trip keeps every worker
         busy. Results come back in request order, one standard query
         envelope per entry, each with its own per-query stats.
-
-        On a plain in-process engine the batch degrades gracefully to
-        a sequential loop with identical semantics.
         """
         payload = _parse_body(body)
-        queries = payload.get("queries")
-        if not isinstance(queries, list) or not queries:
-            raise BadRequest(
-                "'queries' must be a non-empty list of query objects")
-        if not all(isinstance(q, dict) for q in queries):
-            raise BadRequest("every batch entry must be an object")
-        specs = [self._spec_of(query) for query in queries]
+        specs = [spec_of(query, self.engine.registry)
+                 for query in queries_of(payload)]
         deadline = _float_of(payload, "deadline_seconds",
                              required=False,
                              default=self.default_deadline)
@@ -859,13 +878,9 @@ class CommunityService:
         start = time.perf_counter()
 
         def job(remaining: Optional[float]) -> List[Any]:
-            run_specs = [self._clamp_budget(spec, remaining)
-                         for spec in specs]
-            fan_out = getattr(self.engine, "execute_batch", None)
-            if fan_out is not None:
-                return fan_out(run_specs, contexts)
-            return [self.engine.execute(spec, ctx)
-                    for spec, ctx in zip(run_specs, contexts)]
+            return self.engine.execute_batch(
+                [self._clamp_budget(spec, remaining) for spec in specs],
+                contexts)
 
         all_results = self.admission.run(job, deadline)
         elapsed = time.perf_counter() - start
@@ -889,7 +904,7 @@ class CommunityService:
         payload = _parse_body(body)
         keywords = _keywords_of(payload)
         rmax = _float_of(payload, "rmax")
-        aggregate = payload.get("aggregate", "sum")
+        aggregate = _aggregate_of(payload)
         ttl = _float_of(payload, "ttl_seconds", required=False)
         deadline = _float_of(payload, "deadline_seconds",
                              required=False,
@@ -959,21 +974,18 @@ class CommunityService:
         counters.update(prefixed(self.sessions.stats.as_dict(),
                                  prefix="repro_", suffix="_total"))
         gauges = prefixed(cache_gauges, prefix="repro_projection_")
-        results = getattr(self.engine, "results", None)
-        if results is not None:
-            rc_counters, rc_gauges = split_rates(
-                results.as_dict(), ("result_cache_hit_rate",))
-            # Occupancy/capacity are instantaneous values, not
-            # monotone counters — keep them out of the _total family
-            # (bytes stays there: the dashboards key on
-            # repro_result_cache_bytes_total).
-            for name in ("result_cache_entries",
-                         "result_cache_capacity_bytes"):
-                if name in rc_counters:
-                    rc_gauges[name] = rc_counters.pop(name)
-            counters.update(prefixed(rc_counters, prefix="repro_",
-                                     suffix="_total"))
-            gauges.update(prefixed(rc_gauges, prefix="repro_"))
+        rc_counters, rc_gauges = split_rates(
+            self.engine.results.as_dict(), ("result_cache_hit_rate",))
+        # Occupancy/capacity are instantaneous values, not monotone
+        # counters — keep them out of the _total family (bytes stays
+        # there: the dashboards key on repro_result_cache_bytes_total).
+        for name in ("result_cache_entries",
+                     "result_cache_capacity_bytes"):
+            if name in rc_counters:
+                rc_gauges[name] = rc_counters.pop(name)
+        counters.update(prefixed(rc_counters, prefix="repro_",
+                                 suffix="_total"))
+        gauges.update(prefixed(rc_gauges, prefix="repro_"))
         gauges.update({
             "repro_queue_depth": float(self.admission.queued),
             "repro_in_flight": float(self.admission.in_flight),
@@ -982,11 +994,10 @@ class CommunityService:
                 self.engine.generation_epoch),
             "repro_projection_cache_size": float(
                 len(self.engine.cache)),
-            "repro_engine_dirty": float(
-                bool(getattr(self.engine, "dirty", False))),
+            "repro_engine_dirty": float(self.engine.dirty),
         })
         counters["repro_engine_deltas_applied_total"] = float(
-            getattr(self.engine, "deltas_applied", 0))
+            self.engine.deltas_applied)
         if self.wal is not None:
             counters.update({
                 "repro_wal_appends_total": float(self.wal.appends),
@@ -1072,11 +1083,9 @@ class CommunityService:
         gauges.update(prefixed(worker_gauges, prefix="repro_worker_"))
         gauges["repro_pool_workers"] = float(pool.workers)
         gauges["repro_pool_workers_alive"] = float(pool.alive)
-        gauges["repro_pool_degraded"] = float(
-            bool(getattr(pool, "degraded", False)))
+        gauges["repro_pool_degraded"] = float(pool.degraded)
         counters["repro_pool_respawns_total"] = float(pool.respawns)
         # Alias kept alongside respawns_total: dashboards built on the
         # conventional restart counter name need no relabeling.
         counters["repro_worker_restarts_total"] = float(pool.respawns)
-        counters["repro_pool_timeouts_total"] = float(
-            getattr(pool, "timeouts", 0))
+        counters["repro_pool_timeouts_total"] = float(pool.timeouts)

@@ -133,8 +133,12 @@ class SessionManager:
 
         The expensive work — Algorithm 6 plus the first ``BestCore``
         seeding — happens here, once; every later ``next`` only pops
-        the heap. Raises :class:`Overloaded` at the lease cap.
+        the heap. Raises :class:`Overloaded` at the lease cap, and
+        :class:`QueryError` for a ``ttl_seconds`` that is not positive.
         """
+        if ttl_seconds is not None and not ttl_seconds > 0:
+            raise QueryError(
+                f"ttl_seconds must be positive, got {ttl_seconds}")
         self.sweep()
         with self._lock:
             if len(self._leases) >= self.max_sessions:

@@ -37,6 +37,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.community import Community
+from repro.engine.registry import REGISTRY
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError, ServiceError
 from repro.service.client import ServiceClient
@@ -50,9 +51,9 @@ from repro.service.serialize import (
 )
 from repro.service.server import (
     _float_of,
-    _int_of,
-    _keywords_of,
     _parse_body,
+    queries_of,
+    spec_of,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.merge import (
@@ -183,20 +184,16 @@ class RouterCore:
     # ------------------------------------------------------------------
     # request parsing
     # ------------------------------------------------------------------
-    def spec_of(self, payload: Dict[str, Any],
-                manifest: RoutingManifest) -> QuerySpec:
-        """A validated :class:`QuerySpec` from one query payload."""
-        keywords = _keywords_of(payload)
-        rmax = _float_of(payload, "rmax")
-        k = _int_of(payload, "k")
-        mode = payload.get("mode") or ("topk" if k is not None
-                                       else "all")
-        spec = QuerySpec(
-            tuple(keywords), rmax, mode=mode, k=k,
-            algorithm=payload.get("algorithm", "pd"),
-            aggregate=payload.get("aggregate", "sum"),
-            budget_seconds=_float_of(payload, "budget_seconds",
-                                     required=False))
+    def routable_spec(self, payload: Dict[str, Any],
+                      manifest: RoutingManifest) -> QuerySpec:
+        """A validated :class:`QuerySpec` from one query payload.
+
+        Parsed by the backends' own :func:`~repro.service.server.
+        spec_of` (with the default registry, which every ``serve``
+        backend runs), then each keyword is checked against the
+        manifest's Blooms.
+        """
+        spec = spec_of(payload, REGISTRY)
         for keyword in spec.keywords:
             if not manifest.keyword_known(keyword):
                 raise QueryError(
@@ -208,7 +205,7 @@ class RouterCore:
         """Parse one ``/query`` body against a manifest capture."""
         manifest = self.capture()
         payload = _parse_body(body)
-        spec = self.spec_of(payload, manifest)
+        spec = self.routable_spec(payload, manifest)
         deadline = _float_of(payload, "deadline_seconds",
                              required=False)
         want_labels = bool(payload.get("labels", False))
@@ -227,18 +224,13 @@ class RouterCore:
         """
         manifest = self.capture()
         payload = _parse_body(body)
-        queries = payload.get("queries")
-        if not isinstance(queries, list) or not queries:
-            raise BadRequest(
-                "'queries' must be a non-empty list of query objects")
-        if not all(isinstance(q, dict) for q in queries):
-            raise BadRequest("every batch entry must be an object")
+        queries = queries_of(payload)
         deadline = _float_of(payload, "deadline_seconds",
                              required=False)
         want_labels = bool(payload.get("labels", False))
         plans = []
         for query in queries:
-            spec = self.spec_of(query, manifest)
+            spec = self.routable_spec(query, manifest)
             plans.append(QueryPlan(
                 manifest, spec, deadline, want_labels,
                 manifest.shards_for(spec.keywords)))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro import faults
 from repro.exceptions import WalError
@@ -48,6 +48,9 @@ from repro.wal.log import (
 )
 from repro.wal.records import delta_from_wire
 
+if TYPE_CHECKING:
+    from repro.engine.engine import QueryEngine
+
 #: Default seconds between background compaction attempts.
 DEFAULT_COMPACT_INTERVAL = 300.0
 
@@ -55,16 +58,17 @@ DEFAULT_COMPACT_INTERVAL = 300.0
 class Compactor:
     """Folds a WAL's pending deltas into a fresh store snapshot.
 
-    ``engine`` (optional) is the live engine to hot-swap after a
-    successful publish — a :class:`~repro.engine.engine.QueryEngine`
-    or :class:`~repro.parallel.engine.ParallelQueryEngine`; offline
-    compaction (the CLI) passes ``None``. ``lock`` is the service's
+    ``engine`` (optional) is the live
+    :class:`~repro.engine.engine.QueryEngine` to hot-swap after a
+    successful publish (a pool engine's swap and replay reach its
+    workers too); offline compaction (the CLI) passes ``None``.
+    ``lock`` is the service's
     ingest lock, held across checkpoint + truncate + swap so no delta
     is acknowledged against a moving base.
     """
 
     def __init__(self, wal: WriteAheadLog, store: SnapshotStore,
-                 engine: Optional[Any] = None,
+                 engine: Optional["QueryEngine"] = None,
                  lock: Optional[threading.Lock] = None,
                  interval: float = DEFAULT_COMPACT_INTERVAL,
                  min_deltas: int = 1) -> None:

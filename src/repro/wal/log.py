@@ -48,7 +48,8 @@ import os
 import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Set, Union)
 
 from repro import faults
 from repro.exceptions import WalError
@@ -59,6 +60,9 @@ from repro.wal.records import (
     encode_record,
     scan_records,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.engine import QueryEngine
 
 #: Accepted values for the append-path durability policy.
 FSYNC_POLICIES = ("always", "batch", "off")
@@ -370,7 +374,7 @@ def protected_snapshots(source: WalSource) -> Set[str]:
     return {sid for sid in protected if sid is not None}
 
 
-def replay(engine: Any, source: WalSource) -> int:
+def replay(engine: "QueryEngine", source: WalSource) -> int:
     """Apply the engine's pending deltas from the WAL; returns count.
 
     The engine must be serving an unmodified snapshot (its
@@ -383,7 +387,7 @@ def replay(engine: Any, source: WalSource) -> int:
     byte-identical to one that applied the deltas live — the
     crash-recovery property test asserts exactly that.
     """
-    snapshot_id = getattr(engine, "snapshot_id", None)
+    snapshot_id = engine.snapshot_id
     if snapshot_id is None:
         raise WalError(
             "WAL replay needs an engine serving an unmodified "

@@ -8,7 +8,8 @@ Two failure planes:
   ``worker.0.reload=once:raise``): the engine must roll every worker
   and the parent back to the previous snapshot, raise, and keep
   answering from the old graph — then succeed on a later retry once
-  the fault has passed.
+  the fault has passed. With a WAL attached, "the old graph" includes
+  the logged deltas, in the parent as in every worker.
 """
 
 import json
@@ -23,6 +24,8 @@ from repro.exceptions import SnapshotError
 from repro.parallel import ParallelQueryEngine
 from repro.service import CommunityService
 from repro.snapshot import SnapshotStore
+from repro.text.maintenance import GraphDelta
+from repro.wal import WriteAheadLog
 
 from chaos_helpers import publish_fig4, wait_until
 
@@ -119,6 +122,47 @@ class TestWorkerReloadRollback:
                     SnapshotStore(fig4_store).resolve())
             assert "rolled back" in str(excinfo.value)
             assert engine.snapshot_id == old_id
+
+
+class TestRollbackWithWal:
+    def test_rolled_back_parent_keeps_the_workers_delta_state(
+            self, fig4_store, tmp_path, monkeypatch):
+        """Each worker's rollback reload replays the WAL onto the
+        previous snapshot; the parent must end in that same state,
+        not on the previous snapshot as published."""
+        old_id = SnapshotStore(fig4_store).latest_id()
+        monkeypatch.setenv("REPRO_FAILPOINTS",
+                           "worker.0.reload=once:raise")
+        spec = QuerySpec.comm_k(list(FIG4_QUERY), 50, FIG4_RMAX)
+
+        def parent_state(engine):
+            # A session page is computed in the parent, never a worker.
+            page = engine.top_k_stream(list(FIG4_QUERY),
+                                       FIG4_RMAX).take(50)
+            return (page, engine.dirty, engine.deltas_applied,
+                    engine.applied_lsn)
+
+        with WriteAheadLog(tmp_path / "d.wal", fsync="off") as wal, \
+                ParallelQueryEngine(fig4_store, workers=2,
+                                    wal_path=wal) as engine:
+            pristine = parent_state(engine)
+            delta = GraphDelta(new_edges=[(0, 3, 0.25)])
+            engine.apply_delta(
+                delta, lsn=wal.append_delta(delta, base=old_id))
+            before = parent_state(engine)
+            assert before[0] != pristine[0]       # the delta shows
+            assert before[1:] == (True, 1, 1)
+
+            publish_fig4(fig4_store, radius=4.0)
+            with pytest.raises(SnapshotError, match="rolled back"):
+                engine.load_snapshot(
+                    SnapshotStore(fig4_store).resolve())
+
+            assert parent_state(engine) == before
+            for worker_id in range(engine.workers):
+                answer, _, _ = engine.pool.submit(
+                    "query", spec, worker_id=worker_id).result()
+                assert answer == before[0], worker_id
 
 
 class TestParentLoadRejection:

@@ -18,7 +18,9 @@ Acceptance coverage for the router:
   mismatch with a fleet-wide rollback;
 * **the wire** — a routed read pays no delayed-ACK floor on any hop,
   and a malformed ``Content-Length`` gets a typed 400 and a closed
-  connection.
+  connection;
+* **one request parser** — a query field the service refuses is a
+  400 from the router too, on ``/query`` and in a ``/batch`` entry.
 """
 
 import json
@@ -242,6 +244,36 @@ def test_malformed_content_length_is_a_typed_400(fig4_fleet, value):
     assert status.startswith("HTTP/1.1 400 ")
     assert "Connection: close" in headers
     assert json.loads(body)["status"] == 400
+
+
+#: Query fields both front ends refuse with a 400 before any engine
+#: or shard leg runs.
+MALFORMED_FIELDS = {
+    "unknown-algorithm": {"algorithm": "nope"},
+    "unknown-aggregate": {"aggregate": "bogus"},
+    "list-aggregate": {"aggregate": []},
+    "nan-rmax": {"rmax": float("nan")},
+}
+
+
+@pytest.mark.parametrize("route", ["/query", "/batch"])
+@pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_malformed_field_is_a_400_on_both_front_ends(fig4_fleet, front,
+                                                     field, route):
+    router, single = fig4_fleet
+    query = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX, "k": 3,
+             **MALFORMED_FIELDS[field]}
+    body = json.dumps(query if route == "/query"
+                      else {"queries": [query]}).encode("utf-8")
+    if front == "service":
+        status = single.handle("POST", route, body)[0]
+    else:
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(router.url, timeout=30.0).request_raw(
+                "POST", route, body, "application/json")
+        status = excinfo.value.status
+    assert status == 400
 
 
 class TestPropertyGraphIdentity:

@@ -148,6 +148,16 @@ class TestInteractiveSessions:
         with pytest.raises(NotFound):
             session.next(1)
 
+    @pytest.mark.parametrize("field", [
+        {"aggregate": []}, {"rmax": float("nan")},
+        {"ttl_seconds": -5}, {"ttl_seconds": 0},
+    ], ids=["list-aggregate", "nan-rmax", "negative-ttl", "zero-ttl"])
+    def test_malformed_session_field_is_400(self, client, field):
+        with pytest.raises(BadRequest):
+            client.request("POST", "/sessions", {
+                "keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX,
+                **field})
+
     def test_short_ttl_session_expires_410(self, client):
         session = client.open_session(list(FIG4_QUERY), FIG4_RMAX,
                                       ttl_seconds=0.05)

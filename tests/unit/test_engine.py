@@ -48,6 +48,10 @@ class TestQuerySpec:
         with pytest.raises(QueryError):
             QuerySpec(("a",), -1.0)
 
+    def test_nan_rmax_rejected(self):
+        with pytest.raises(QueryError):
+            QuerySpec(("a",), float("nan"))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(QueryError):
             QuerySpec(("a",), 5.0, mode="stream")
@@ -270,6 +274,21 @@ class TestProjectionCache:
         engine.project(keywords, FIG4_RMAX)       # fill the cache
         warm = best_of(5, lambda: engine.project(keywords, FIG4_RMAX))
         assert warm * 2 <= cold
+
+
+class TestExecuteBatch:
+    def test_matches_execute_per_spec_one_context_each(self, fig4):
+        engine = QueryEngine(fig4, result_cache_bytes=0)
+        engine.build_index(radius=FIG4_RMAX)
+        specs = [QuerySpec.comm_k(FIG4_QUERY, 1, FIG4_RMAX),
+                 QuerySpec.comm_all(FIG4_QUERY, FIG4_RMAX),
+                 QuerySpec.comm_k(FIG4_QUERY, 3, FIG4_RMAX)]
+        contexts = [QueryContext() for _ in specs]
+        batched = engine.execute_batch(specs, contexts)
+        assert batched == [engine.execute(spec) for spec in specs]
+        assert [len(answer) for answer in batched] == [1, 5, 3]
+        assert [ctx.counter("communities") for ctx in contexts] \
+            == [1, 5, 3]
 
 
 class TestContext:

@@ -12,6 +12,10 @@ acceptance properties covered:
 * answers through the pool are exactly the local engine's answers —
   ``POST /query`` envelopes are byte-identical (modulo wall-clock
   fields) with and without ``--workers``;
+* the pool engine *is* a ``QueryEngine``, and the parent's half of a
+  shared operation stays in the parent: ``warm`` fills the parent's
+  own result cache (sessions attach to it) as well as every
+  worker's;
 * ``POST /batch`` preserves request order and validates its body;
 * ``/metrics`` exposes one ``repro_worker_info`` row per worker and
   ``POST /admin/reload`` moves every row to the new snapshot id;
@@ -200,6 +204,26 @@ class TestParallelEngineAnswers:
             assert engine.snapshot_id == new_id
             assert all(s["snapshot_id"] == new_id
                        for s in engine.worker_stats())
+
+
+class TestParentHalf:
+    def test_is_a_query_engine(self, parallel_engine):
+        assert isinstance(parallel_engine, QueryEngine)
+
+    def test_warm_fills_the_parent_and_every_worker(self, store_root):
+        spec = QuerySpec.comm_k(list(FIG4_QUERY), 3, FIG4_RMAX)
+        with ParallelQueryEngine(store_root, workers=2) as engine:
+            assert engine.warm([spec]) == 1
+            # A session's first page comes from the warmed entry.
+            context = QueryContext()
+            stream = engine.top_k_stream(list(FIG4_QUERY), FIG4_RMAX,
+                                         context=context)
+            assert len(stream.take(3)) == 3
+            assert context.counter("result_cache_hits") == 1
+            assert context.counter("result_cache_extensions") == 0
+            assert "enumerate" not in context.timings
+            assert all(row["result_cache_entries"] >= 1
+                       for row in engine.worker_stats())
 
 
 def post(service, path, payload):

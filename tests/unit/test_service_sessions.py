@@ -142,6 +142,13 @@ class TestTTL:
         assert manager.count == 0
         assert manager.stats.expired == 1
 
+    @pytest.mark.parametrize("ttl", [-5.0, 0.0, float("nan")])
+    def test_non_positive_ttl_rejected(self, manager, ttl):
+        with pytest.raises(QueryError):
+            manager.create(list(FIG4_QUERY), FIG4_RMAX,
+                           ttl_seconds=ttl)
+        assert manager.count == 0
+
     def test_next_slides_the_lease(self, manager, clock):
         lease = manager.create(list(FIG4_QUERY), FIG4_RMAX)
         clock.advance(50.0)
