@@ -25,9 +25,19 @@ agree on the generation, and swapping to a content-identical snapshot
 is a no-op (the projection cache stays warm, open sessions stay
 valid).
 
-Queries capture ``(graph, index, generation)`` once at entry, so a
-concurrent :meth:`~QueryEngine.swap_snapshot` never mixes artifacts
-mid-query — in-flight queries finish on the graph they started on.
+Queries capture ``(graph, index, generation, owned)`` once at entry,
+so a concurrent :meth:`~QueryEngine.swap_snapshot` never mixes
+artifacts mid-query — in-flight queries finish on the graph they
+started on.
+
+An engine serving one shard of a partitioned snapshot holds the
+shard's *owned* node set (the snapshot's ``owned`` section). Every
+query then restricts the first keyword's node list to owned nodes,
+after projection and before any backend runs, so the shard
+enumerates exactly the communities whose anchor ``c_1`` it owns (see
+:mod:`repro.shard.partition`). The owned set is part of the snapshot
+id, so the generation — and every cache key tagged with it — already
+covers the restriction.
 
 Execution is staged — resolve → project → enumerate → translate — and
 each stage reports wall-clock and counters into the caller's
@@ -55,6 +65,7 @@ from typing import (
     Union,
 )
 
+from repro.core.comm_all import resolve_keyword_nodes
 from repro.core.community import Community
 from repro.core.comm_k import TopKStream
 from repro.core.cost import AggregateSpec
@@ -71,7 +82,7 @@ from repro.engine.results import (
     result_key,
 )
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, SnapshotFormatError
 from repro.graph.database_graph import DatabaseGraph
 from repro.snapshot.snapshot import Snapshot
 from repro.snapshot.snapshot import load_snapshot as _load_snapshot
@@ -101,6 +112,12 @@ def translate_community(community: Community,
     )
 
 
+#: One consistent observation of the engine state a query runs on:
+#: ``(graph, index, generation, owned)``.
+Captured = Tuple[DatabaseGraph, Optional[CommunityIndex], str,
+                 Optional[frozenset]]
+
+
 class QueryEngine:
     """Executes :class:`~repro.engine.spec.QuerySpec` s on one graph."""
 
@@ -128,6 +145,7 @@ class QueryEngine:
         self._snapshot_loaded_at: Optional[float] = None
         self._base_snapshot_id: Optional[str] = None
         self._partition: Optional[Dict[str, Any]] = None
+        self._owned: Optional[frozenset] = None
         self._deltas_applied = 0
         self._applied_lsn = 0
 
@@ -205,16 +223,39 @@ class QueryEngine:
         self.results.invalidate()
         return True
 
+    @staticmethod
+    def check_adoptable(snapshot: Snapshot) -> None:
+        """Refuse a shard snapshot that carries no ``owned`` section.
+
+        Such a snapshot was partitioned by an earlier release: served
+        unrestricted, its shard would enumerate communities other
+        shards own, and a router merging one round per shard would
+        return wrong answers. Raises
+        :class:`~repro.exceptions.SnapshotFormatError`.
+        """
+        partition = snapshot.provenance.get("partition")
+        if partition is not None and snapshot.owned is None:
+            raise SnapshotFormatError(
+                f"snapshot {snapshot.id} is shard "
+                f"{partition.get('shard')} of {partition.get('of')} "
+                f"but has no 'owned' section (it was partitioned by "
+                f"an earlier release); re-run 'python -m repro "
+                f"snapshot partition' and roll the fleet")
+
     def _adopt(self, snapshot: Snapshot) -> None:
         """Serve ``snapshot``'s graph and index under its identity:
         the snapshot id becomes the generation and the lineage base,
-        and the delta counters restart from zero."""
+        and the delta counters restart from zero. Checks
+        :meth:`check_adoptable` before changing anything."""
+        self.check_adoptable(snapshot)
         self.dbg = snapshot.dbg
         self._index = snapshot.index
         self._generation = snapshot.id
         self._snapshot_id = snapshot.id
         self._base_snapshot_id = snapshot.id
         self._partition = snapshot.provenance.get("partition")
+        self._owned = (frozenset(snapshot.owned.tolist())
+                       if snapshot.owned is not None else None)
         self._deltas_applied = 0
         self._applied_lsn = 0
         self._snapshot_loaded_at = time.time()
@@ -240,6 +281,12 @@ class QueryEngine:
         (shard id, shard count, source snapshot) when it is one shard
         of a partitioned build; ``None`` for a whole graph."""
         return self._partition
+
+    @property
+    def owned(self) -> Optional[frozenset]:
+        """The node ids that may anchor a community on this engine
+        (a shard's owned set); ``None`` when every node may."""
+        return self._owned
 
     # ------------------------------------------------------------------
     # index lifecycle — every change advances the generation
@@ -347,11 +394,12 @@ class QueryEngine:
         """Highest WAL LSN applied (0 when none carried an LSN)."""
         return self._applied_lsn
 
-    def _capture(self) -> Tuple[DatabaseGraph,
-                                Optional[CommunityIndex], str]:
-        """One consistent ``(graph, index, generation)`` observation."""
+    def _capture(self) -> Captured:
+        """One consistent ``(graph, index, generation, owned)``
+        observation."""
         with self._lock:
-            return self.dbg, self._index, self._generation
+            return self.dbg, self._index, self._generation, \
+                self._owned
 
     # ------------------------------------------------------------------
     # projection (Algorithm 6), cached
@@ -366,7 +414,7 @@ class QueryEngine:
         Algorithm 6 executions — a repeated query shows ``runs == 1``
         however many times it is asked.
         """
-        _, index, generation = self._capture()
+        _, index, generation, _ = self._capture()
         return self._project(index, generation, keywords, rmax,
                              context, use_cache)
 
@@ -454,7 +502,7 @@ class QueryEngine:
         ctx = ensure_context(context)
         if not self._result_cacheable(spec):
             return list(self.iter_all(spec, ctx))
-        _, _, generation = self._capture()
+        _, _, generation, _ = self._capture()
         key = result_key(spec.keywords, spec.rmax, spec.algorithm,
                          spec.aggregate, "all")
         served = self.results.fetch(key, generation, None, ctx)
@@ -481,7 +529,7 @@ class QueryEngine:
         ctx = ensure_context(context)
         backend = self.registry.get(spec.algorithm)
         captured = self._capture()
-        dbg, index, generation = captured
+        _, _, generation, _ = captured
         cacheable = self._result_cacheable(spec)
         key = ""
         if cacheable:
@@ -576,7 +624,7 @@ class QueryEngine:
                          aggregate=aggregate,
                          use_projection=use_projection)
         captured = self._capture()
-        _, _, generation = captured
+        _, _, generation, _ = captured
         cacheable = self.results.enabled
         key = result_key(spec.keywords, spec.rmax, "pd",
                          spec.aggregate, "topk")
@@ -637,30 +685,35 @@ class QueryEngine:
         return not self.registry.get(spec.algorithm).supports_budget
 
     def _query_graph(self, spec: QuerySpec, ctx: QueryContext,
-                     captured: Optional[Tuple[DatabaseGraph,
-                                              Optional[CommunityIndex],
-                                              str]] = None):
+                     captured: Optional[Captured] = None):
         """Pick the execution graph: projection, or ``G_D`` directly.
 
         Captures the engine state once (or adopts the caller's
-        ``captured`` triple — the result-cache paths capture early so
+        ``captured`` tuple — the result-cache paths capture early so
         the entry's generation tag matches the artifacts the answer
         was computed on), so everything downstream — projection,
         enumeration, translation — runs against one consistent
-        ``(graph, index, generation)`` even if a snapshot swap lands
-        mid-query. Returns
+        ``(graph, index, generation, owned)`` even if a snapshot swap
+        lands mid-query. On a shard, the first keyword's node list is
+        cut to the owned nodes here, after projection and before any
+        backend sees it. Returns
         ``(graph, node_lists, projection, origin_graph)``.
         """
-        dbg, index, generation = (captured if captured is not None
-                                  else self._capture())
+        dbg, index, generation, owned = (
+            captured if captured is not None else self._capture())
         use_projection = spec.use_projection
         if use_projection is None:
             use_projection = index is not None
         if use_projection:
             projection = self._project(index, generation,
                                        spec.keywords, spec.rmax, ctx)
-            return (projection.subgraph, projection.node_lists,
-                    projection, dbg)
+            node_lists = projection.node_lists
+            if owned is not None:
+                inverse = projection.inverse
+                node_lists = [[u for u in node_lists[0]
+                               if inverse[u] in owned],
+                              *node_lists[1:]]
+            return projection.subgraph, node_lists, projection, dbg
         node_lists = None
         if index is not None:
             with ctx.stage("resolve"):
@@ -668,4 +721,8 @@ class QueryEngine:
                     index.require_keyword(keyword)
                 node_lists = [
                     index.nodes(kw) for kw in spec.keywords]
+        if owned is not None:
+            node_lists = resolve_keyword_nodes(dbg, spec.keywords,
+                                               node_lists)
+            node_lists[0] = [u for u in node_lists[0] if u in owned]
         return dbg, node_lists, None, dbg

@@ -37,7 +37,8 @@
   shedding counters, queue depth, latency histograms, active snapshot
   id + load timestamp);
 * ``GET /healthz`` — liveness plus the current engine generation and
-  snapshot id.
+  snapshot id, and on a shard backend a ``partition`` block naming
+  the shard it serves.
 
 Every query-executing route passes through the
 :class:`~repro.service.admission.AdmissionController`: a full queue
@@ -619,7 +620,8 @@ class CommunityService:
         ``status`` is ``"ok"`` normally and ``"degraded"`` once the
         pool's crash-storm breaker opened (the service still answers,
         on fewer workers) — orchestrators alert on it without parsing
-        metrics."""
+        metrics. A backend serving a shard snapshot adds
+        ``partition: {shard, of, owned_nodes}``."""
         health = {
             "status": "ok",
             "generation": self.engine.generation,
@@ -643,6 +645,15 @@ class CommunityService:
             health["wal"] = wal_block
         health["result_cache"] = self.engine.results.as_dict()
         health["querylog"] = self.querylog.as_dict()
+        partition = self.engine.partition
+        if partition is not None:
+            # Which shard this backend actually serves, for the
+            # router's per-replica health rows.
+            health["partition"] = {
+                "shard": partition.get("shard"),
+                "of": partition.get("of"),
+                "owned_nodes": len(self.engine.owned),
+            }
         pool = getattr(self.engine, "pool", None)
         if pool is not None:
             health["pool_workers"] = pool.workers
@@ -665,7 +676,9 @@ class CommunityService:
         filesystem path crosses a box boundary. In-flight queries
         finish on the artifact they started with; a reload to a
         content-identical snapshot is a no-op that keeps the cache
-        warm and open sessions valid.
+        warm and open sessions valid. A snapshot the engine refuses to
+        adopt (a shard snapshot without its ``owned`` section) is a
+        400 before any side effect.
         """
         faults.hit("service.reload")
         payload = _parse_body(body)
@@ -688,6 +701,7 @@ class CommunityService:
                 "--snapshot source or supply 'path' in the body")
         try:
             snapshot = load_snapshot(locate_snapshot(source))
+            self.engine.check_adoptable(snapshot)
         except SnapshotNotFoundError as error:
             raise NotFound(str(error))
         except SnapshotError as error:

@@ -13,11 +13,12 @@ Transport half of the router; all routing *policy* lives in
   behind a sticky active cursor, failing a leg over to a sibling box
   before the router gives the shard up.
 * :class:`AsyncRouterService` — an ``asyncio.start_server`` front
-  end. Fan-out legs are ``asyncio.gather`` calls, so a round's
-  concurrency is bounded by the fleet, not a thread pool; overfetch
-  rounds drive the sans-IO :class:`~repro.shard.merge.TopKMerge`
-  state machine, issuing each round's refetches concurrently. The
-  admin plane (``/admin/reload``, including the cross-box
+  end. A query is one ``asyncio.gather`` of one leg per eligible
+  shard, so its concurrency is bounded by the fleet, not a thread
+  pool, and its latency by the slowest leg: each shard enumerates
+  only the communities it owns, so one round of ``k`` per shard is
+  the whole merge (:mod:`repro.shard.merge`). The admin plane
+  (``/admin/reload``, including the cross-box
   ``transfer`` mode) runs the synchronous
   :func:`~repro.shard.routing.reload_fleet` on an executor thread —
   reloads are rare, walk every replica in order, and must not hold
@@ -26,16 +27,17 @@ Transport half of the router; all routing *policy* lives in
 Endpoints mirror the single-box service where they overlap:
 
 * ``POST /query`` — fanned to the shards whose Bloom admits every
-  keyword; PDk answers come from the exact overfetching k-way merge,
-  PDall from the ownership-filtered union in canonical ``(cost,
-  core)`` order. The response envelope adds ``shards_answered`` /
+  keyword; PDk answers are the ``k`` cheapest of one leg of ``k`` per
+  shard, PDall the union, both in canonical ``(cost, core)`` order. A
+  leg that answers with a community its shard does not own counts as
+  a failed shard. The response envelope adds ``shards_answered`` /
   ``shards_total`` / ``partial``: a shard whose whole replica set
   times out, sheds, or crashes mid-fan-out costs *coverage*, not
   availability — the router answers ``200`` with what the live
   shards proved.
 * ``POST /batch`` — shard-aware batching: one ``/batch`` per shard
   carrying exactly the entries that shard is eligible for, answers
-  reassembled per entry (each entry gets its own partiality fields).
+  merged per entry (each entry gets its own partiality fields).
 * ``GET /healthz`` — aggregated fleet health (per-shard rows with
   per-replica detail plus a rolled-up status).
 * ``GET /metrics`` — ``repro_router_*`` counters/gauges (including
@@ -46,10 +48,10 @@ Endpoints mirror the single-box service where they overlap:
   ``{"transfer": true}`` each shard snapshot is pushed over the wire
   first.
 
-The router holds no query state between requests — overfetch rounds
-re-ask shards with larger ``k`` (queries are idempotent stateless
-reads, retried by the client layer on torn connections), so any
-number of router replicas can sit behind one load balancer.
+The router holds no query state between requests — every leg is an
+idempotent stateless read (retried by the client layer on torn
+connections), so any number of router replicas can sit behind one
+load balancer.
 """
 
 from __future__ import annotations
@@ -91,11 +93,9 @@ from repro.service.server import (
     content_length,
 )
 from repro.shard.manifest import RoutingManifest
-from repro.shard.merge import FetchResult, MergeOutcome, TopKMerge
 from repro.shard.routing import (
     DEFAULT_SHARD_RETRIES,
     DEFAULT_SHARD_TIMEOUT,
-    QueryPlan,
     RouterCore,
     _should_failover,
     parse_shard_urls,
@@ -815,73 +815,32 @@ class AsyncRouterService:
                                   time.perf_counter() - start)
             return error
 
-    async def _fetch_one(self, plan: QueryPlan, shard_id: int,
-                         want: int) -> Optional[FetchResult]:
-        """Fetch + filter one shard's first ``want`` answers."""
-        payload = self.core.shard_payload(
-            plan.spec, want, plan.deadline, plan.want_labels)
-        result = await self._leg_query(shard_id, payload)
-        return self.core.fetch_result(plan, shard_id, result, want)
-
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
     async def _query(self, body: bytes) -> Dict[str, Any]:
-        """``POST /query``: scatter, filter, merge, gather."""
+        """``POST /query``: one leg per eligible shard, then merge."""
         plan = self.core.parse_query(body)
         start = time.perf_counter()
-        if plan.spec.mode == "topk":
-            outcome = await self._merged_top_k(plan)
-            communities = outcome.communities
-            answered, failed = outcome.answered, outcome.failed
-            self.core.note_topk(outcome)
-        else:
-            communities, answered, failed = \
-                await self._merged_all(plan)
-        self.core.note_partial(failed)
-        return self.core.envelope(
-            plan, communities, answered=len(answered),
-            elapsed=time.perf_counter() - start)
-
-    async def _merged_all(self, plan: QueryPlan
-                          ) -> Tuple[List[Any], List[int],
-                                     List[int]]:
-        """One COMM-all fan-out: union of filtered shard answers."""
         payload = self.core.shard_payload(
-            plan.spec, None, plan.deadline, plan.want_labels)
+            plan.spec, plan.spec.k, plan.deadline, plan.want_labels)
         responses = await self._fan({
             shard_id: self._leg_query(shard_id, payload)
             for shard_id in plan.eligible})
-        return self.core.reduce_all(plan, responses)
-
-    async def _merged_top_k(self, plan: QueryPlan) -> MergeOutcome:
-        """Drive the sans-IO merge with concurrent async rounds.
-
-        Each ``next_round`` want-map becomes one ``asyncio.gather``
-        — every refetch in a round runs concurrently, and rounds
-        double per-shard ``k`` until the merged k-th cost clears
-        every live shard's frontier (the exactness condition).
-        """
-        merge = TopKMerge(plan.eligible, plan.spec.k or 0)
-        while not merge.done:
-            wants = merge.next_round()
-            merge.feed(await self._fan({
-                shard_id: self._fetch_one(plan, shard_id, want)
-                for shard_id, want in wants.items()}))
-        return merge.outcome()
+        outcome = self.core.reduce(plan, responses)
+        return self.core.envelope(
+            plan, outcome.communities, answered=len(outcome.answered),
+            elapsed=time.perf_counter() - start)
 
     async def _batch(self, body: bytes) -> Dict[str, Any]:
         """``POST /batch``: shard-aware batched scatter-gather.
 
-        Round 1 sends each shard **one** ``/batch`` containing
-        exactly the entries it is eligible for — one HTTP round-trip
-        keeps every shard's worker pool busy, which is the point of
-        batching. Each entry's top-k merge then reuses its shard's
-        round-1 slice; entries that fail the exactness check (a
-        shard's filtered prefix ran short) refetch with single
-        ``/query`` legs of doubled ``k`` — rare, and still stateless.
+        Sends each shard **one** ``/batch`` containing exactly the
+        entries it is eligible for — one HTTP round-trip keeps every
+        shard's worker pool busy, which is the point of batching —
+        then merges each entry from its shards' slices.
         """
-        manifest, plans, deadline, want_labels = \
+        _, plans, deadline, want_labels = \
             self.core.parse_batch(body)
         start = time.perf_counter()
 
@@ -893,7 +852,7 @@ class AsyncRouterService:
 
         async def leg_batch(shard_id: int,
                             indexes: List[int]) -> Any:
-            """One shard's round-1 /batch leg."""
+            """One shard's ``/batch`` leg."""
             bodies = [self.core.shard_payload(
                 plans[i].spec, plans[i].spec.k, deadline,
                 want_labels) for i in indexes]
@@ -919,65 +878,28 @@ class AsyncRouterService:
                     time.perf_counter() - leg_start)
                 return error
 
-        round_one = await self._fan({
+        legs = await self._fan({
             shard_id: leg_batch(shard_id, indexes)
             for shard_id, indexes in by_shard.items()})
 
-        async def entry_envelope(entry_index: int,
-                                 plan: QueryPlan) -> Dict[str, Any]:
-            """Reassemble one batch entry from round-1 + refetches."""
-            first: Dict[int, Any] = {}
+        envelopes = []
+        for entry_index, plan in enumerate(plans):
+            replies: Dict[int, Any] = {}
             for shard_id in plan.eligible:
-                result = round_one.get(shard_id)
+                result = legs[shard_id]
                 if isinstance(result, dict):
-                    position = \
-                        by_shard[shard_id].index(entry_index)
-                    first[shard_id] = result["results"][position]
-                else:
-                    first[shard_id] = result
-            if plan.spec.mode == "topk":
-                outcome = await self._batch_top_k(plan, first)
-                communities = outcome.communities
-                answered, failed = outcome.answered, outcome.failed
-                self.core.count("merge_rounds", outcome.rounds)
-            else:
-                communities, answered, failed = \
-                    self.core.reduce_all(plan, first)
-            if failed:
-                self.core.count("partial_results")
-                self.core.count("shard_failures", len(failed))
-            return self.core.envelope(plan, communities,
-                                      answered=len(answered))
-
-        envelopes = [
-            await entry_envelope(index, plan)
-            for index, plan in enumerate(plans)]
+                    position = by_shard[shard_id].index(entry_index)
+                    result = result["results"][position]
+                replies[shard_id] = result
+            outcome = self.core.reduce(plan, replies)
+            envelopes.append(self.core.envelope(
+                plan, outcome.communities,
+                answered=len(outcome.answered)))
         return {
             "queries": len(envelopes),
             "results": envelopes,
             "elapsed_seconds": time.perf_counter() - start,
         }
-
-    async def _batch_top_k(self, plan: QueryPlan,
-                           first: Dict[int, Any]) -> MergeOutcome:
-        """Merge one batch entry's top-k, reusing round-1 answers."""
-        async def fetch_one(shard_id: int,
-                            want: int) -> Optional[FetchResult]:
-            """Round 1 from the cached batch leg; later rounds via
-            fresh single-query legs."""
-            if want == plan.spec.k and shard_id in first:
-                result = first.pop(shard_id)
-                return self.core.fetch_result(plan, shard_id,
-                                              result, want)
-            return await self._fetch_one(plan, shard_id, want)
-
-        merge = TopKMerge(plan.eligible, plan.spec.k or 0)
-        while not merge.done:
-            wants = merge.next_round()
-            merge.feed(await self._fan({
-                shard_id: fetch_one(shard_id, want)
-                for shard_id, want in wants.items()}))
-        return merge.outcome()
 
     # ------------------------------------------------------------------
     # health + metrics

@@ -15,8 +15,15 @@ shard's dense local node ids back to global ``G_D`` ids, counts, and
 a :class:`KeywordBloom` over the shard's index vocabulary so the
 router can skip shards that cannot contain a query's keywords. One
 global ``owners`` array (global node id -> owning shard) backs the
-anchor-ownership filter that makes cross-shard unions exact and
-duplicate-free (see :mod:`repro.shard`).
+router's ownership check: every answer a shard returns must be
+anchored on a node that shard owns (see :mod:`repro.shard`).
+
+Version 2 manifests name shard snapshots that carry their ``owned``
+section, which restricts each shard to the communities it owns. A
+version 1 manifest (written before that) is refused with a typed
+error telling the operator to re-run ``snapshot partition``: its
+shards would enumerate every community they can see, and a one-round
+merge over them would be wrong.
 
 Writing is atomic (temp file + ``os.replace``) so a router re-reading
 the manifest during a republish never sees a torn document, matching
@@ -40,8 +47,10 @@ PathLike = Union[str, Path]
 #: File name of the routing manifest inside a partition root.
 ROUTING_NAME = "routing.json"
 
-#: Manifest format version; bump on breaking layout changes.
-ROUTING_VERSION = 1
+#: Manifest format version; bump on breaking layout changes. Version
+#: 2: shard snapshots carry an ``owned`` section and enumerate only
+#: the communities they own.
+ROUTING_VERSION = 2
 
 #: Bloom sizing: bits per vocabulary entry (~1% false positives at
 #: seven hashes).
@@ -254,7 +263,9 @@ class RoutingManifest:
         if version != ROUTING_VERSION:
             raise SnapshotFormatError(
                 f"routing manifest version {version!r} is not "
-                f"supported (expected {ROUTING_VERSION})")
+                f"supported (expected {ROUTING_VERSION}); re-run "
+                f"'python -m repro snapshot partition' to rebuild the "
+                f"fleet")
         return cls(
             shards=[ShardEntry.from_dict(e)
                     for e in payload["shards"]],

@@ -10,20 +10,33 @@ indexes at the original index radius ``R``, so a shard snapshot is a
 completely ordinary snapshot — the existing ``serve --snapshot``
 stack runs it unmodified.
 
-**Why 3R is enough.** Fix a community with core ``C`` and anchor
-``a = min(C)`` (global ids). Every center ``u`` has
+**Why 3R is enough.** Fix a community with core
+``C = (c_1, ..., c_l)`` (one knode per keyword of the sorted query
+spec) and anchor ``a = c_1`` (global ids). Every center ``u`` has
 ``dist(u, c_i) <= Rmax <= R`` for all knodes, so undirected
 ``d(a, u) <= R`` and ``d(a, c_i) <= 2R`` (via ``u``). Every pnode —
 and every node on any witness shortest path the bounded Dijkstras of
 :mod:`repro.core.getcommunity` can touch — lies on a path of length
 ``<= R`` from some center to some knode, hence within undirected
-``3R`` of ``a``. The shard owning ``a`` therefore contains every node
-and edge any ``Rmax <= R`` query can inspect while deciding this
-community: local distances equal global distances for everything that
-matters, and the community (cost, centers, pnodes, induced edges) is
-reproduced bit-for-bit. Communities whose anchor a shard does *not*
-own may come out truncated — the router discards them (the owning
-shard reports them exactly), which is simultaneously the dedup rule.
+``3R`` of ``a``. The argument only uses that the anchor is a knode,
+so any fixed keyword position would do; the first is the one the
+engine can restrict cheaply. The shard owning ``a`` therefore
+contains every node and edge any ``Rmax <= R`` query can inspect
+while deciding this community: local distances equal global
+distances for everything that matters, and the community (cost,
+centers, pnodes, induced edges) is reproduced bit-for-bit.
+
+**Owner-restricted enumeration.** Each shard snapshot carries its
+owned nodes as an ``owned`` section (local ids), and the engine
+restricts the first keyword's node list ``V_1`` to them after
+projection and before any backend runs. The paper enumerates cores
+over ``V_1 x ... x V_l``, and a community's existence and cost depend
+only on its core and the graph, so a shard's stream is exactly the
+communities whose anchor it owns, in exact cost order. Shard subgraph
+distances can only be longer than global ones, so a core the shard
+finds is a global core too. The shards' answers are therefore
+disjoint and their union is the unsharded answer: no shard computes
+a community another shard reports.
 
 Region quality therefore affects only halo size (replication factor),
 never correctness; a pathological partition just costs memory.
@@ -36,6 +49,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.exceptions import QueryError, SnapshotError
 from repro.graph.database_graph import DatabaseGraph
@@ -72,6 +87,12 @@ class ShardBundle:
     node_map: List[int]
     #: Global ids of the nodes this shard owns (the rest are halo).
     owned: List[int]
+
+    @property
+    def local_owned(self) -> List[int]:
+        """The owned nodes as sorted local ids (the ``owned``
+        section of the shard snapshot)."""
+        return np.searchsorted(self.node_map, self.owned).tolist()
 
 
 @dataclass
@@ -231,7 +252,7 @@ def partition_snapshot(source: PathLike, out_root: PathLike,
         store_rel = f"{SHARD_DIR}/{bundle.shard_id:02d}"
         store = SnapshotStore(out_root / store_rel)
         published = store.publish(
-            bundle.dbg, bundle.index,
+            bundle.dbg, bundle.index, owned=bundle.local_owned,
             provenance={
                 "partition": {
                     "shard": bundle.shard_id,

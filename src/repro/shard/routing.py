@@ -3,12 +3,12 @@
 :class:`RouterCore` is everything the scatter-gather router knows
 that does **not** involve sockets or the event loop: validating query
 specs against the manifest's keyword Blooms, building per-shard leg
-payloads, globalizing and ownership-filtering shard answers,
-interpreting a leg's reply as a :class:`~repro.shard.merge.
-FetchResult`, assembling response envelopes with the partial-result
-contract, aggregating health rows, adopting new manifest
-generations, and rendering ``repro_router_*`` metrics. The front end
-(:class:`~repro.shard.aio.AsyncRouterService`) owns only *how* rounds
+payloads, globalizing shard answers and checking that each shard
+answered only with communities it owns, merging one round of legs,
+assembling response envelopes with the partial-result contract,
+aggregating health rows, adopting new manifest generations, and
+rendering ``repro_router_*`` metrics. The front end
+(:class:`~repro.shard.aio.AsyncRouterService`) owns only *how* legs
 fan out; every routing decision is made here, where the unit tests
 can reach it without a socket.
 
@@ -39,7 +39,8 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional,
 from repro.core.community import Community
 from repro.engine.registry import REGISTRY
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError, ServiceError
+from repro.exceptions import QueryError, ServiceError, \
+    SnapshotFormatError
 from repro.service.client import ServiceClient
 from repro.service.errors import RETRYABLE_STATUSES, BadRequest
 from repro.service.http import push_snapshot
@@ -57,11 +58,11 @@ from repro.service.server import (
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.merge import (
-    FetchResult,
     MergeOutcome,
     filter_owned,
     globalize,
     merge_all,
+    merge_top_k,
 )
 
 if TYPE_CHECKING:
@@ -272,87 +273,73 @@ class RouterCore:
         return isinstance(result, BadRequest)
 
     def absorb(self, plan: QueryPlan, shard_id: int,
-               response: Dict[str, Any]) -> List[Community]:
-        """Globalize + ownership-filter one leg's communities.
+               result: Any) -> Optional[List[Community]]:
+        """One leg's reply as globalized answers; ``None`` when the
+        leg failed.
 
-        Collects relabeled node labels into ``plan.labels`` when the
-        caller asked shards for them.
+        ``result`` is a response dict or the error that killed the
+        leg. A leg that answers with a community anchored on a node
+        another shard owns is an *ownership violation* (the shard
+        serves an unrestricted snapshot): it counts as a shard
+        failure, and none of its answers are merged. Collects
+        relabeled node labels into ``plan.labels`` when the caller
+        asked shards for them.
         """
+        if self.leg_empty(result):
+            return []
+        if not isinstance(result, dict):
+            return None
         entry = plan.manifest.shards[shard_id]
-        if response.get("cached"):
-            if shard_id not in plan.cached_shards:
-                plan.cached_shards.add(shard_id)
-                self.count("cached_legs")
-        else:
-            # A later (enlarged-k) round that recomputed unmarks the
-            # shard: the envelope reports the final round's truth.
-            plan.cached_shards.discard(shard_id)
-        raw = response.get("communities", [])
+        raw = result.get("communities", [])
+        answers = globalize(communities_from_dicts(raw),
+                            entry.node_map)
+        if len(filter_owned(answers, plan.manifest.owners,
+                            shard_id)) != len(answers):
+            self.count("ownership_violations")
+            return None
+        if result.get("cached"):
+            plan.cached_shards.add(shard_id)
+            self.count("cached_legs")
         if plan.labels is not None:
             for community in raw:
                 for local, label in community.get("labels",
                                                  {}).items():
                     plan.labels[str(entry.node_map[int(local)])] = \
                         label
-        return filter_owned(
-            globalize(communities_from_dicts(raw), entry.node_map),
-            plan.manifest.owners, shard_id)
+        return answers
 
-    def fetch_result(self, plan: QueryPlan, shard_id: int,
-                     result: Any, want: int
-                     ) -> Optional[FetchResult]:
-        """Interpret one top-k leg's reply for the merge driver.
+    def reduce(self, plan: QueryPlan,
+               responses: Dict[int, Any]) -> MergeOutcome:
+        """Merge one fan-out round of leg replies.
 
-        ``result`` is a response dict or the error that killed the
-        leg; ``None`` (a dead shard) degrades the merge to a partial
-        answer.
+        Top-k plans merge by ``(cost, core)`` and keep ``k`` (one
+        merge round, counted with its candidate depth); COMM-all
+        plans keep the whole union. Failed shards are counted as a
+        partial answer.
         """
-        if self.leg_empty(result):
-            return FetchResult(kept=[], raw_count=0, exhausted=True)
-        if not isinstance(result, dict):
-            return None
-        raw = result.get("communities", [])
-        exhausted = len(raw) < want
-        frontier = (float(raw[-1]["cost"])
-                    if raw and not exhausted else None)
-        return FetchResult(
-            kept=self.absorb(plan, shard_id, result),
-            raw_count=len(raw), exhausted=exhausted,
-            frontier=frontier)
-
-    def reduce_all(self, plan: QueryPlan,
-                   responses: Dict[int, Any]
-                   ) -> Tuple[List[Community], List[int], List[int]]:
-        """Union one COMM-all fan-out round's leg replies."""
-        answered: List[int] = []
-        failed: List[int] = []
-        per_shard: List[List[Community]] = []
-        for shard_id in plan.eligible:
-            result = responses[shard_id]
-            if isinstance(result, dict):
-                answered.append(shard_id)
-                per_shard.append(self.absorb(plan, shard_id, result))
-            elif self.leg_empty(result):
-                answered.append(shard_id)
-            else:
-                failed.append(shard_id)
-        return merge_all(per_shard), answered, failed
+        legs = {shard_id: self.absorb(plan, shard_id,
+                                      responses[shard_id])
+                for shard_id in plan.eligible}
+        if plan.spec.mode == "topk":
+            outcome = merge_top_k(legs, plan.spec.k or 0)
+            self.count("merge_rounds")
+            self.count("merge_candidates", outcome.candidates)
+            self.gauge("last_merge_depth", float(outcome.candidates))
+        else:
+            answered = [s for s in plan.eligible
+                        if legs[s] is not None]
+            outcome = MergeOutcome(
+                communities=merge_all(legs[s] for s in answered),
+                answered=answered,
+                failed=[s for s in plan.eligible if legs[s] is None])
+        if outcome.failed:
+            self.count("partial_results")
+        self.count("shard_failures", len(outcome.failed))
+        return outcome
 
     # ------------------------------------------------------------------
     # response assembly
     # ------------------------------------------------------------------
-    def note_topk(self, outcome: MergeOutcome) -> None:
-        """Fold a merge drive's bookkeeping into the counters."""
-        self.count("merge_rounds", outcome.rounds)
-        self.count("merge_candidates", outcome.candidates)
-        self.gauge("last_merge_depth", float(outcome.candidates))
-
-    def note_partial(self, failed: List[int]) -> None:
-        """Count a partial answer and its missing shards."""
-        if failed:
-            self.count("partial_results")
-        self.count("shard_failures", len(failed))
-
     def envelope(self, plan: QueryPlan,
                  communities: List[Community],
                  answered: int,
@@ -364,8 +351,8 @@ class RouterCore:
         shards the query needed, ``shards_answered`` how many
         delivered; ``partial`` flags any gap. Clients that cannot
         tolerate partial answers must check it — the status stays
-        200. ``shards_cached`` lists the shards whose final legs were
-        served from their result caches (``cached: true`` downstream).
+        200. ``shards_cached`` lists the shards whose legs were served
+        from their result caches (``cached: true`` downstream).
         """
         labels = plan.labels
         rendered = []
@@ -400,7 +387,9 @@ class RouterCore:
         """``GET /healthz``: per-shard, per-replica rows + roll-up.
 
         ``responses`` maps ``(shard_id, replica_index)`` to a health
-        dict or the error that made the replica unreachable. A shard
+        dict or the error that made the replica unreachable. A
+        replica row copies the ``shard`` its backend reports serving
+        (the ``partition`` block of the backend's health). A shard
         is healthy when **any** replica answers ``ok`` on the
         manifest's expected snapshot; the fleet is ``ok`` only when
         every shard is healthy (a shard surviving on its last
@@ -426,6 +415,11 @@ class RouterCore:
                     replica_row["snapshot"] = result.get("snapshot")
                     replica_row["generation"] = \
                         result.get("generation")
+                    partition = result.get("partition")
+                    if isinstance(partition, dict):
+                        # The shard the box says it serves, which an
+                        # operator can check against the row's shard.
+                        replica_row["shard"] = partition.get("shard")
                     if replica_row["status"] == "ok" \
                             and replica_row["snapshot"] \
                             == entry.snapshot_id:
@@ -478,7 +472,8 @@ class RouterCore:
 
         ``repro_router_*_total`` counters (fan-out legs, merge rounds
         and candidate depth, partial results, shard failures,
-        replica failovers, reloads/rollbacks), fleet gauges, identity
+        ownership violations, replica failovers, reloads/rollbacks),
+        fleet gauges, identity
         rows per shard replica, and per-shard fan-out latency
         histograms under ``path="shard:NN"``.
         """
@@ -491,6 +486,8 @@ class RouterCore:
                 f"repro_router_{name}": value
                 for name, value in self._gauges.items()}
         counters.setdefault("repro_router_failover_total", 0.0)
+        counters.setdefault("repro_router_ownership_violations_total",
+                            0.0)
         gauges["repro_router_shards"] = float(len(replica_sets))
         gauges["repro_router_replicas"] = float(
             sum(len(r.urls) for r in replica_sets))
@@ -550,7 +547,11 @@ def reload_fleet(core: RouterCore,
             "no partition root configured; start the router "
             "with one or supply 'path' in the body")
     root = Path(source)
-    new_manifest = RoutingManifest.load(root)
+    try:
+        new_manifest = RoutingManifest.load(root)
+    except SnapshotFormatError as error:
+        # A manifest from an earlier release, or not one at all.
+        raise BadRequest(str(error))
     if len(new_manifest.shards) != len(fleet):
         raise BadRequest(
             f"new manifest names {len(new_manifest.shards)} "

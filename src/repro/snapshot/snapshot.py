@@ -16,6 +16,8 @@ On-disk layout (one directory per snapshot)::
                            keyword ids
       index.json           radius, build seconds, posting directory
       postings.bin         node postings | edge (u | v | w) columns
+      owned.bin            optional: the sorted local ids of the
+                           nodes one shard owns (shard snapshots)
 
 Binary sections are little-endian ``int64``/``float64`` columns.
 :func:`load_snapshot` maps every section read-only and wraps the
@@ -31,7 +33,11 @@ rebuild.
 The snapshot **id** (``sn-`` + 12 hex chars) digests every section,
 which gives the engine a durable cache-invalidation generation: two
 workers loading the same snapshot agree on the id, and republishing
-identical content republishes the same snapshot.
+identical content republishes the same snapshot. That includes the
+``owned`` section a partition run writes into each shard snapshot
+(:mod:`repro.shard.partition`): the same graph and index published
+with two different owned sets are two snapshots, so every cache keyed
+by the generation already covers the owner restriction.
 
 Errors follow the taxonomy in :mod:`repro.exceptions`:
 :class:`~repro.exceptions.SnapshotNotFoundError` (nothing there),
@@ -48,7 +54,7 @@ import hashlib
 import json
 import mmap as _mmap
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,11 +117,16 @@ class Snapshot:
 
     def __init__(self, path: Path, manifest: Dict[str, Any],
                  dbg: DatabaseGraph,
-                 index: Optional[CommunityIndex]) -> None:
+                 index: Optional[CommunityIndex],
+                 owned: Optional[np.ndarray] = None) -> None:
         self.path = Path(path)
         self.manifest = manifest
         self.dbg = dbg
         self.index = index
+        #: Sorted local ids of the nodes this shard owns, from the
+        #: ``owned`` section; ``None`` for a whole (unpartitioned)
+        #: snapshot.
+        self.owned = owned
 
     @property
     def id(self) -> str:
@@ -244,13 +255,16 @@ def snapshot_vocab(dbg: DatabaseGraph,
 # ----------------------------------------------------------------------
 def write_snapshot(path: PathLike, dbg: DatabaseGraph,
                    index: Optional[CommunityIndex] = None,
-                   provenance: Optional[Dict[str, Any]] = None
+                   provenance: Optional[Dict[str, Any]] = None,
+                   owned: Optional[Sequence[int]] = None
                    ) -> Snapshot:
     """Write one snapshot directory at ``path`` and return it.
 
     ``path`` must not already contain a snapshot (publishing with
     overwrite/atomicity semantics is
     :meth:`repro.snapshot.store.SnapshotStore.publish`'s job).
+    ``owned`` (a shard's owned local node ids) adds the ``owned``
+    section, stored sorted and duplicate-free.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -266,6 +280,10 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
     }
     if index is not None:
         payloads.update(_index_sections(index, vocab))
+    owned_ids = None
+    if owned is not None:
+        owned_ids = np.unique(np.asarray(owned, dtype=_INT))
+        payloads["owned"] = owned_ids.tobytes()
 
     sections: Dict[str, Dict[str, Any]] = {}
     digest = hashlib.sha256()
@@ -306,7 +324,7 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
     (path / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    return Snapshot(path, manifest, dbg, index)
+    return Snapshot(path, manifest, dbg, index, owned_ids)
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +437,23 @@ def _map_section(path: Path, manifest: Dict[str, Any], name: str,
                 f"checksum (sha256 {sha[:12]}..., manifest "
                 f"{entry['sha256'][:12]}...)")
     return data
+
+
+def _load_owned(path: Path, manifest: Dict[str, Any], n: int,
+                verify: bool) -> Optional[np.ndarray]:
+    """The ``owned`` section as a mapped id column, range-checked:
+    sorted, duplicate-free, every id a node of the bundled graph.
+    ``None`` when the snapshot has no such section."""
+    if "owned" not in manifest["sections"]:
+        return None
+    buf = _map_section(path, manifest, "owned", verify)
+    (owned,) = _split(buf, (_INT, len(buf) // _INT.itemsize))
+    if len(owned) and (owned[0] < 0 or owned[-1] >= n
+                       or not (np.diff(owned) > 0).all()):
+        raise SnapshotIntegrityError(
+            f"snapshot owned section is not a sorted, duplicate-free "
+            f"list of node ids of the bundled graph (n={n})")
+    return owned
 
 
 def _load_mapped(path: Path, manifest: Dict[str, Any], verify: bool
@@ -550,7 +585,9 @@ def load_snapshot(path: PathLike, verify: bool = True) -> Snapshot:
     SHA-256 is recomputed over the mapped bytes before any view is
     handed out; a flipped byte anywhere raises
     :class:`~repro.exceptions.SnapshotIntegrityError`, as does a
-    posting outside the graph or a negative or NaN edge weight. A
+    posting outside the graph, a negative or NaN edge weight, or an
+    ``owned`` section that is unsorted, repeats an id or names a node
+    outside the graph. A
     manifest flagging gzip-compressed sections raises
     :class:`~repro.exceptions.SnapshotFormatError` (see
     :func:`require_uncompressed`).
@@ -560,7 +597,9 @@ def load_snapshot(path: PathLike, verify: bool = True) -> Snapshot:
     manifest = read_manifest(path)
     require_uncompressed(manifest)
     dbg, index = _load_mapped(path, manifest, verify)
-    return Snapshot(path, manifest, dbg, index)
+    owned = _load_owned(path, manifest, manifest["counts"]["nodes"],
+                        verify)
+    return Snapshot(path, manifest, dbg, index, owned)
 
 
 def verify_snapshot(path: PathLike) -> Dict[str, Any]:

@@ -37,7 +37,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults
 from repro.exceptions import (
@@ -75,20 +75,23 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def publish(self, dbg: DatabaseGraph,
                 index: Optional[CommunityIndex] = None,
-                provenance: Optional[Dict[str, Any]] = None
-                ) -> Snapshot:
+                provenance: Optional[Dict[str, Any]] = None,
+                owned: Optional[Sequence[int]] = None) -> Snapshot:
         """Write a snapshot into the store and repoint ``latest``.
 
         The artifact is staged in a temporary directory inside the
         store (same filesystem, so the final rename is atomic) and
         moved to ``<root>/<id>`` only once fully written. Republishing
         content already in the store just repoints ``latest``.
+        ``owned`` is a shard's owned-node section (see
+        :func:`~repro.snapshot.snapshot.write_snapshot`).
         """
         staging = Path(tempfile.mkdtemp(prefix=".staging-",
                                         dir=str(self.root)))
         try:
             snapshot = write_snapshot(staging, dbg, index=index,
-                                      provenance=provenance)
+                                      provenance=provenance,
+                                      owned=owned)
             final = self.root / snapshot.id
             if final.exists():
                 # Content-identical snapshot already published.

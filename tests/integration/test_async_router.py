@@ -6,6 +6,10 @@ Acceptance coverage for the router:
   answers equal an unsharded service's on the same graph, on fig4
   and on seeded property-test graphs, under the k-boundary tie rule
   (see :func:`_assert_same_answer`);
+* **split enumeration** — on tiny DBLP the shard backends together
+  enumerate exactly the unsharded answer count (each only the
+  communities it owns), and a routed top-k query costs one merge
+  round and one leg per shard;
 * **replica failover** — a killed primary with a live sibling still
   yields the exact, non-partial answer, increments
   ``repro_router_failover_total`` once, and the promoted sibling
@@ -78,15 +82,15 @@ def _keys(response):
 
 
 def _assert_same_answer(routed, single, body, reference):
-    """The routed answer equals the unsharded one, up to ties at k.
+    """The routed answer equals the unsharded one, under the
+    k-boundary tie rule of DESIGN.md §10.
 
     Costs match rank by rank, and the router answers in canonical
     ``(cost, core)`` order. A complete answer (COMM-all, or fewer
     than ``k`` communities) matches core for core. A top-``k``
-    prefix matches core for core below its ``k``-th cost; at that
-    cost either box may pick any members of the equal-cost group, so
-    the routed cores there must be a subset of the whole tie group,
-    read from the reference's COMM-all answer.
+    prefix matches core for core below its ``k``-th cost; the routed
+    cores at that cost must be a subset of the whole tie group, read
+    from the reference's COMM-all answer.
     """
     got, want = _keys(routed), _keys(single)
     assert routed["count"] == single["count"]
@@ -309,6 +313,61 @@ class TestPropertyGraphIdentity:
                 _assert_same_answer(
                     routed.request("POST", "/query", body), want,
                     body, reference)
+        finally:
+            _stop(router, single, *[s for g in backends for s in g])
+
+
+def _metric(text, series):
+    """The value of one exact Prometheus ``series`` (0 if absent)."""
+    for line in text.splitlines():
+        if line.startswith(series + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+class TestSplitEnumeration:
+    """Each shard enumerates only the communities it owns."""
+
+    def test_shards_split_the_work_and_merge_in_one_round(
+            self, tmp_path, tiny_dblp):
+        _, dbg = tiny_dblp
+        manifest = _partition(tmp_path, dbg, 8.0, "parts")
+        backends, urls = _start_backends(manifest, tmp_path / "parts")
+        router = AsyncRouterService(manifest, urls,
+                                    root=tmp_path / "parts").start()
+        single = _single_box(tmp_path)
+        try:
+            routed = ServiceClient(router.url, timeout=30.0)
+            reference = ServiceClient(single.url, timeout=30.0)
+            every = {"keywords": ["data", "model"], "rmax": 4.0,
+                     "mode": "all"}
+            want = reference.request("POST", "/query", every)
+            _assert_same_answer(routed.request("POST", "/query", every),
+                                want, every, reference)
+            enumerated = [_metric(
+                ServiceClient(service.url).metrics(),
+                'repro_query_events_total{event="communities"}')
+                for group in backends for service in group]
+            # Cold backends: every community counted was enumerated
+            # for this one routed query, by exactly one shard.
+            assert want["count"] > 1
+            assert sum(enumerated) == want["count"]
+            assert all(0 < count < want["count"]
+                       for count in enumerated)
+            before = routed.metrics()
+            bodies = [{"keywords": ["data", "model"], "rmax": 4.0,
+                       "k": k} for k in (1, 5, 50)]
+            for body in bodies:
+                _assert_same_answer(
+                    routed.request("POST", "/query", body),
+                    reference.request("POST", "/query", body), body,
+                    reference)
+            after = routed.metrics()
+            for series, per_query in (
+                    ("repro_router_merge_rounds_total", 1),
+                    ("repro_router_fanout_legs_total", 2)):
+                assert _metric(after, series) - _metric(before, series) \
+                    == per_query * len(bodies), series
         finally:
             _stop(router, single, *[s for g in backends for s in g])
 

@@ -1,22 +1,24 @@
 """Sharded answers equal unsharded answers, on adversarial graphs.
 
 The central exactness claim of :mod:`repro.shard`: partition any
-graph into 2-4 shards (owned regions + 3R halos), answer per shard,
-ownership-filter, merge — and the result is indistinguishable from
-querying the whole graph. Driven entirely in-process (partition_graph
-+ one QueryEngine per shard + the merge library), so Hypothesis can
-afford real graph diversity.
+graph into 2-4 shards (owned regions + 3R halos), let each shard
+enumerate only the communities whose anchor ``c_1`` it owns, merge —
+and the result is indistinguishable from querying the whole graph.
+Driven in-process (partition_graph, each bundle written as a shard
+snapshot with its ``owned`` section, one QueryEngine per shard, the
+merge library), so Hypothesis can afford real graph diversity. Each
+case runs either the projected path or the index-only path, the two
+places the engine restricts ``V_1``.
 
 Comparison semantics mirror the serving contract: PDall set-equal
-with exact costs; PDk cost-sequence equal with per-cost-level core
-multisets (within one cost level PDk's emission order is not
-specified, sharded or not). One more degree of freedom: when
-equal-cost communities straddle the k boundary, *which* of the tied
-communities fill the last slots is unspecified too — any selection
-from the tied set is a correct top-k stream — so the boundary cost
-level is compared against the full tied set (via COMM-all) rather
-than demanding the same arbitrary pick.
+with exact costs, and the shards' answers pairwise disjoint; PDk
+under the k-boundary tie rule of DESIGN.md §10.
 """
+
+import tempfile
+from contextlib import contextmanager
+from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,14 +27,9 @@ from repro.engine.engine import QueryEngine
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError
 from repro.graph.generators import random_database_graph
-from repro.shard import (
-    FetchResult,
-    fetch_many_from,
-    filter_owned,
-    globalize,
-    merge_all,
-    merge_top_k,
-)
+from repro.shard import globalize, merge_all, merge_top_k, \
+    partition_graph
+from repro.snapshot import write_snapshot
 
 KEYWORDS = ["a", "b", "c", "d"]
 
@@ -46,56 +43,57 @@ def shard_cases(draw):
     rmax = float(draw(st.sampled_from([0, 2, 4, 6])))
     bidirected = draw(st.booleans())
     shards = draw(st.integers(min_value=2, max_value=4))
+    project = draw(st.booleans())
     dbg = random_database_graph(n, p, KEYWORDS[:l], seed=seed,
                                 bidirected=bidirected)
-    return dbg, KEYWORDS[:l], rmax, min(shards, dbg.n)
+    return dbg, KEYWORDS[:l], rmax, min(shards, dbg.n), project
 
 
+@contextmanager
 def _fleet(dbg, rmax, shards):
-    """partition + one engine per shard (index radius R = rmax)."""
-    from repro.shard import partition_graph
-
+    """partition (index radius R = rmax), then one engine per shard
+    snapshot, each restricted by its ``owned`` section."""
     result = partition_graph(dbg, rmax, shards)
-    engines = [QueryEngine(b.dbg) for b in result.bundles]
-    return result, engines
+    with tempfile.TemporaryDirectory() as tmp:
+        engines = [QueryEngine.from_snapshot(write_snapshot(
+            Path(tmp) / str(b.shard_id), b.dbg, b.index,
+            owned=b.local_owned)) for b in result.bundles]
+        yield result, engines
 
 
-def _shard_all(result, engines, keywords, rmax):
-    """Ownership-filtered COMM-all union across the fleet."""
+def _per_shard(result, engines, spec):
+    """Each shard's globalized answers to ``spec``."""
     per_shard = []
     for bundle, engine in zip(result.bundles, engines):
         try:
-            answers = engine.run_all(
-                QuerySpec.comm_all(keywords, rmax))
+            answers = engine.execute(spec)
         except QueryError:
             answers = []         # keyword absent from this shard
-        per_shard.append(filter_owned(
-            globalize(answers, bundle.node_map),
-            result.owners, bundle.shard_id))
-    return merge_all(per_shard)
-
-
-def _level_keys(communities):
-    """(cost, sorted core multiset per cost level) — the PDk
-    comparison that tolerates unspecified equal-cost order."""
-    levels = {}
-    for c in communities:
-        levels.setdefault(round(c.cost, 9), []).append(c.core)
-    return {cost: sorted(cores) for cost, cores in levels.items()}
+        per_shard.append(globalize(answers, bundle.node_map))
+    return per_shard
 
 
 @settings(max_examples=40, deadline=None)
 @given(shard_cases())
 def test_sharded_comm_all_equals_unsharded(case):
-    dbg, keywords, rmax, shards = case
+    dbg, keywords, rmax, shards, project = case
     try:
         ref = QueryEngine(dbg).run_all(
             QuerySpec.comm_all(keywords, rmax))
     except QueryError:
         return                   # keyword absent from the graph
     ref = sorted(ref, key=community_sort_key)
-    result, engines = _fleet(dbg, rmax, shards)
-    merged = _shard_all(result, engines, keywords, rmax)
+    with _fleet(dbg, rmax, shards) as (result, engines):
+        per_shard = _per_shard(result, engines, QuerySpec.comm_all(
+            keywords, rmax, use_projection=project))
+    # The shards split the enumeration: every answer is anchored on a
+    # node its shard owns, and no two shards report the same core.
+    for shard_id, answers in enumerate(per_shard):
+        assert all(result.owners[c.core[0]] == shard_id
+                   for c in answers)
+    for left, right in combinations(per_shard, 2):
+        assert not {c.core for c in left} & {c.core for c in right}
+    merged = merge_all(per_shard)
     # Exact: same cores, same costs, same membership, same ordering.
     assert [(c.core, c.cost) for c in merged] \
         == [(c.core, c.cost) for c in ref]
@@ -106,50 +104,29 @@ def test_sharded_comm_all_equals_unsharded(case):
 @settings(max_examples=40, deadline=None)
 @given(shard_cases(), st.integers(min_value=1, max_value=6))
 def test_sharded_top_k_equals_unsharded(case, k):
-    dbg, keywords, rmax, shards = case
+    dbg, keywords, rmax, shards, project = case
     engine = QueryEngine(dbg)
     try:
         ref = engine.execute(QuerySpec.comm_k(keywords, k, rmax))
     except QueryError:
         return
-    result, engines = _fleet(dbg, rmax, shards)
-
-    def fetch(shard_id, want):
-        bundle = result.bundles[shard_id]
-        try:
-            raw = engines[shard_id].execute(
-                QuerySpec.comm_k(keywords, want, rmax))
-        except QueryError:
-            return FetchResult(kept=[], raw_count=0, exhausted=True)
-        exhausted = len(raw) < want
-        frontier = raw[-1].cost if raw and not exhausted else None
-        return FetchResult(
-            kept=filter_owned(globalize(raw, bundle.node_map),
-                              result.owners, shard_id),
-            raw_count=len(raw), exhausted=exhausted,
-            frontier=frontier)
-
-    outcome = merge_top_k(fetch_many_from(fetch),
-                          list(range(len(engines))), k)
-    assert not outcome.truncated
-    assert [round(c.cost, 9) for c in outcome.communities] \
-        == [round(c.cost, 9) for c in ref]
-    out_levels = _level_keys(outcome.communities)
-    ref_levels = _level_keys(ref)
-    # The boundary level exists only when the stream was cut at k;
-    # an exhausted stream (fewer than k answers) has no free choice.
-    boundary = round(ref[-1].cost, 9) if len(ref) == k and ref \
-        else None
-    for cost, cores in ref_levels.items():
-        if cost != boundary:
-            assert out_levels[cost] == cores
-    if boundary is not None:
-        # At the tied boundary both sides pick arbitrarily; demand
-        # the same count and that every pick is a genuine community
-        # of exactly that cost (the full tied set, via COMM-all).
-        assert len(out_levels[boundary]) == len(ref_levels[boundary])
-        tied = {c.core for c in engine.run_all(
-                    QuerySpec.comm_all(keywords, rmax))
-                if round(c.cost, 9) == boundary}
-        assert set(out_levels[boundary]) <= tied
-        assert set(ref_levels[boundary]) <= tied
+    with _fleet(dbg, rmax, shards) as (result, engines):
+        per_shard = _per_shard(result, engines, QuerySpec.comm_k(
+            keywords, k, rmax, use_projection=project))
+    outcome = merge_top_k(dict(enumerate(per_shard)), k)
+    got = [(round(c.cost, 9), c.core) for c in outcome.communities]
+    want = [(round(c.cost, 9), c.core) for c in ref]
+    # The k-boundary tie rule (DESIGN.md §10): the same costs rank by
+    # rank, the same cores below the k-th cost, and at the k-th cost
+    # any subset of the communities tied there.
+    assert [cost for cost, _ in got] == [cost for cost, _ in want]
+    if len(want) < k:
+        assert set(got) == set(want)
+        return
+    boundary = want[-1][0]
+    assert {key for key in got if key[0] < boundary} \
+        == {key for key in want if key[0] < boundary}
+    tied = {c.core for c in engine.run_all(
+                QuerySpec.comm_all(keywords, rmax))
+            if round(c.cost, 9) == boundary}
+    assert {core for cost, core in got if cost == boundary} <= tied

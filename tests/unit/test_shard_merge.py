@@ -1,9 +1,12 @@
-"""Merge-algebra unit tests: globalize, filter, union, exact top-k."""
+"""Merge-algebra unit tests: globalize, ownership, union, exact top-k.
+
+Top-k answers are compared under the k-boundary tie rule of
+DESIGN.md §10: costs rank by rank, and the slots at the k-th cost may
+hold any subset of the communities tied there.
+"""
 
 from repro.core.community import Community
 from repro.shard import (
-    FetchResult,
-    fetch_many_from,
     filter_owned,
     globalize,
     merge_all,
@@ -52,105 +55,51 @@ def test_merge_all_drops_duplicate_cores():
 
 
 # ----------------------------------------------------------------------
-# merge_top_k
+# merge_top_k: one round of k per shard
 # ----------------------------------------------------------------------
-def _shard(stream, owners, shard_id, node_map=None):
-    """A fetch function replaying one shard's cost-ordered stream."""
-    def fetch(want):
-        raw = stream[:want]
-        exhausted = len(raw) < want
-        frontier = raw[-1].cost if raw and not exhausted else None
-        kept = filter_owned(raw, owners, shard_id)
-        return FetchResult(kept=kept, raw_count=len(raw),
-                           exhausted=exhausted, frontier=frontier)
-    return fetch
-
-
 def test_merge_top_k_exact_across_two_shards():
-    owners = [0, 0, 1, 1]
-    s0 = [_comm((0,), 1.0), _comm((2,), 2.0), _comm((1,), 5.0)]
+    # Each shard's stream holds only the communities it owns.
+    s0 = [_comm((0,), 1.0), _comm((1,), 5.0)]
     s1 = [_comm((2,), 2.0), _comm((3,), 3.0)]
-    shards = {0: _shard(s0, owners, 0), 1: _shard(s1, owners, 1)}
-    out = merge_top_k(
-        fetch_many_from(lambda s, w: shards[s](w)), [0, 1], 3)
+    out = merge_top_k({0: s0[:3], 1: s1[:3]}, 3)
     assert [c.core for c in out.communities] == [(0,), (2,), (3,)]
     assert [c.cost for c in out.communities] == [1.0, 2.0, 3.0]
     assert out.answered == [0, 1]
     assert out.failed == []
+    assert out.candidates == 4
 
 
-def test_merge_top_k_overfetches_past_filtered_prefix():
-    """Shard 0's stream starts with k answers it does not own; the
-    driver must refetch deeper instead of declaring it empty."""
-    owners = [0, 1]
-    s0 = ([_comm((1,), float(i)) for i in range(1, 5)]    # unowned
-          + [_comm((0,), 9.0)])                            # owned
-    s1 = [_comm((1,), float(i)) for i in range(1, 5)]
-    shards = {0: _shard(s0, owners, 0), 1: _shard(s1, owners, 1)}
-    out = merge_top_k(
-        fetch_many_from(lambda s, w: shards[s](w)), [0, 1], 5)
-    assert [c.cost for c in out.communities] == [1, 2, 3, 4, 9.0]
-    assert out.rounds > 1
-    assert out.fetch_sizes[0] > 5
+def test_merge_top_k_one_round_covers_a_cut_shard():
+    """A shard that returned k answers holds back only answers at or
+    above its own k-th cost, so one round still finds every answer
+    cheaper than the merged k-th cost (DESIGN.md §10)."""
+    s0 = [_comm((2 * i,), float(cost))
+          for i, cost in enumerate((1, 2, 3, 4, 9))]
+    s1 = [_comm((2 * i + 1,), float(cost))
+          for i, cost in enumerate((2.5, 3.5))]
+    k = 4
+    out = merge_top_k({0: s0[:k], 1: s1[:k]}, k)
+    assert [c.cost for c in out.communities] == [1.0, 2.0, 2.5, 3.0]
 
 
-def test_merge_top_k_boundary_tie_forces_refetch():
-    """A non-exhausted shard whose frontier equals the merged k-th
-    cost may hide an equal-cost answer with a smaller core — the
-    driver refetches until the frontier strictly clears."""
-    owners = [0, 1]
-    s0 = [_comm((0,), 2.0)]
-    # shard 1's first answer ties at cost 2.0 with a smaller core,
-    # but sits behind an unowned prefix entry.
-    s1 = [_comm((0,), 1.0), _comm((1,), 2.0)]
-    shards = {0: _shard(s0, owners, 0), 1: _shard(s1, owners, 1)}
-    out = merge_top_k(
-        fetch_many_from(lambda s, w: shards[s](w)), [0, 1], 1)
-    # core (1,) costs 2.0 == core (0,)'s 2.0; (0,) sorts first but
-    # only appears once shard 1 is fetched past its unowned prefix.
-    assert out.communities[0].core == (0,)
+def test_merge_top_k_boundary_tie_keeps_a_tied_subset():
+    """Two shards tie at the k-th cost: either pick is correct under
+    the tie rule; the merge takes the smaller core."""
+    out = merge_top_k({0: [_comm((1,), 2.0)], 1: [_comm((0,), 2.0)]},
+                      1)
+    assert [(c.core, c.cost) for c in out.communities] \
+        == [((0,), 2.0)]
 
 
 def test_merge_top_k_failed_shard_reported_not_fatal():
-    owners = [0, 1]
-    s0 = [_comm((0,), 1.0)]
-    def fetch(shard_id, want):
-        if shard_id == 1:
-            return None                  # crashed / timed out
-        return _shard(s0, owners, 0)(want)
-    out = merge_top_k(fetch_many_from(fetch), [0, 1], 2)
+    out = merge_top_k({0: [_comm((0,), 1.0)], 1: None}, 2)
     assert out.failed == [1]
     assert out.answered == [0]
     assert [c.core for c in out.communities] == [(0,)]
 
 
 def test_merge_top_k_no_shards():
-    out = merge_top_k(fetch_many_from(lambda s, w: None), [], 3)
+    out = merge_top_k({}, 3)
     assert out.communities == []
-    assert out.rounds == 1
-
-
-def test_merge_top_k_round_cap_sets_truncated():
-    owners = [0]
-    def never_enough(shard_id, want):
-        # Non-exhausted stream whose frontier never clears: all
-        # answers unowned... except nothing is ever owned, so the
-        # merged top never fills and the driver keeps doubling.
-        raw = [_comm((0,), 1.0)] * want
-        return FetchResult(kept=[], raw_count=want, exhausted=False,
-                           frontier=1.0)
-    out = merge_top_k(fetch_many_from(never_enough), [0], 2,
-                      max_rounds=3)
-    assert out.truncated
-    assert out.rounds == 3
-
-
-def test_fetch_many_adapter_passes_wants_through():
-    seen = {}
-    def fetch(shard_id, want):
-        seen[shard_id] = want
-        return FetchResult(kept=[], raw_count=0, exhausted=True)
-    fan = fetch_many_from(fetch)
-    results = fan({0: 5, 1: 7})
-    assert seen == {0: 5, 1: 7}
-    assert set(results) == {0, 1}
+    assert out.answered == out.failed == []
+    assert out.candidates == 0

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.datasets.paper_example import figure4_graph
+from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
+    figure4_graph
 from repro.exceptions import (
     QueryError,
     SnapshotError,
@@ -170,6 +171,54 @@ def test_partition_snapshot_publishes_loadable_shards(partitioned):
             == snapshot.id
 
 
+def test_shard_snapshots_carry_their_owned_sets(partitioned):
+    """Each shard snapshot's ``owned`` section lists exactly the
+    nodes the manifest's ``owners`` map gives that shard, in local
+    ids, and an engine on it answers only with communities anchored
+    there — materialized queries and PDk session streams alike."""
+    from repro.engine.engine import QueryEngine
+    from repro.engine.spec import QuerySpec
+
+    _, manifest, _, tmp = partitioned
+    answered = 0
+    for entry in manifest.shards:
+        engine = QueryEngine.from_snapshot(
+            tmp / "out" / entry.store / entry.snapshot_id)
+        owned = {entry.node_map[u] for u in engine.owned}
+        assert owned == {g for g, shard in enumerate(manifest.owners)
+                         if shard == entry.shard_id}
+        assert len(owned) == entry.owned_nodes
+        every = engine.run_all(QuerySpec.comm_all(FIG4_QUERY, FIG4_RMAX))
+        streamed = engine.top_k_stream(list(FIG4_QUERY),
+                                       FIG4_RMAX).take(50)
+        assert {c.core for c in streamed} == {c.core for c in every}
+        assert all(c.core[0] in engine.owned for c in every)
+        answered += len(every)
+    assert answered
+
+
+def test_engine_refuses_a_shard_snapshot_without_owned_section(
+        tmp_path):
+    """A shard snapshot from before owned sections would enumerate
+    communities other shards own: adopting it is a typed error."""
+    from repro.engine.engine import QueryEngine
+
+    dbg = figure4_graph()
+    index = CommunityIndex.build(dbg, 10.0)
+    store = SnapshotStore(tmp_path / "store")
+    legacy = store.publish(dbg, index, provenance={
+        "partition": {"shard": 0, "of": 2}})
+    with pytest.raises(SnapshotFormatError, match="snapshot partition"):
+        QueryEngine.from_snapshot(legacy.path)
+    engine = QueryEngine.from_snapshot(store.publish(
+        dbg, CommunityIndex.build(dbg, 8.0)).path)
+    generation = engine.generation
+    with pytest.raises(SnapshotFormatError):
+        engine.load_snapshot(legacy.path)
+    assert engine.generation == generation
+    assert engine.partition is None and engine.owned is None
+
+
 def test_routing_manifest_round_trip(partitioned):
     _, manifest, path, tmp = partitioned
     loaded = RoutingManifest.load(tmp / "out")
@@ -206,10 +255,13 @@ def test_manifest_rejects_wrong_kind_and_version(tmp_path):
         RoutingManifest.load(tmp_path)
     with pytest.raises(SnapshotNotFoundError):
         RoutingManifest.load(tmp_path / "missing")
-    (tmp_path / ROUTING_NAME).write_text(json.dumps(
-        {"kind": "routing-manifest", "version": 99}))
-    with pytest.raises(SnapshotFormatError):
-        RoutingManifest.load(tmp_path)
+    # Version 1 predates shard snapshots carrying their owned sets.
+    for version in (1, 99):
+        (tmp_path / ROUTING_NAME).write_text(json.dumps(
+            {"kind": "routing-manifest", "version": version}))
+        with pytest.raises(SnapshotFormatError,
+                           match="snapshot partition"):
+            RoutingManifest.load(tmp_path)
 
 
 def test_partition_requires_an_index(tmp_path):

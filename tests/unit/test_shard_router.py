@@ -4,7 +4,8 @@ The shard backends are genuine :class:`CommunityService` servers on
 ephemeral ports (the router speaks HTTP to them through its
 keep-alive shard clients); the router itself is driven through
 :meth:`AsyncRouterService.handle_async`, submitted to its own event
-loop — no client socket to the router needed.
+loop — no client socket to the router needed. Top-k answers are
+compared under the k-boundary tie rule of DESIGN.md §10.
 """
 
 import asyncio
@@ -13,12 +14,14 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.community import Community
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
     figure4_graph
 from repro.engine.engine import QueryEngine
 from repro.exceptions import ServiceError
-from repro.service import CommunityService
-from repro.shard import partition_snapshot
+from repro.service import CommunityService, ServiceClient
+from repro.service.serialize import community_to_dict
+from repro.shard import RouterCore, partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
@@ -224,3 +227,130 @@ def test_unknown_route_404(fleet):
     router, _, _ = fleet
     status, _, _, _ = _handle(router, "GET", "/nope")
     assert status == 404
+
+
+# ----------------------------------------------------------------------
+# owner-restricted shards: ownership check, identity, legacy refusals
+# ----------------------------------------------------------------------
+def _community(core, cost):
+    """A minimal wire-form community over its own core nodes."""
+    return community_to_dict(Community(
+        core=tuple(core), cost=float(cost), centers=tuple(core[:1]),
+        pnodes=tuple(core), nodes=tuple(sorted(set(core))), edges=()))
+
+
+@pytest.mark.parametrize("mode", ["topk", "all"])
+def test_leg_anchored_on_another_shards_node_is_a_shard_failure(
+        fleet, mode):
+    """Shard 1's leg returns a community anchored on a node shard 0
+    owns — what an unrestricted shard snapshot would do. The leg
+    counts as a failed shard (200, partial) and none of its answers
+    are merged."""
+    router, _, manifest = fleet
+    core = RouterCore(manifest)
+    body = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX}
+    body.update({"k": 3} if mode == "topk" else {"mode": "all"})
+    plan = core.parse_query(json.dumps(body).encode())
+    own0 = [g for g, shard in enumerate(manifest.owners) if shard == 0]
+    map0, map1 = (manifest.shards[s].node_map for s in (0, 1))
+    stolen = next(g for g in own0 if g in map1)
+    owned_reply = {"communities": [
+        _community([map0.index(own0[0])], 1.0)]}
+    foreign_reply = {"communities": [
+        _community([map1.index(stolen)], 0.5)]}
+    outcome = core.reduce(plan, {0: owned_reply, 1: foreign_reply})
+    assert outcome.failed == [1]
+    assert outcome.answered == [0]
+    assert [c.core for c in outcome.communities] == [(own0[0],)]
+    envelope = core.envelope(plan, outcome.communities,
+                             answered=len(outcome.answered))
+    assert envelope["partial"] is True
+    assert envelope["shards_answered"] == 1
+    metrics = core.render_metrics(router.replica_sets)
+    assert "repro_router_ownership_violations_total 1" in metrics
+    assert "repro_router_shard_failures_total 1" in metrics
+
+
+def _counter(router, name):
+    """One ``repro_router_*_total`` counter from a ``/metrics``
+    scrape (0 before its first increment)."""
+    _, _, body, _ = _handle(router, "GET", "/metrics")
+    for line in body.splitlines():
+        if line.startswith(f"repro_router_{name}_total "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def test_one_merge_round_and_one_leg_per_shard(fleet):
+    router, _, _ = fleet
+    rounds, legs = (_counter(router, name)
+                    for name in ("merge_rounds", "fanout_legs"))
+    for k in (1, 3, 50):
+        status, _ = _post(router, "/query", {
+            "keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX, "k": k})
+        assert status == 200
+    assert _counter(router, "merge_rounds") - rounds == 3
+    assert _counter(router, "fanout_legs") - legs == 6
+
+
+def test_shard_backends_say_which_shard_they_serve(fleet):
+    router, _, manifest = fleet
+    for replicas in router.replica_sets:
+        entry = manifest.shards[replicas.shard_id]
+        health = ServiceClient(replicas.urls[0]).health()
+        assert health["partition"] == {
+            "shard": replicas.shard_id, "of": 2,
+            "owned_nodes": entry.owned_nodes}
+    _, _, body, _ = _handle(router, "GET", "/healthz")
+    for row in json.loads(body)["shards"]:
+        assert [replica["shard"] for replica in row["replicas"]] \
+            == [row["shard"]]
+
+
+def _legacy_manifest(router, tmp_path):
+    """A copy of the fleet's ``routing.json`` stamped version 1, as
+    a partition run before owned sections wrote it."""
+    payload = json.loads(
+        (router.core.root / "routing.json").read_text())
+    payload["version"] = 1
+    (tmp_path / "routing.json").write_text(json.dumps(payload))
+    return tmp_path
+
+
+def test_serve_router_refuses_a_version_1_manifest(fleet, tmp_path,
+                                                   capsys):
+    router, _, _ = fleet
+    legacy = _legacy_manifest(router, tmp_path)
+    # One URL for two shards: a manifest the router accepted would
+    # stop at the arity check, before binding anything.
+    assert main(["serve-router", "--manifest", str(legacy),
+                 "--shard-url", "http://127.0.0.1:1"]) == 2
+    assert "snapshot partition" in capsys.readouterr().err
+
+
+def test_reload_refuses_a_version_1_manifest(fleet, tmp_path):
+    router, _, manifest = fleet
+    legacy = _legacy_manifest(router, tmp_path)
+    status, body = _post(router, "/admin/reload",
+                         {"path": str(legacy)})
+    assert status == 400
+    assert "snapshot partition" in body["error"]
+    assert router.core.capture().generation == manifest.generation
+
+
+def test_backend_reload_refuses_a_shard_snapshot_without_owned_section(
+        tmp_path):
+    dbg = figure4_graph()
+    index = CommunityIndex.build(dbg, 10.0)
+    store = SnapshotStore(tmp_path / "store")
+    service = CommunityService(QueryEngine.from_snapshot(
+        store.publish(dbg, index).path), port=0)
+    generation = service.engine.generation
+    legacy = store.publish(dbg, CommunityIndex.build(dbg, 8.0),
+                           provenance={"partition": {"shard": 0,
+                                                     "of": 2}})
+    status, body = _post(service, "/admin/reload",
+                         {"path": str(legacy.path)})
+    assert status == 400
+    assert "owned" in body["error"]
+    assert service.engine.generation == generation

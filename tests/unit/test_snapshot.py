@@ -94,6 +94,23 @@ class TestFormat:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
+    def test_owned_set_is_part_of_the_id(self, fig4, fig4_index,
+                                         tmp_path):
+        """The same graph and index published with two owned sets are
+        two snapshots, so the generation covers the restriction."""
+        store = SnapshotStore(tmp_path / "store")
+        whole = store.publish(fig4, fig4_index)
+        left = store.publish(fig4, fig4_index, owned=[0, 1, 2])
+        right = store.publish(fig4, fig4_index, owned=[3, 4, 5])
+        assert len({whole.id, left.id, right.id}) == 3
+        assert "owned" not in whole.manifest["sections"]
+        loaded = load_snapshot(store.resolve(right.id))
+        assert loaded.owned.tolist() == [3, 4, 5]
+        assert load_snapshot(store.resolve(whole.id)).owned is None
+        # Stored sorted and duplicate-free, whatever the caller passed.
+        again = store.publish(fig4, fig4_index, owned=[5, 3, 4, 3])
+        assert again.id == right.id
+
     def test_gzip_flagged_manifest_is_refused(self, fig4, fig4_index,
                                               tmp_path):
         """At-rest gzip is gone: a manifest from an earlier release

@@ -249,6 +249,42 @@ class TestCodecValidation:
         self._assert_rejected(snap_dir, patch, "outside")
 
 
+class TestOwnedSection:
+    """The loader range-checks a shard's ``owned`` section: sorted,
+    duplicate-free, every id a node of the bundled graph."""
+
+    @staticmethod
+    def _with_owned(fig4, tmp_path, ids):
+        """A snapshot whose ``owned.bin`` holds ``ids`` as written,
+        its checksum fixed up — damage that checksums clean."""
+        snap = write_snapshot(tmp_path / "s", fig4,
+                              CommunityIndex.build(fig4, FIG4_RMAX),
+                              owned=[0])
+        data = np.asarray(ids, dtype="<i8").tobytes()
+        (snap.path / "owned.bin").write_bytes(data)
+        manifest_path = snap.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sections"]["owned"].update(
+            bytes=len(data), sha256=hashlib.sha256(data).hexdigest())
+        manifest_path.write_text(json.dumps(manifest))
+        return snap.path
+
+    def test_round_trip_is_clean(self, fig4, tmp_path):
+        path = self._with_owned(fig4, tmp_path, [0, 4, fig4.n - 1])
+        assert load_snapshot(path).owned.tolist() == [0, 4, fig4.n - 1]
+
+    @pytest.mark.parametrize("ids", [
+        [3, 1],                  # unsorted
+        [2, 2],                  # duplicate
+        [-1, 0],                 # negative
+        [0, 13],                 # fig4 has nodes 0..12
+    ], ids=["unsorted", "duplicate", "negative", "out-of-range"])
+    def test_bad_owned_ids_rejected(self, fig4, tmp_path, ids):
+        path = self._with_owned(fig4, tmp_path, ids)
+        with pytest.raises(SnapshotIntegrityError, match="owned"):
+            load_snapshot(path)
+
+
 class TestInspectCli:
     def test_json_prints_the_raw_manifest(self, snap_dir, capsys):
         assert main(["snapshot", "inspect", str(snap_dir),
