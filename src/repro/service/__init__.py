@@ -1,7 +1,7 @@
 """The serving layer: the engine behind a concurrent HTTP/JSON API.
 
 Everything here is standard library only — ``http.server``,
-``urllib``, ``queue``, ``threading`` — so serving costs no new
+``socket``, ``queue``, ``threading`` — so serving costs no new
 dependencies:
 
 * :mod:`repro.service.server` — :class:`CommunityService`, the
@@ -19,7 +19,11 @@ dependencies:
 * :mod:`repro.service.serialize` — the one JSON vocabulary shared by
   the HTTP API and ``python -m repro query --json``;
 * :mod:`repro.service.client` — :class:`ServiceClient` /
-  :class:`ServiceSession`, the matching dependency-free client;
+  :class:`ServiceSession`, the matching dependency-free client on a
+  blocking socket;
+* :mod:`repro.service.wire` — the HTTP/1.1 message format and
+  ``ClientCore``, the transport-free half of both clients (this one
+  and the router's asyncio ``AsyncShardClient``);
 * :mod:`repro.service.errors` — the HTTP-mapped error taxonomy.
 
 Start one from the shell with ``python -m repro serve ...``.

@@ -1,7 +1,7 @@
 """Python client for the community-query service.
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over stdlib ``http.client`` (no
+:mod:`repro.service.server` over a plain blocking socket (no
 dependencies), re-raising the server's error taxonomy client-side: a
 ``410`` becomes
 :class:`~repro.service.errors.SessionGone`, a ``429``
@@ -21,6 +21,12 @@ written against exception types, not status codes.
 The CLI's ``serve`` smoke path and the throughput benchmark both
 drive the service through this module.
 
+Everything the client decides without a socket — framing, response
+parsing, the retry policy below, the error mapping and the idle pool —
+is :class:`~repro.service.wire.ClientCore`, which the router's
+:class:`~repro.shard.aio.AsyncShardClient` shares; this module keeps
+only the blocking transport.
+
 **Retries.** With ``retries=N`` (default 0 — fail fast, the historic
 behavior), :meth:`ServiceClient.request` retries transient failures —
 HTTP 429/503 and connection-level errors — up to ``N`` times with
@@ -39,118 +45,71 @@ plus the ``POST`` endpoints that are safe to re-send (``/query`` and
 ``/sessions/{id}/next`` (advances the cursor) and ``/admin/reload``
 are never replayed on a torn connection; a definitive 429/503
 *response* proves the request was rejected, so those retry
-regardless.
+regardless. A response that is not HTTP as the service sends it (a
+garbage status line, an unreadable ``Content-Length``) is a torn
+connection too.
 
 **Keep-alive.** Each client owns a small pool of persistent
-``http.client.HTTPConnection`` objects, so repeated calls (router
-fan-out legs, closed-loop benchmark clients) stop paying TCP setup
-per request. A server may close an idle kept-alive connection at any
+sockets (``TCP_NODELAY`` set), so repeated calls (router admin
+legs, closed-loop benchmark clients) stop paying TCP setup per
+request. A server may close an idle kept-alive connection at any
 time — the classic keep-alive race — so an exchange that dies on a
 *reused* connection before any response bytes arrive is replayed once
 on a fresh connection, regardless of idempotency: the server
 provably never started processing it. Failures on a *fresh*
 connection keep their usual ambiguous :class:`ServiceUnreachable`
 semantics. :attr:`ServiceClient.connections_opened` counts physical
-connects (observability for the reuse property).
+connects that succeeded (observability for the reuse property).
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import random
 import socket
-import threading
 import time
-import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.core.community import Community
-from repro.service.errors import (
-    RETRYABLE_STATUSES,
-    ServiceError,
-    ServiceUnreachable,
-    for_status,
-)
+from repro.service.errors import ServiceError
 from repro.service.serialize import communities_from_dicts
-
-#: Default per-call socket timeout (seconds). Distinct from the
-#: server-side request deadline; this guards against a dead server.
-DEFAULT_TIMEOUT = 30.0
-
-#: First backoff delay (seconds); doubles each retry.
-DEFAULT_BACKOFF_BASE = 0.05
-
-#: Upper bound on a single backoff delay (seconds).
-DEFAULT_BACKOFF_CAP = 2.0
-
-#: Most idle kept-alive connections retained per client; extras are
-#: closed on check-in. Concurrent callers beyond the cap still work —
-#: they just open (and then drop) additional connections.
-POOL_CAP = 8
-
-#: Connection-level errors that, on a *reused* keep-alive socket with
-#: no response bytes seen, prove the server closed the idle
-#: connection before our request — safe to replay once on a fresh
-#: connection regardless of idempotency.
-_STALE_SOCKET_ERRORS = (
-    http.client.RemoteDisconnected,
-    http.client.BadStatusLine,
-    ConnectionResetError,
-    BrokenPipeError,
-    ConnectionAbortedError,
+from repro.service.wire import (
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_BACKOFF_CAP,
+    DEFAULT_TIMEOUT,
+    HEAD_END,
+    MAX_HEAD_BYTES,
+    POOL_CAP,
+    STALE_ERRORS,
+    TORN_ERRORS,
+    ClientCore,
 )
 
-
-def _retry_after_of(headers: Any) -> Optional[float]:
-    """The ``Retry-After`` header as seconds, if parseable.
-
-    Only the delta-seconds form is produced by this service; an
-    HTTP-date (or garbage) yields ``None`` rather than an exception —
-    a malformed hint must not break error propagation."""
-    value = headers.get("Retry-After") if headers else None
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
+__all__ = [
+    "DEFAULT_BACKOFF_BASE",
+    "DEFAULT_BACKOFF_CAP",
+    "DEFAULT_TIMEOUT",
+    "POOL_CAP",
+    "ServiceClient",
+    "ServiceSession",
+]
 
 
-class ServiceClient:
-    """A thin, dependency-free HTTP client for one service base URL."""
+class _Connection:
+    """One kept-alive socket and its buffered reader."""
 
-    def __init__(self, base_url: str,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 retries: int = 0,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 retry_seed: Optional[int] = None) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._rng = random.Random(retry_seed)
-        #: Lifetime count of retry sleeps this client performed.
-        self.retries_performed = 0
-        #: Lifetime count of physical TCP connects (reuse telemetry).
-        self.connections_opened = 0
-        split = urllib.parse.urlsplit(self.base_url)
-        self._scheme = split.scheme or "http"
-        self._host = split.hostname or "127.0.0.1"
-        self._port = split.port
-        self._base_path = split.path.rstrip("/")
-        self._pool: List[http.client.HTTPConnection] = []
-        self._pool_lock = threading.Lock()
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
 
     def close(self) -> None:
-        """Close every pooled keep-alive connection (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, []
-        for conn in pool:
-            conn.close()
+        """Close the reader and the socket."""
+        self.rfile.close()
+        self.sock.close()
+
+
+class ServiceClient(ClientCore):
+    """A thin, dependency-free blocking HTTP client for one service
+    base URL (constructor: :class:`~repro.service.wire.ClientCore`)."""
 
     def __enter__(self) -> "ServiceClient":
         """Context-manager entry."""
@@ -188,18 +147,9 @@ class ServiceClient:
         retried regardless — the server rejected the request, so it
         did not execute.
         """
-        data = None
-        content_type = None
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        status, headers, body = self._with_retries(
-            method, path, data, content_type, idempotent)
-        text = body.decode("utf-8")
-        if headers.get("Content-Type", "").startswith(
-                "application/json"):
-            return json.loads(text)
-        return text
+        headers, body = self._call(
+            method, self._frame_json(method, path, payload), idempotent)
+        return self._decode(headers, body)
 
     def request_raw(self, method: str, path: str,
                     body: Optional[bytes] = None,
@@ -214,154 +164,84 @@ class ServiceClient:
         :class:`~repro.exceptions.ServiceError` taxonomy as
         :meth:`request`, and the same retry policy applies.
         """
-        status, headers, out = self._with_retries(
-            method, path, body, content_type if body is not None
-            else None, idempotent)
+        headers, out = self._call(method, self._frame_request(
+            method, path, body,
+            content_type if body is not None else None), idempotent)
         return out, headers
 
-    def _with_retries(self, method: str, path: str,
-                      data: Optional[bytes],
-                      content_type: Optional[str],
-                      idempotent: Optional[bool]
-                      ) -> Tuple[int, Dict[str, str], bytes]:
-        """The shared retry loop around one logical exchange."""
-        if idempotent is None:
-            idempotent = method.upper() != "POST"
+    def _call(self, method: str, request: bytes,
+              idempotent: Optional[bool]
+              ) -> Tuple[Dict[str, str], bytes]:
+        """The retry loop around one logical exchange."""
         attempt = 0
         while True:
             try:
-                return self._attempt(method, path, data, content_type)
+                faults.hit("client.request")
+                return self._outcome(*self._exchange(request))
             except ServiceError as error:
-                status = getattr(error, "status", 500)
-                retryable = status in RETRYABLE_STATUSES
-                if isinstance(error, ServiceUnreachable) \
-                        and not idempotent:
-                    retryable = False
-                if attempt >= self.retries or not retryable:
+                delay = self._retry_delay(error, attempt, method,
+                                          idempotent)
+                if delay is None:
                     raise
-                time.sleep(self._backoff(
-                    attempt, getattr(error, "retry_after", None)))
-                self.retries_performed += 1
-                attempt += 1
+            time.sleep(delay)
+            attempt += 1
 
-    def _backoff(self, attempt: int,
-                 retry_after: Optional[float]) -> float:
-        """Delay before retry ``attempt + 1``.
-
-        The server's ``Retry-After`` wins when present (it knows its
-        own drain/queue state); otherwise capped exponential backoff
-        with full jitter, so a thundering herd of retrying clients
-        decorrelates."""
-        if retry_after is not None:
-            return max(0.0, retry_after)
-        cap = min(self.backoff_cap,
-                  self.backoff_base * (2.0 ** attempt))
-        return cap * self._rng.random()
-
-    def _attempt(self, method: str, path: str,
-                 data: Optional[bytes],
-                 content_type: Optional[str]
-                 ) -> Tuple[int, Dict[str, str], bytes]:
-        """One logical HTTP exchange on a kept-alive connection.
-
-        A stale-socket failure on a *reused* connection (the server
-        closed it while idle, before any response bytes) is replayed
-        exactly once on a fresh connection; every other
-        connection-level failure maps to
-        :class:`ServiceUnreachable` for the outer retry policy.
-        """
-        faults.hit("client.request")
-        conn, reused = self._checkout()
-        try:
-            status, headers, body = self._roundtrip(
-                conn, method, path, data, content_type)
-        except _STALE_SOCKET_ERRORS as error:
-            conn.close()
-            if not reused:
-                raise self._unreachable(error) from None
-            conn, _ = self._checkout(fresh=True)
+    def _exchange(self, request: bytes
+                  ) -> Tuple[int, Dict[str, str], bytes]:
+        """One round trip on a pooled or new connection, replayed
+        once on a new one when the pooled one went stale."""
+        conn = self._pooled()
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        while True:
             try:
-                status, headers, body = self._roundtrip(
-                    conn, method, path, data, content_type)
-            except (OSError, http.client.HTTPException) as err:
+                response = self._roundtrip(conn, request)
+            except TORN_ERRORS as error:
                 conn.close()
-                raise self._unreachable(err) from None
-        except (OSError, http.client.HTTPException) as error:
-            conn.close()
-            raise self._unreachable(error) from None
-        if headers.get("Connection", "").lower() == "close":
-            conn.close()
-        else:
-            self._checkin(conn)
-        if 200 <= status < 300:
-            return status, headers, body
-        text = body.decode("utf-8", "replace")
-        try:
-            message = json.loads(text).get("error", text)
-        except (ValueError, AttributeError):
-            message = text or f"HTTP {status}"
-        raised = for_status(status, message)
-        raised.retry_after = _retry_after_of(headers)
-        raise raised from None
+                if not (reused and isinstance(error, STALE_ERRORS)):
+                    raise self._unreachable(error) from None
+                conn, reused = self._connect(), False
+                continue
+            self._release(conn, response[1])
+            return response
 
-    def _roundtrip(self, conn: http.client.HTTPConnection,
-                   method: str, path: str, data: Optional[bytes],
-                   content_type: Optional[str]
+    def _connect(self) -> _Connection:
+        """A new connection to the base host."""
+        sock = None
+        try:
+            sock = socket.create_connection((self._host, self._port),
+                                            self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._ssl is not None:
+                sock = self._ssl.wrap_socket(
+                    sock, server_hostname=self._host)
+        except OSError as error:
+            if sock is not None:
+                sock.close()
+            raise self._unreachable(error) from None
+        self.connections_opened += 1
+        return _Connection(sock)
+
+    def _roundtrip(self, conn: _Connection, request: bytes
                    ) -> Tuple[int, Dict[str, str], bytes]:
         """One physical request/response on ``conn``.
 
         The body is always fully read so the connection is clean for
         the next exchange.
         """
-        headers = {"Accept": "application/json",
-                   "Connection": "keep-alive"}
-        if content_type is not None:
-            headers["Content-Type"] = content_type
-        conn.request(method, self._base_path + path,
-                     body=data, headers=headers)
-        response = conn.getresponse()
-        body = response.read()
-        return (response.status,
-                {k: v for k, v in response.getheaders()},
-                body)
-
-    def _checkout(self, fresh: bool = False
-                  ) -> Tuple[http.client.HTTPConnection, bool]:
-        """A connection to the base host: pooled (reused) or new."""
-        if not fresh:
-            with self._pool_lock:
-                if self._pool:
-                    return self._pool.pop(), True
-        factory = (http.client.HTTPSConnection
-                   if self._scheme == "https"
-                   else http.client.HTTPConnection)
-        self.connections_opened += 1
-        return factory(self._host, self._port,
-                       timeout=self.timeout), False
-
-    def _checkin(self, conn: http.client.HTTPConnection) -> None:
-        """Return a clean connection to the idle pool (cap-bounded)."""
-        with self._pool_lock:
-            if len(self._pool) < POOL_CAP:
-                self._pool.append(conn)
-                return
-        conn.close()
-
-    def _unreachable(self, error: Exception) -> ServiceUnreachable:
-        """Map a connection-level failure onto the error taxonomy."""
-        if isinstance(error, (ConnectionRefusedError,
-                              socket.gaierror)):
-            raised = ServiceUnreachable(
-                f"cannot reach {self.base_url}: {error}")
-        else:
-            # The connection tore mid-exchange (reset, truncated
-            # response, timeout during read) — same retryable class
-            # as never reaching the server at all.
-            raised = ServiceUnreachable(
-                f"connection to {self.base_url} failed "
-                f"mid-request: {error}")
-        raised.retry_after = None
-        return raised
+        conn.sock.sendall(request)
+        head = b""
+        while not head.endswith(HEAD_END):
+            line = conn.rfile.readline(MAX_HEAD_BYTES)
+            head += line
+            if not line.endswith(b"\n") or len(head) > MAX_HEAD_BYTES:
+                break            # end of stream or overlong: rejected
+        status, headers, length = self._response_head(head)
+        body = conn.rfile.read(length)
+        if length is not None and len(body) < length:
+            raise EOFError("response body cut short")
+        return status, headers, body
 
     # ------------------------------------------------------------------
     # endpoints
@@ -514,15 +394,12 @@ class ServiceSession:
              deadline_seconds: Optional[float] = None
              ) -> List[Community]:
         """Up to ``k`` further communities (410 -> ``SessionGone``)."""
-        payload: Dict[str, Any] = {"k": k}
+        options: Dict[str, Any] = {}
         if labels:
-            payload["labels"] = True
+            options["labels"] = True
         if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
-        response = self._client.request(
-            "POST", f"/sessions/{self.id}/next", payload)
-        self.last_stats = response.get("stats", {})
-        self.exhausted = bool(response.get("exhausted", False))
+            options["deadline_seconds"] = deadline_seconds
+        response = self.next_raw(k, **options)
         return communities_from_dicts(response["communities"])
 
     def next_raw(self, k: int = 10, **options: Any) -> Dict[str, Any]:

@@ -99,10 +99,11 @@ class ShuttingDown(ServiceError):
 class ServiceUnreachable(ServiceError):
     """The client could not reach the server at all (client-side).
 
-    Connection refused, DNS failure, socket timeout — no HTTP
-    exchange happened, so there is no server status; ``503`` is the
-    closest honest rendering and marks it retryable for
-    :class:`~repro.service.client.ServiceClient`'s backoff loop."""
+    Connection refused, DNS failure, socket timeout, a connection torn
+    mid-exchange or a reply that is not HTTP — no usable response
+    arrived, so there is no server status; ``503`` is the closest
+    honest rendering and marks it retryable for the clients' backoff
+    loop (:class:`~repro.service.wire.ClientCore`)."""
 
     status = 503
 

@@ -109,6 +109,7 @@ from repro.service.sessions import (
     SessionLease,
     SessionManager,
 )
+from repro.service.wire import content_length
 
 #: Content type for the Prometheus exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -129,22 +130,6 @@ JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 #: One response: status, metric path template, body (text for
 #: JSON/metrics, raw bytes for snapshot sections), content type.
 Response = Tuple[int, str, Union[str, bytes], str]
-
-
-def content_length(value: Optional[str]) -> int:
-    """A request's body size from its ``Content-Length`` header.
-
-    No header (or an empty one) means no body. Any other value but a
-    decimal count raises :class:`BadRequest`: the body's framing is
-    then unknown, so the front end answers 400 without reading it and
-    closes the connection.
-    """
-    if not value:
-        return 0
-    value = value.strip()
-    if not (value.isascii() and value.isdigit()):
-        raise BadRequest(f"invalid Content-Length: {value!r}")
-    return int(value)
 
 
 def _parse_body(body: bytes) -> Dict[str, Any]:

@@ -3,22 +3,24 @@
 Transport half of the router; all routing *policy* lives in
 :class:`~repro.shard.routing.RouterCore`:
 
-* :class:`AsyncShardClient` — a dependency-free HTTP/1.1 client over
-  raw :func:`asyncio.open_connection`, with the same keep-alive
-  pooling, retry/backoff policy, stale-socket replay, and error
-  taxonomy as :class:`~repro.service.client.ServiceClient`. Every
+* :class:`AsyncShardClient` — the asyncio transport under
+  :class:`~repro.service.wire.ClientCore`, the core it shares with
+  :class:`~repro.service.client.ServiceClient`: the same framing,
+  keep-alive pool, retry/backoff policy, stale-socket replay and
+  error taxonomy, over raw :func:`asyncio.open_connection`. Every
   exchange runs under :func:`asyncio.wait_for`, so one hung shard
   costs one leg's deadline, never a blocked thread.
 * :class:`AsyncReplicaSet` — one shard's interchangeable backends
   behind a sticky active cursor, failing a leg over to a sibling box
   before the router gives the shard up.
 * :class:`AsyncRouterService` — an ``asyncio.start_server`` front
-  end. A query is one ``asyncio.gather`` of one leg per eligible
-  shard, so its concurrency is bounded by the fleet, not a thread
-  pool, and its latency by the slowest leg: each shard enumerates
-  only the communities it owns, so one round of ``k`` per shard is
-  the whole merge (:mod:`repro.shard.merge`). The admin plane
-  (``/admin/reload``, including the cross-box
+  end that parses requests and frames responses with
+  :mod:`repro.service.wire`. A query is one ``asyncio.gather`` of
+  one leg per eligible shard, so its concurrency is bounded by the
+  fleet, not a thread pool, and its latency by the slowest leg:
+  each shard enumerates only the communities it owns, so one round
+  of ``k`` per shard is the whole merge (:mod:`repro.shard.merge`).
+  The admin plane (``/admin/reload``, including the cross-box
   ``transfer`` mode) runs the synchronous
   :func:`~repro.shard.routing.reload_fleet` on an executor thread —
   reloads are rare, walk every replica in order, and must not hold
@@ -57,40 +59,34 @@ load balancer.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-import random
-import socket
-import ssl as ssl_module
 import threading
 import time
-import urllib.parse
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, List, Optional, \
     Tuple, Union
 
+from repro import faults
 from repro.exceptions import QueryError, ServiceError, WorkerError
-from repro.service.client import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
-    DEFAULT_TIMEOUT,
-    POOL_CAP,
-    ServiceClient,
-    _retry_after_of,
-)
-from repro.service.errors import (
-    RETRYABLE_STATUSES,
-    BadRequest,
-    NotFound,
-    ServiceUnreachable,
-    for_status,
-)
+from repro.service.client import ServiceClient
+from repro.service.errors import BadRequest, NotFound
 from repro.service.server import (
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
     RETRY_AFTER_SECONDS,
     Response,
+)
+from repro.service.wire import (
+    HEAD_END,
+    MAX_HEAD_BYTES,
+    REASONS,
+    STALE_ERRORS,
+    TORN_ERRORS,
+    ClientCore,
+    MalformedResponse,
     content_length,
+    frame,
+    parse_head,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.routing import (
@@ -103,29 +99,6 @@ from repro.shard.routing import (
 )
 
 PathLike = Union[str, Path]
-
-#: Connection-level failures that, on a *reused* keep-alive stream
-#: with no response bytes seen, prove the server closed the idle
-#: connection before our request — safe to replay once on a fresh
-#: connection regardless of idempotency (the async mirror of
-#: ``ServiceClient._STALE_SOCKET_ERRORS``).
-_STALE_STREAM_ERRORS = (
-    http.client.RemoteDisconnected,
-    ConnectionResetError,
-    BrokenPipeError,
-    ConnectionAbortedError,
-)
-
-#: Errors that tear one physical exchange (mapped to
-#: :class:`~repro.service.errors.ServiceUnreachable` when not a
-#: stale-socket replay). ``TimeoutError`` covers
-#: ``asyncio.wait_for`` deadline hits on every supported Python.
-_TORN_STREAM_ERRORS = (
-    OSError,
-    asyncio.TimeoutError,
-    asyncio.IncompleteReadError,
-    EOFError,
-)
 
 
 class _Stream:
@@ -145,54 +118,24 @@ class _Stream:
             pass
 
 
-class AsyncShardClient:
-    """Async keep-alive HTTP client with ServiceClient's semantics.
+class AsyncShardClient(ClientCore):
+    """The asyncio transport of the shared client core.
 
-    Same base-URL surface, retry policy (429/503 with capped
-    exponential backoff + jitter, ``Retry-After`` honored),
-    idempotency gating of connection-error retries, stale-socket
-    single replay, error taxonomy, and ``connections_opened``
-    telemetry as :class:`~repro.service.client.ServiceClient` — but
-    every blocking point is an ``await``, and the per-call
-    ``timeout`` is enforced with :func:`asyncio.wait_for` per
-    physical exchange. Instances belong to one event loop.
+    Same constructor, retry policy (429/503 with capped exponential
+    backoff + jitter, ``Retry-After`` honored), idempotency gating of
+    connection-error retries, stale-socket single replay, error
+    taxonomy, and ``connections_opened`` telemetry as
+    :class:`~repro.service.client.ServiceClient` — both are
+    :class:`~repro.service.wire.ClientCore` — but every blocking
+    point is an ``await``, and the per-call ``timeout`` is enforced
+    with :func:`asyncio.wait_for` per physical exchange. Instances
+    belong to one event loop.
     """
-
-    def __init__(self, base_url: str,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 retries: int = 0,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 retry_seed: Optional[int] = None) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._rng = random.Random(retry_seed)
-        #: Lifetime count of retry sleeps this client performed.
-        self.retries_performed = 0
-        #: Lifetime count of physical TCP connects (reuse telemetry).
-        self.connections_opened = 0
-        split = urllib.parse.urlsplit(self.base_url)
-        self._scheme = split.scheme or "http"
-        self._host = split.hostname or "127.0.0.1"
-        self._port = split.port or (443 if self._scheme == "https"
-                                    else 80)
-        self._base_path = split.path.rstrip("/")
-        self._ssl = (ssl_module.create_default_context()
-                     if self._scheme == "https" else None)
-        self._pool: List[_Stream] = []
 
     async def aclose(self) -> None:
         """Close every pooled keep-alive connection (idempotent)."""
-        pool, self._pool = self._pool, []
-        for stream in pool:
-            stream.close()
+        self.close()
 
-    # ------------------------------------------------------------------
-    # plumbing (the async mirror of ServiceClient's)
-    # ------------------------------------------------------------------
     async def request(self, method: str, path: str,
                       payload: Optional[Dict[str, Any]] = None,
                       idempotent: Optional[bool] = None) -> Any:
@@ -202,199 +145,95 @@ class AsyncShardClient:
         :meth:`~repro.service.client.ServiceClient.request`; see
         there for the retry and idempotency contract.
         """
-        data = None
-        content_type = None
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        _, headers, body = await self._with_retries(
-            method, path, data, content_type, idempotent)
-        text = body.decode("utf-8")
-        if headers.get("Content-Type", "").startswith(
-                "application/json"):
-            return json.loads(text)
-        return text
+        headers, body = await self._call(
+            method, self._frame_json(method, path, payload), idempotent)
+        return self._decode(headers, body)
 
-    async def _with_retries(self, method: str, path: str,
-                            data: Optional[bytes],
-                            content_type: Optional[str],
-                            idempotent: Optional[bool]
-                            ) -> Tuple[int, Dict[str, str], bytes]:
-        """The shared retry loop around one logical exchange."""
-        if idempotent is None:
-            idempotent = method.upper() != "POST"
-        attempt = 0
-        while True:
-            try:
-                return await self._attempt(method, path, data,
-                                           content_type)
-            except ServiceError as error:
-                status = getattr(error, "status", 500)
-                retryable = status in RETRYABLE_STATUSES
-                if isinstance(error, ServiceUnreachable) \
-                        and not idempotent:
-                    retryable = False
-                if attempt >= self.retries or not retryable:
-                    raise
-                await asyncio.sleep(self._backoff(
-                    attempt, getattr(error, "retry_after", None)))
-                self.retries_performed += 1
-                attempt += 1
-
-    def _backoff(self, attempt: int,
-                 retry_after: Optional[float]) -> float:
-        """Delay before retry ``attempt + 1`` (Retry-After wins)."""
-        if retry_after is not None:
-            return max(0.0, retry_after)
-        cap = min(self.backoff_cap,
-                  self.backoff_base * (2.0 ** attempt))
-        return cap * self._rng.random()
-
-    async def _attempt(self, method: str, path: str,
-                       data: Optional[bytes],
-                       content_type: Optional[str]
-                       ) -> Tuple[int, Dict[str, str], bytes]:
-        """One logical exchange on a kept-alive stream.
-
-        A stale-socket failure on a *reused* stream (the server
-        closed it while idle, before any response bytes) is replayed
-        exactly once on a fresh connection; every other torn
-        exchange maps to :class:`ServiceUnreachable` for the outer
-        retry policy.
-        """
-        stream, reused = await self._checkout()
-        try:
-            status, headers, body = await asyncio.wait_for(
-                self._roundtrip(stream, method, path, data,
-                                content_type),
-                timeout=self.timeout)
-        except _STALE_STREAM_ERRORS as error:
-            stream.close()
-            if not reused:
-                raise self._unreachable(error) from None
-            stream, _ = await self._checkout(fresh=True)
-            try:
-                status, headers, body = await asyncio.wait_for(
-                    self._roundtrip(stream, method, path, data,
-                                    content_type),
-                    timeout=self.timeout)
-            except _TORN_STREAM_ERRORS as err:
-                stream.close()
-                raise self._unreachable(err) from None
-        except _TORN_STREAM_ERRORS as error:
-            stream.close()
-            raise self._unreachable(error) from None
-        if headers.get("Connection", "").lower() == "close":
-            stream.close()
-        else:
-            self._checkin(stream)
-        if 200 <= status < 300:
-            return status, headers, body
-        text = body.decode("utf-8", "replace")
-        try:
-            message = json.loads(text).get("error", text)
-        except (ValueError, AttributeError):
-            message = text or f"HTTP {status}"
-        raised = for_status(status, message)
-        raised.retry_after = _retry_after_of(headers)
-        raise raised from None
-
-    async def _roundtrip(self, stream: _Stream, method: str,
-                         path: str, data: Optional[bytes],
-                         content_type: Optional[str]
-                         ) -> Tuple[int, Dict[str, str], bytes]:
-        """One physical request/response on ``stream``.
-
-        The body is always fully read so the stream is clean for the
-        next exchange. An EOF before the status line raises
-        ``RemoteDisconnected`` (the stale-keep-alive signature);
-        an EOF mid-response raises ``IncompleteReadError`` (torn).
-        """
-        body = data or b""
-        head = (f"{method} {self._base_path + path} HTTP/1.1\r\n"
-                f"Host: {self._host}:{self._port}\r\n"
-                f"Accept: application/json\r\n"
-                f"Connection: keep-alive\r\n"
-                f"Content-Length: {len(body)}\r\n")
-        if content_type is not None:
-            head += f"Content-Type: {content_type}\r\n"
-        stream.writer.write(head.encode("latin-1") + b"\r\n" + body)
-        await stream.writer.drain()
-        line = await stream.reader.readline()
-        if not line:
-            raise http.client.RemoteDisconnected(
-                "server closed idle keep-alive connection")
-        try:
-            status = int(line.decode("latin-1").split(None, 2)[1])
-        except (IndexError, ValueError, UnicodeDecodeError):
-            raise http.client.BadStatusLine(
-                line.decode("latin-1", "replace"))
-        headers: Dict[str, str] = {}
-        while True:
-            line = await stream.reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise asyncio.IncompleteReadError(b"", None)
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().title()] = value.strip()
-        length = headers.get("Content-Length")
-        if length is not None:
-            payload = await stream.reader.readexactly(int(length))
-        else:
-            # No framing info: the server will close to delimit.
-            payload = await stream.reader.read()
-            headers["Connection"] = "close"
-        return status, headers, payload
-
-    async def _checkout(self, fresh: bool = False
-                        ) -> Tuple[_Stream, bool]:
-        """A stream to the base host: pooled (reused) or new."""
-        if not fresh and self._pool:
-            return self._pool.pop(), True
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self._host, self._port,
-                                        ssl=self._ssl),
-                timeout=self.timeout)
-        except _TORN_STREAM_ERRORS as error:
-            raise self._unreachable(error) from None
-        self.connections_opened += 1
-        return _Stream(reader, writer), False
-
-    def _checkin(self, stream: _Stream) -> None:
-        """Return a clean stream to the idle pool (cap-bounded)."""
-        if len(self._pool) < POOL_CAP:
-            self._pool.append(stream)
-            return
-        stream.close()
-
-    def _unreachable(self, error: Exception) -> ServiceUnreachable:
-        """Map a connection-level failure onto the error taxonomy."""
-        if isinstance(error, (ConnectionRefusedError,
-                              socket.gaierror)):
-            raised = ServiceUnreachable(
-                f"cannot reach {self.base_url}: {error}")
-        elif isinstance(error, (asyncio.TimeoutError, TimeoutError)):
-            raised = ServiceUnreachable(
-                f"request to {self.base_url} exceeded the "
-                f"{self.timeout}s leg timeout")
-        else:
-            raised = ServiceUnreachable(
-                f"connection to {self.base_url} failed "
-                f"mid-request: {error}")
-        raised.retry_after = None
-        return raised
-
-    # ------------------------------------------------------------------
-    # endpoints the router needs
-    # ------------------------------------------------------------------
     async def health(self) -> Dict[str, Any]:
         """``GET /healthz``."""
         return await self.request("GET", "/healthz")
 
-    def __repr__(self) -> str:
-        return f"AsyncShardClient({self.base_url!r})"
+    async def _call(self, method: str, request: bytes,
+                    idempotent: Optional[bool]
+                    ) -> Tuple[Dict[str, str], bytes]:
+        """The retry loop around one logical exchange."""
+        attempt = 0
+        while True:
+            try:
+                faults.hit("client.request")
+                return self._outcome(*await self._exchange(request))
+            except ServiceError as error:
+                delay = self._retry_delay(error, attempt, method,
+                                          idempotent)
+                if delay is None:
+                    raise
+            await asyncio.sleep(delay)
+            attempt += 1
+
+    async def _exchange(self, request: bytes
+                        ) -> Tuple[int, Dict[str, str], bytes]:
+        """One round trip on a pooled or new stream, replayed once on
+        a new one when the pooled one went stale."""
+        stream = self._pooled()
+        reused = stream is not None
+        if stream is None:
+            stream = await self._connect()
+        while True:
+            try:
+                response = await self._timed(
+                    self._roundtrip(stream, request))
+            except TORN_ERRORS as error:
+                stream.close()
+                if not (reused and isinstance(error, STALE_ERRORS)):
+                    raise self._unreachable(error) from None
+                stream, reused = await self._connect(), False
+                continue
+            self._release(stream, response[1])
+            return response
+
+    async def _connect(self) -> _Stream:
+        """A new stream to the base host."""
+        try:
+            reader, writer = await self._timed(asyncio.open_connection(
+                self._host, self._port, ssl=self._ssl,
+                limit=MAX_HEAD_BYTES))
+        except OSError as error:
+            raise self._unreachable(error) from None
+        self.connections_opened += 1
+        return _Stream(reader, writer)
+
+    async def _timed(self, awaitable: Awaitable[Any]) -> Any:
+        """``awaitable`` under the per-exchange timeout.
+
+        An expiry raises the builtin ``TimeoutError``, which
+        :data:`~repro.service.wire.TORN_ERRORS` covers; before Python
+        3.11, ``asyncio.TimeoutError`` is a different class.
+        """
+        try:
+            return await asyncio.wait_for(awaitable, self.timeout)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                f"no answer within {self.timeout}s") from None
+
+    async def _roundtrip(self, stream: _Stream, request: bytes
+                         ) -> Tuple[int, Dict[str, str], bytes]:
+        """One physical request/response on ``stream``.
+
+        The body is always fully read so the stream is clean for the
+        next exchange.
+        """
+        stream.writer.write(request)
+        await stream.writer.drain()
+        try:
+            head = await stream.reader.readuntil(HEAD_END)
+        except asyncio.IncompleteReadError as error:
+            head = error.partial       # cut short: the parse rejects it
+        except asyncio.LimitOverrunError:
+            raise MalformedResponse("overlong response head") from None
+        status, headers, length = self._response_head(head)
+        if length is None:
+            return status, headers, await stream.reader.read()
+        return status, headers, await stream.reader.readexactly(length)
 
 
 class AsyncReplicaSet:
@@ -681,15 +520,12 @@ class AsyncRouterService:
         """Write one response in a single send."""
         data = (payload if isinstance(payload, bytes)
                 else payload.encode("utf-8"))
-        reason = http.client.responses.get(status, "")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(data)}\r\n")
+        headers: Dict[str, Any] = {"Content-Type": content_type}
         if status in (429, 503):
-            head += f"Retry-After: {RETRY_AFTER_SECONDS}\r\n"
-        head += ("Connection: close\r\n" if close
-                 else "Connection: keep-alive\r\n")
-        writer.write(head.encode("latin-1") + b"\r\n" + data)
+            headers["Retry-After"] = RETRY_AFTER_SECONDS
+        headers["Connection"] = "close" if close else "keep-alive"
+        writer.write(frame(f"HTTP/1.1 {status} {REASONS.get(status, '')}",
+                           headers, data))
         await writer.drain()
 
     @staticmethod
@@ -701,26 +537,16 @@ class AsyncRouterService:
 
         Raises :class:`BadRequest`, with the body unread, when its
         ``Content-Length`` is malformed."""
-        line = await reader.readline()
-        if not line:
-            return None
         try:
-            method, target, _ = \
-                line.decode("latin-1").split(None, 2)
-        except (ValueError, UnicodeDecodeError):
+            head = await reader.readuntil(HEAD_END)
+        except asyncio.IncompleteReadError:
+            return None
+        fields, headers = parse_head(head)
+        if len(fields) != 3:
             raise ConnectionResetError("malformed request line")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                return None
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().title()] = value.strip()
         length = content_length(headers.get("Content-Length"))
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return fields[0].upper(), fields[1], headers, body
 
     # ------------------------------------------------------------------
     # request handling (same ladder as CommunityService.handle)
@@ -794,26 +620,23 @@ class AsyncRouterService:
             *(calls[key] for key in keys), return_exceptions=True)
         return dict(zip(keys, results))
 
-    async def _leg_query(self, shard_id: int,
-                         payload: Dict[str, Any]) -> Any:
-        """One ``POST /query`` leg; returns the response dict, or
+    async def _leg(self, shard_id: int, path: str,
+                   payload: Dict[str, Any]) -> Any:
+        """One ``POST`` leg to a shard; returns the response dict, or
         the error that killed the leg (after client retries and
         replica failover)."""
-        replicas = self.replica_sets[shard_id]
         self.core.count("fanout_legs")
         start = time.perf_counter()
         try:
-            response = await replicas.call(
+            response = await self.replica_sets[shard_id].call(
                 lambda client: client.request(
-                    "POST", "/query", payload, idempotent=True))
-            self.core.observe_leg(shard_id, 200,
-                                  time.perf_counter() - start)
-            return response
+                    "POST", path, payload, idempotent=True))
+            status = 200
         except ServiceError as error:
-            self.core.observe_leg(shard_id,
-                                  getattr(error, "status", 500),
-                                  time.perf_counter() - start)
-            return error
+            response, status = error, error.status
+        self.core.observe_leg(shard_id, status,
+                              time.perf_counter() - start)
+        return response
 
     # ------------------------------------------------------------------
     # handlers
@@ -825,7 +648,7 @@ class AsyncRouterService:
         payload = self.core.shard_payload(
             plan.spec, plan.spec.k, plan.deadline, plan.want_labels)
         responses = await self._fan({
-            shard_id: self._leg_query(shard_id, payload)
+            shard_id: self._leg(shard_id, "/query", payload)
             for shard_id in plan.eligible})
         outcome = self.core.reduce(plan, responses)
         return self.core.envelope(
@@ -850,36 +673,17 @@ class AsyncRouterService:
                 by_shard.setdefault(shard_id, []).append(
                     entry_index)
 
-        async def leg_batch(shard_id: int,
-                            indexes: List[int]) -> Any:
-            """One shard's ``/batch`` leg."""
-            bodies = [self.core.shard_payload(
-                plans[i].spec, plans[i].spec.k, deadline,
-                want_labels) for i in indexes]
-            self.core.count("fanout_legs")
-            leg_start = time.perf_counter()
-            try:
-                response = await self.replica_sets[shard_id].call(
-                    lambda client: client.request(
-                        "POST", "/batch",
-                        {"queries": bodies,
-                         **({"deadline_seconds": deadline}
-                            if deadline is not None else {}),
-                         **({"labels": True} if want_labels
-                            else {})},
-                        idempotent=True))
-                self.core.observe_leg(
-                    shard_id, 200,
-                    time.perf_counter() - leg_start)
-                return response
-            except ServiceError as error:
-                self.core.observe_leg(
-                    shard_id, getattr(error, "status", 500),
-                    time.perf_counter() - leg_start)
-                return error
-
+        options: Dict[str, Any] = {}
+        if deadline is not None:
+            options["deadline_seconds"] = deadline
+        if want_labels:
+            options["labels"] = True
         legs = await self._fan({
-            shard_id: leg_batch(shard_id, indexes)
+            shard_id: self._leg(shard_id, "/batch", {
+                "queries": [self.core.shard_payload(
+                    plans[i].spec, plans[i].spec.k, deadline,
+                    want_labels) for i in indexes],
+                **options})
             for shard_id, indexes in by_shard.items()})
 
         envelopes = []
@@ -904,18 +708,11 @@ class AsyncRouterService:
     # ------------------------------------------------------------------
     # health + metrics
     # ------------------------------------------------------------------
-    async def _probe(self, client: AsyncShardClient) -> Any:
-        """One replica health probe; errors become values."""
-        try:
-            return await client.health()
-        except ServiceError as error:
-            return error
-
     async def _health(self) -> Dict[str, Any]:
         """``GET /healthz``: fan probes to every replica."""
         manifest = self.core.capture()
         responses = await self._fan({
-            (replicas.shard_id, index): self._probe(client)
+            (replicas.shard_id, index): client.health()
             for replicas in self.replica_sets
             for index, client in enumerate(replicas.clients)})
         return self.core.health_payload(manifest, self.replica_sets,

@@ -26,7 +26,12 @@ push_snapshot`) and reloads by snapshot id, so partition and serve
 need no shared filesystem. It is deliberately synchronous — reloads
 are rare and walk every replica in order; the router runs it on an
 executor thread over blocking
-:class:`~repro.service.client.ServiceClient` s.
+:class:`~repro.service.client.ServiceClient` s. Those share their
+framing, retry policy and error mapping with the query legs'
+:class:`~repro.shard.aio.AsyncShardClient` (both are
+:class:`~repro.service.wire.ClientCore`); running the reload on the
+event loop instead would need an async twin of ``push_snapshot``, a
+second transfer driver.
 """
 
 from __future__ import annotations

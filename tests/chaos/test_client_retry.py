@@ -3,8 +3,12 @@
 A real server is driven over a real socket (retries only make sense
 across the wire). Transient failures are injected at the
 ``service.request`` failpoint so the Nth attempt deterministically
-fails and the N+1st succeeds — no load generation, no racing.
+fails and the N+1st succeeds — no load generation, no racing. The
+``client.request`` failpoint fires on every attempt of either client,
+router legs included.
 """
+
+import asyncio
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceUnreachable,
 )
+from repro.shard.aio import AsyncShardClient
 from repro.snapshot import SnapshotStore
 
 
@@ -164,3 +169,24 @@ class TestBackoffPolicy:
                                retry_seed=1)
         assert client._backoff(0, 0.25) == 0.25
         assert client._backoff(0, -3.0) == 0.0
+
+
+class TestRouterLegs:
+    def test_client_failpoint_fires_on_a_router_leg(self, live_service):
+        faults.activate("client.request", "once:raise(Overloaded)")
+
+        async def leg():
+            client = AsyncShardClient(live_service.url, retries=1,
+                                      retry_seed=7)
+            try:
+                reply = await client.request(
+                    "POST", "/query",
+                    {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX,
+                     "k": 1}, idempotent=True)
+                return reply, client.retries_performed
+            finally:
+                await client.aclose()
+
+        reply, retries = asyncio.run(leg())
+        assert reply["count"] == 1
+        assert retries == 1

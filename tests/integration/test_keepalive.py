@@ -1,12 +1,19 @@
 """Connection reuse: one socket per peer, reconnect-once when stale.
 
-Both HTTP clients — the threaded :class:`ServiceClient` and the
-event-loop :class:`AsyncShardClient` — keep sockets alive across
+Both HTTP clients — the blocking :class:`ServiceClient` and the
+event-loop :class:`AsyncShardClient`, two transports over one
+:class:`~repro.service.wire.ClientCore` — keep sockets alive across
 requests: a burst of calls opens exactly one physical connection
 (:attr:`connections_opened` is the telemetry the tests read). When a
 pooled socket goes stale because the server restarted, the next
 request replays once on a fresh connection instead of surfacing the
 torn socket to the caller.
+
+A reply that is not HTTP as the service sends it (a garbage status
+line, an unreadable ``Content-Length``), a refused connect and a
+silent server are each a :class:`ServiceUnreachable` on both
+clients, and the connection is never pooled; a replica set fails
+such a replica over to its sibling.
 
 The service answers on such a connection without waiting for the
 client's delayed ACK, and a request whose body framing is unreadable
@@ -26,8 +33,12 @@ from repro.datasets.paper_example import (
     figure4_graph,
 )
 from repro.engine import QueryEngine
-from repro.service import CommunityService, ServiceClient
-from repro.shard.aio import AsyncShardClient
+from repro.service import (
+    CommunityService,
+    ServiceClient,
+    ServiceUnreachable,
+)
+from repro.shard.aio import AsyncReplicaSet, AsyncShardClient
 
 from wire_helpers import (
     MEDIAN_BOUND_SECONDS,
@@ -214,3 +225,152 @@ class TestMalformedContentLength:
         assert status.startswith("HTTP/1.1 400 ")
         assert "Connection: close" in headers
         assert json.loads(body)["status"] == 400
+
+
+class CannedServer:
+    """A listener that answers every request head with the same bytes.
+
+    Each accepted connection is served on its own thread and kept
+    open until the client hangs up, so a client that pooled it could
+    reuse it. ``b""`` makes a server that never answers.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % \
+            self._listener.getsockname()[1]
+        self._conns = []
+        self._thread = threading.Thread(target=self._accept,
+                                        daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return               # listener closed: shut down
+            self._conns.append(conn)
+            threading.Thread(target=self._answer, args=(conn,),
+                             daemon=True).start()
+
+    def _answer(self, conn):
+        data = b""
+        try:
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                data += chunk
+                while b"\r\n\r\n" in data:
+                    _, _, data = data.partition(b"\r\n\r\n")
+                    conn.sendall(self.reply)
+        except OSError:
+            return                   # closed by close()
+
+    def close(self):
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        self._thread.join(timeout=5.0)
+        for conn in self._conns:
+            conn.close()
+
+
+def _open(kind, url, **options):
+    """A new client of ``kind``, a blocking ``request`` callable on it,
+    and its close callable. The async client runs on one private
+    loop, so its pool survives between calls."""
+    if kind == "blocking":
+        client = ServiceClient(url, **options)
+        return client, client.request, client.close
+    loop = asyncio.new_event_loop()
+    client = AsyncShardClient(url, **options)
+
+    def request(*args, **kwargs):
+        return loop.run_until_complete(client.request(*args, **kwargs))
+
+    def close():
+        loop.run_until_complete(client.aclose())
+        loop.close()
+
+    return client, request, close
+
+
+MALFORMED_REPLIES = {
+    "status-line": b"XYZZY\r\n\r\n",
+    "length-abc": b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                  b"\r\nContent-Length: abc\r\n\r\n{}",
+    "length-negative": b"HTTP/1.1 200 OK\r\nContent-Type: "
+                       b"application/json\r\nContent-Length: -1"
+                       b"\r\n\r\n{}",
+}
+
+
+@pytest.mark.parametrize("kind", ["blocking", "async"])
+class TestUnreachableOnBothClients:
+    @pytest.mark.parametrize("reply", list(MALFORMED_REPLIES.values()),
+                             ids=list(MALFORMED_REPLIES))
+    def test_malformed_reply_is_torn_and_never_pooled(self, kind,
+                                                       reply):
+        server = CannedServer(reply)
+        client, request, close = _open(kind, server.url, timeout=5.0)
+        try:
+            for _ in range(2):
+                with pytest.raises(ServiceUnreachable) as excinfo:
+                    request("GET", "/healthz")
+                assert excinfo.value.status == 503
+                assert excinfo.value.retry_after is None
+            # The server kept the first connection open; a second
+            # connect shows the client did not pool it.
+            assert client.connections_opened == 2
+        finally:
+            close()
+            server.close()
+
+    def test_refused_connect_opens_no_connection(self, kind):
+        client, request, close = _open(kind, "http://127.0.0.1:9",
+                                       timeout=5.0)
+        try:
+            with pytest.raises(ServiceUnreachable) as excinfo:
+                request("GET", "/healthz")
+            assert excinfo.value.retry_after is None
+            assert client.connections_opened == 0
+        finally:
+            close()
+
+    def test_silent_server_times_out(self, kind):
+        server = CannedServer(b"")
+        client, request, close = _open(kind, server.url, timeout=0.3)
+        try:
+            with pytest.raises(ServiceUnreachable) as excinfo:
+                request("GET", "/healthz")
+            assert "timeout" in str(excinfo.value)
+        finally:
+            close()
+            server.close()
+
+
+def test_non_http_replica_fails_over_to_its_sibling():
+    garbage = CannedServer(MALFORMED_REPLIES["status-line"])
+
+    async def scenario(live_url):
+        replicas = AsyncReplicaSet(0, [garbage.url, live_url])
+        try:
+            reply = await replicas.call(lambda client: client.request(
+                "POST", "/query", BODY, idempotent=True))
+            return reply, replicas
+        finally:
+            await replicas.aclose()
+
+    try:
+        with _service() as live:
+            reply, replicas = asyncio.run(scenario(live.url))
+            assert reply["count"] == 1
+            assert replicas.failovers == 1
+            assert replicas.active_url == live.url
+    finally:
+        garbage.close()
