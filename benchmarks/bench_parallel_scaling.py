@@ -187,8 +187,13 @@ def test_aggregate_qps_workers_4_vs_1(benchmark, dblp,
                                       dblp_snapshot):
     specs = batch_specs(dblp.params)
     cores = os.cpu_count() or 1
-    with ParallelQueryEngine(dblp_snapshot, workers=1) as single, \
-            ParallelQueryEngine(dblp_snapshot, workers=4) as pooled:
+    # Result caches off: a pool server's parent answers repeats from
+    # its own cache without a pool task, so a cached round would time
+    # the parent alone. Every round enumerates on the workers.
+    with ParallelQueryEngine(dblp_snapshot, workers=1,
+                             result_cache_bytes=0) as single, \
+            ParallelQueryEngine(dblp_snapshot, workers=4,
+                                result_cache_bytes=0) as pooled:
         # First pass warms each worker's projection cache (cold
         # Algorithm 6 runs would otherwise dominate round 1 only).
         timed_batch(single, specs)

@@ -51,6 +51,7 @@ async fan-out) should build against the engine directly.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from pathlib import Path
@@ -148,6 +149,7 @@ class QueryEngine:
         self._owned: Optional[frozenset] = None
         self._deltas_applied = 0
         self._applied_lsn = 0
+        self._logged = True
 
     # ------------------------------------------------------------------
     # snapshot lifecycle
@@ -258,6 +260,7 @@ class QueryEngine:
                        if snapshot.owned is not None else None)
         self._deltas_applied = 0
         self._applied_lsn = 0
+        self._logged = True
         self._snapshot_loaded_at = time.time()
 
     @property
@@ -307,6 +310,7 @@ class QueryEngine:
             self._base_snapshot_id = None
             self._deltas_applied = 0
             self._applied_lsn = 0
+            self._logged = True
         self.cache.invalidate()
         self.results.invalidate()
 
@@ -361,14 +365,20 @@ class QueryEngine:
                 "build_index(radius=...) first")
         new_dbg, new_index = apply_delta(self.index, delta,
                                          banks_reweight)
-        base = self._base_snapshot_id
-        applied = self._deltas_applied
-        self.dbg = new_dbg
-        self.index = new_index          # changes generation, evicts
-        self._base_snapshot_id = base
-        self._deltas_applied = applied + 1
-        if lsn is not None:
-            self._applied_lsn = lsn
+        with self._lock:
+            # One step under the lock, as a snapshot swap is: a
+            # concurrent capture sees the graph, the generation and
+            # the lineage (base, count, LSN) all before or all after.
+            self.dbg = new_dbg
+            self._index = new_index
+            self._epoch += 1
+            self._generation = f"g{self._epoch}"
+            self._snapshot_id = None
+            self._deltas_applied += 1
+            self._applied_lsn = lsn if lsn is not None else 0
+            self._logged = self._logged and lsn is not None
+        self.cache.invalidate()
+        self.results.invalidate()
         return new_dbg, new_index
 
     @property
@@ -393,6 +403,36 @@ class QueryEngine:
     def applied_lsn(self) -> int:
         """Highest WAL LSN applied (0 when none carried an LSN)."""
         return self._applied_lsn
+
+    @property
+    def state_id(self) -> Optional[str]:
+        """Content identity of the state being served, or ``None``.
+
+        :attr:`generation` is process-local after a delta (``g<epoch>``
+        tokens); the state id names the content, so two processes
+        report the same one only when they serve the same graph:
+
+        * a clean engine: its snapshot id;
+        * an engine made dirty by deltas that all carried WAL LSNs:
+          ``<base snapshot id>+<last LSN applied>``;
+        * any other engine (in-memory build, a delta with no LSN):
+          ``None``, which equals nothing.
+
+        A pool's parent installs a worker's answer in its result cache
+        only when both report the same state id.
+        """
+        return self._state()[1]
+
+    def _state(self) -> Tuple[str, Optional[str]]:
+        """``(generation, state_id)``, read together under the lock."""
+        with self._lock:
+            if not self._deltas_applied:
+                state = self._snapshot_id
+            elif self._logged and self._base_snapshot_id is not None:
+                state = f"{self._base_snapshot_id}+{self._applied_lsn}"
+            else:
+                state = None
+            return self._generation, state
 
     def _capture(self) -> Captured:
         """One consistent ``(graph, index, generation, owned)``
@@ -538,26 +578,18 @@ class QueryEngine:
             served = self.results.fetch(key, generation, spec.k, ctx)
             if served is not None:
                 return served
-        graph, node_lists, projection, origin = \
-            self._query_graph(spec, ctx, captured=captured)
         if cacheable and backend.streams:
             # Enumerate through a resumable stream so the cache keeps
             # the frontier: a later, larger k computes only the tail.
             # Byte-identical to the registry's run_top_k — which is
             # literally TopKStream(...).take(k).
-            with ctx.stage("enumerate"):
-                inner = TopKStream(graph, list(spec.keywords),
-                                   spec.rmax, node_lists=node_lists,
-                                   aggregate=spec.aggregate)
-            stream = inner
-            if projection is not None:
-                from repro.engine.stream import ProjectedTopKStream
-                stream = ProjectedTopKStream(inner, projection, origin,
-                                             context=None)
-            entry = ResultEntry(key, generation, stream=stream)
+            entry = ResultEntry(key, generation, stream=self._ranked(
+                spec, ctx, captured))
             results = self.results.materialize(entry, spec.k, ctx)
             self.results.install(entry)
             return results
+        graph, node_lists, projection, origin = \
+            self._query_graph(spec, ctx, captured=captured)
         with ctx.stage("enumerate"):
             results = backend.run_top_k(
                 graph, spec.keywords, spec.k, spec.rmax,
@@ -625,31 +657,20 @@ class QueryEngine:
                          use_projection=use_projection)
         captured = self._capture()
         _, _, generation, _ = captured
-        cacheable = self.results.enabled
+        if not self.results.enabled:
+            return self._ranked(spec, ctx, captured, attached=True)
         key = result_key(spec.keywords, spec.rmax, "pd",
                          spec.aggregate, "topk")
-        if cacheable:
-            entry = self.results.attach(key, generation, ctx)
-            if entry is not None:
-                return CachedStream(self.results, entry, context=ctx)
-        graph, node_lists, projection, origin = \
-            self._query_graph(spec, ctx, captured=captured)
-        with ctx.stage("enumerate"):
-            inner = TopKStream(graph, list(spec.keywords), rmax,
-                               node_lists=node_lists,
-                               aggregate=aggregate)
-        from repro.engine.stream import ProjectedTopKStream
-        if not cacheable:
-            if projection is None:
-                return inner
-            return ProjectedTopKStream(inner, projection, origin,
-                                       context=ctx)
-        stream = inner
-        if projection is not None:
-            stream = ProjectedTopKStream(inner, projection, origin,
-                                         context=None)
-        entry = ResultEntry(key, generation, stream=stream)
-        self.results.install(entry)
+        # An entry a pool worker's answer filled holds a prefix and no
+        # stream; past that prefix it rebuilds one on this state.
+        entry = self.results.attach(
+            key, generation, ctx,
+            resume=functools.partial(self._ranked, spec,
+                                     captured=captured))
+        if entry is None:
+            entry = ResultEntry(key, generation,
+                                stream=self._ranked(spec, ctx, captured))
+            self.results.install(entry)
         return CachedStream(self.results, entry, context=ctx)
 
     def warm(self, specs: Sequence[QuerySpec]) -> int:
@@ -671,6 +692,29 @@ class QueryEngine:
         return warmed
 
     # ------------------------------------------------------------------
+    def _ranked(self, spec: QuerySpec, ctx: QueryContext,
+                captured: Captured, attached: bool = False
+                ) -> Union[TopKStream, "ProjectedTopKStream"]:
+        """A fresh PDk stream for ``spec`` on the ``captured`` state,
+        translated to ``G_D`` ids when it runs on a projection.
+
+        Setup (projection, the first best core) is charged to ``ctx``.
+        An ``attached`` stream also charges every ``Next()`` there; a
+        stream a cache entry owns is lent each consumer's context by
+        the cache instead.
+        """
+        graph, node_lists, projection, origin = \
+            self._query_graph(spec, ctx, captured=captured)
+        with ctx.stage("enumerate"):
+            inner = TopKStream(graph, list(spec.keywords), spec.rmax,
+                               node_lists=node_lists,
+                               aggregate=spec.aggregate)
+        if projection is None:
+            return inner
+        from repro.engine.stream import ProjectedTopKStream
+        return ProjectedTopKStream(inner, projection, origin,
+                                   context=ctx if attached else None)
+
     def _result_cacheable(self, spec: QuerySpec) -> bool:
         """Whether this spec's answer may be cached and served.
 

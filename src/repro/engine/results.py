@@ -41,7 +41,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.core.community import Community
@@ -140,16 +140,20 @@ class ResultEntry:
 
     ``prefix`` holds the first ``len(prefix)`` communities of the
     ranked stream in order; ``stream`` is the retained resumable
-    stream positioned exactly past the prefix (``None`` once
-    exhausted or for answers that cannot be extended, e.g. a
-    materialized non-streaming backend); ``complete`` means the
-    prefix is the whole answer. All three mutate under ``lock`` —
-    entry locks nest *inside* nothing and may take the owning cache's
-    lock for byte accounting, never the reverse.
+    stream, positioned at or behind the end of the prefix (``None``
+    once exhausted or for answers that cannot be extended, e.g. a
+    materialized non-streaming backend or a pool worker's answer);
+    ``complete`` means the prefix is the whole answer. A stream falls
+    behind when another process's answer grows the prefix; it replays
+    the gap before it extends. ``resume``, when set, builds a fresh
+    stream on the entry's state for a prefix that has none. All of
+    these mutate under ``lock`` — entry locks nest *inside* nothing
+    and may take the owning cache's lock for byte accounting, never
+    the reverse.
     """
 
     __slots__ = ("key", "generation", "prefix", "stream", "complete",
-                 "nbytes", "lock")
+                 "resume", "nbytes", "lock")
 
     def __init__(self, key: str, generation: str,
                  stream=None,
@@ -161,9 +165,17 @@ class ResultEntry:
                                         if prefix is not None else [])
         self.stream = stream
         self.complete = complete
+        self.resume: Optional[Callable[[QueryContext], Any]] = None
         self.nbytes = ENTRY_OVERHEAD_BYTES + sum(
             community_nbytes(c) for c in self.prefix)
         self.lock = threading.Lock()
+
+    @property
+    def extendable(self) -> bool:
+        """Whether the prefix can grow here: it is not the whole
+        answer, and a stream is retained or can be rebuilt."""
+        return not self.complete and (self.stream is not None
+                                      or self.resume is not None)
 
 
 class ResultCache:
@@ -214,12 +226,34 @@ class ResultCache:
         if not self.enabled:
             return
         with self._lock:
-            old = self._entries.pop(entry.key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[entry.key] = entry
-            self._bytes += entry.nbytes
-            self._evict_locked()
+            self._put_locked(entry)
+
+    def offer(self, key: str, generation: str,
+              prefix: Sequence[Community], complete: bool) -> None:
+        """Install a ranked prefix computed in another process (a
+        pool worker's answer) without losing anything cached here.
+
+        With no live entry for ``key`` under ``generation`` the prefix
+        becomes one. A live entry only grows: a longer prefix extends
+        it and the entry keeps its stream, which replays the gap
+        before its next extension; a complete answer completes it.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.generation != generation:
+                self._put_locked(ResultEntry(
+                    key, generation, prefix=prefix, complete=complete))
+                return
+        with entry.lock:
+            have = len(entry.prefix)
+            if entry.complete or len(prefix) < have:
+                return
+            tail = list(prefix[have:])
+            entry.prefix.extend(tail)
+            entry.complete = complete
+            self._grow(entry, sum(community_nbytes(c) for c in tail))
 
     def discard(self, key: str) -> None:
         """Forget one entry (poisoned-lookup recovery path)."""
@@ -232,16 +266,17 @@ class ResultCache:
     # serving
     # ------------------------------------------------------------------
     def fetch(self, key: str, generation: str, k: Optional[int],
-              context: Optional[QueryContext] = None
-              ) -> Optional[List[Community]]:
+              context: Optional[QueryContext] = None,
+              extend: bool = True) -> Optional[List[Community]]:
         """A materialized answer from cache, or ``None`` to recompute.
 
-        ``k`` asks for a ranked prefix (sliced or frontier-extended as
-        needed); ``k=None`` asks for a complete COMM-all answer and
-        only serves entries marked ``complete``. Counts
-        ``result_cache_{hits,extensions,misses,errors}`` into both the
-        cache stats and the caller's context; any exception (the chaos
-        failpoint, a poisoned entry) is swallowed into a miss.
+        ``k`` asks for a ranked prefix (sliced, or frontier-extended
+        when ``extend`` allows); ``k=None`` asks for a complete
+        COMM-all answer and only serves entries marked ``complete``.
+        Counts ``result_cache_{hits,extensions,misses,errors}`` into
+        both the cache stats and the caller's context; any exception
+        (the chaos failpoint, a poisoned entry) is swallowed into a
+        miss.
         """
         ctx = ensure_context(context)
         if not self.enabled:
@@ -255,7 +290,7 @@ class ResultCache:
             self._count_miss(ctx)
             return None
         try:
-            served, extended = self._serve(entry, k, ctx)
+            served, extended = self._serve(entry, k, ctx, extend)
         except Exception:
             self.discard(key)
             self._count_error(ctx)
@@ -273,13 +308,16 @@ class ResultCache:
         return served
 
     def attach(self, key: str, generation: str,
-               context: Optional[QueryContext] = None
+               context: Optional[QueryContext] = None,
+               resume: Optional[Callable[[QueryContext], Any]] = None
                ) -> Optional[ResultEntry]:
         """The entry a new stream view should share, if one exists.
 
         The stream counterpart of :meth:`fetch`: a hit means the
         caller's :class:`CachedStream` serves the cached prefix before
-        any enumeration happens (the session-reuse path)."""
+        any enumeration happens (the session-reuse path). An entry
+        that holds an unfinished prefix with no stream keeps
+        ``resume`` to build one when a view walks past the prefix."""
         ctx = ensure_context(context)
         if not self.enabled:
             return None
@@ -291,6 +329,9 @@ class ResultCache:
         if entry is None:
             self._count_miss(ctx)
             return None
+        with entry.lock:
+            if entry.stream is None and not entry.complete:
+                entry.resume = entry.resume or resume
         with self._lock:
             self.stats.hits += 1
         ctx.count("result_cache_hits")
@@ -309,7 +350,7 @@ class ResultCache:
             return entry.prefix[:k]
 
     def _serve(self, entry: ResultEntry, k: Optional[int],
-               ctx: QueryContext
+               ctx: QueryContext, extend: bool
                ) -> Tuple[Optional[List[Community]], bool]:
         """Serve under the entry lock; ``(None, False)`` means the
         entry cannot satisfy the request (recompute)."""
@@ -325,7 +366,7 @@ class ResultCache:
                 served = entry.prefix[:k]
                 ctx.count("communities", len(served))
                 return served, False
-            if entry.stream is None:
+            if not (extend and entry.extendable):
                 return None, False
             self._extend_locked(entry, k, ctx)
             served = entry.prefix[:k]
@@ -343,7 +384,18 @@ class ResultCache:
         the *extender's* context — the consumer who needed the tail
         pays for it; later consumers get it from the prefix for free.
         """
+        if entry.stream is None:
+            entry.stream, entry.resume = entry.resume(ctx), None
         stream = entry.stream
+        behind = len(entry.prefix) - stream.emitted
+        if behind > 0:
+            # The prefix came from another process on the same state,
+            # so the stream's next ``behind`` answers are the prefix's
+            # own: replay them uncounted, before the context is lent.
+            start = time.perf_counter()
+            for _ in range(behind):
+                stream.next_community()
+            ctx.add_time("enumerate", time.perf_counter() - start)
         attached = hasattr(stream, "_context")
         if attached:
             previous = stream._context
@@ -374,13 +426,19 @@ class ResultCache:
         finally:
             if attached and entry.stream is not None:
                 stream._context = previous
-        if added_bytes:
-            entry.nbytes += added_bytes
-            with self._lock:
-                if self._entries.get(entry.key) is entry:
-                    self._bytes += added_bytes
-                    self._evict_locked()
+        self._grow(entry, added_bytes)
         return added
+
+    def _grow(self, entry: ResultEntry, added_bytes: int) -> None:
+        """Charge ``added_bytes`` more to ``entry`` (caller holds its
+        lock) and, while it is cached, to the budget."""
+        if not added_bytes:
+            return
+        entry.nbytes += added_bytes
+        with self._lock:
+            if self._entries.get(entry.key) is entry:
+                self._bytes += added_bytes
+                self._evict_locked()
 
     # ------------------------------------------------------------------
     # invalidation / accounting
@@ -394,6 +452,15 @@ class ResultCache:
             if dropped:
                 self.stats.invalidations += 1
             return dropped
+
+    def _put_locked(self, entry: ResultEntry) -> None:
+        """Insert or replace ``entry``; evict LRU past the budget."""
+        old = self._entries.pop(entry.key, None)
+        if old is not None:
+            self._bytes -= old.nbytes
+        self._entries[entry.key] = entry
+        self._bytes += entry.nbytes
+        self._evict_locked()
 
     def _evict_locked(self) -> None:
         while self._bytes > self.max_bytes and self._entries:
@@ -475,8 +542,7 @@ class CachedStream:
         target = self._cursor + k
         with entry.lock:
             have = len(entry.prefix)
-            if (target > have and not entry.complete
-                    and entry.stream is not None):
+            if target > have and entry.extendable:
                 added = self._cache._extend_locked(entry, target, ctx)
                 if added:
                     with self._cache._lock:

@@ -10,19 +10,31 @@ throughput.
 
 Division of labor:
 
-* **workers** run ``execute``, ``run_all``, ``top_k`` and
-  ``execute_batch`` — the CPU-bound, stateless bulk of the traffic.
-  Results come back as the same :class:`~repro.core.community.
-  Community` dataclasses an in-process engine returns, and the
-  worker's stage timings/counters are merged into the caller's
-  :class:`~repro.engine.context.QueryContext`, so ``/metrics``
-  aggregation is unchanged;
+* **the parent's result cache** answers first: ``execute``,
+  ``run_all``, ``top_k`` and ``execute_batch`` look each spec up in
+  the parent's own :class:`~repro.engine.results.ResultCache`, and
+  whatever it serves without enumeration — an exact repeat, a
+  smaller-k slice of a cached ranked prefix, a complete COMM-all
+  entry — is answered with no pool task;
+* **workers** run the rest (misses and k-extensions) — the
+  CPU-bound, stateless bulk of the traffic. Results come back as the
+  same :class:`~repro.core.community.Community` dataclasses an
+  in-process engine returns, and the worker's stage timings/counters
+  are merged into the caller's :class:`~repro.engine.context.
+  QueryContext`, so ``/metrics`` aggregation is unchanged. A worker's
+  answer is installed in the parent's cache only when the worker
+  computed it on the state the parent serves: the state id the worker
+  reports when it starts the task (see :attr:`~repro.engine.engine.
+  QueryEngine.state_id`) must equal the parent's when the answer
+  arrives;
 * **the parent** is itself the engine, so everything stateful or
   cheap is inherited and stays in-process: PDk session streams
   (``top_k_stream`` — leases hold generators, which cannot cross a
-  process boundary), lazy ``iter_all`` streams, projections requested
-  directly, label lookups (``dbg``), and the generation/snapshot
-  identity the session manager stale-checks against;
+  process boundary; they attach to the same cache entries, and past
+  a worker's prefix they rebuild a stream on the parent's state),
+  lazy ``iter_all`` streams, projections requested directly, label
+  lookups (``dbg``), and the generation/snapshot identity the
+  session manager stale-checks against;
 * ``warm``, ``apply_delta`` and ``swap_snapshot`` do the parent's
   half through the inherited method, then broadcast the same
   operation to every worker.
@@ -44,6 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.core.community import Community
 from repro.engine.context import QueryContext, ensure_context
 from repro.engine.engine import QueryEngine
+from repro.engine.results import result_key
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError, SnapshotError, WorkerError
 from repro.parallel.pool import (
@@ -59,6 +72,12 @@ from repro.wal.records import delta_to_wire
 
 #: Default number of worker processes.
 DEFAULT_POOL_WORKERS = 2
+
+
+def _key(spec: QuerySpec) -> str:
+    """The result-cache key a worker's engine files ``spec`` under."""
+    return result_key(spec.keywords, spec.rmax, spec.algorithm,
+                      spec.aggregate, spec.mode)
 
 
 class ParallelQueryEngine(QueryEngine):
@@ -125,13 +144,14 @@ class ParallelQueryEngine(QueryEngine):
     def execute(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
-        """Run one spec on a pool worker; merge its stats locally."""
+        """Answer one spec from the parent's cache or on a pool
+        worker; a worker's stats merge into ``context``."""
         return self.execute_batch([spec], [ensure_context(context)])[0]
 
     def run_all(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
-        """Materialized COMM-all on a worker."""
+        """Materialized COMM-all, from the parent's cache or a worker."""
         if spec.mode != "all":
             raise QueryError(
                 f"run_all needs an 'all' spec, got {spec.mode!r}")
@@ -140,7 +160,7 @@ class ParallelQueryEngine(QueryEngine):
     def top_k(self, spec: QuerySpec,
               context: Optional[QueryContext] = None
               ) -> List[Community]:
-        """COMM-k on a worker."""
+        """COMM-k, from the parent's cache or a worker."""
         if spec.mode != "topk":
             raise QueryError(
                 f"top_k needs a 'topk' spec, got {spec.mode!r}")
@@ -149,22 +169,62 @@ class ParallelQueryEngine(QueryEngine):
     def execute_batch(self, specs: Sequence[QuerySpec],
                       contexts: Optional[Sequence[QueryContext]] = None
                       ) -> List[List[Community]]:
-        """Fan a list of specs across the pool; results in order.
+        """Answer specs from the parent's cache, the rest across the
+        pool; results in order.
 
-        All specs are queued before any result is awaited, so the
+        Every miss is queued before any result is awaited, so the
         batch runs on as many workers (cores) as the pool has. With
-        ``contexts`` given (one per spec), each query's worker-side
-        stats merge into its own context.
+        ``contexts`` given (one per spec), each query's stats — the
+        parent's hit, or the worker's stages and counters — go to its
+        own context.
         """
-        futures = [self.pool.submit("query", spec) for spec in specs]
         if contexts is None:
             contexts = [QueryContext() for _ in specs]
-        results: List[List[Community]] = []
-        for future, context in zip(futures, contexts):
+        results: List[Optional[List[Community]]] = [
+            self._cached(spec, context)
+            for spec, context in zip(specs, contexts)]
+        futures = {index: self.pool.submit("query", spec)
+                   for index, spec in enumerate(specs)
+                   if results[index] is None}
+        for index, future in futures.items():
             communities, timings, counters = future.result()
-            context.merge(QueryContext(timings, counters))
-            results.append(list(communities))
+            contexts[index].merge(QueryContext(timings, counters))
+            results[index] = list(communities)
+            self._install(specs[index], results[index], future.state)
         return results
+
+    def _cached(self, spec: QuerySpec, context: QueryContext
+                ) -> Optional[List[Community]]:
+        """The parent's answer to ``spec`` without enumeration, or
+        ``None`` to ask a worker.
+
+        Only a hit or a failed lookup is counted into ``context``; on
+        a miss the worker's own cache counters describe the request,
+        so each query still counts one lookup.
+        """
+        if not self._result_cacheable(spec):
+            return None
+        probe = QueryContext()
+        served = self.results.fetch(
+            _key(spec), self.generation,
+            spec.k if spec.mode == "topk" else None, probe,
+            extend=False)
+        if served is not None or probe.counter("result_cache_errors"):
+            context.merge(probe)
+        return served
+
+    def _install(self, spec: QuerySpec, communities: List[Community],
+                 state: Optional[str]) -> None:
+        """Offer a worker's answer, computed on ``state``, to the
+        parent's cache — only when the parent serves that state now."""
+        if state is None or not self._result_cacheable(spec):
+            return
+        generation, current = self._state()
+        if state != current:
+            return
+        self.results.offer(
+            _key(spec), generation, communities,
+            complete=spec.mode != "topk" or len(communities) < spec.k)
 
     # ------------------------------------------------------------------
     # the parent's half, then every worker's

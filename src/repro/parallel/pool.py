@@ -111,6 +111,18 @@ class _WorkerHandle:
         self.proved = False
 
 
+class TaskFuture(Future):
+    """The future of one pool task.
+
+    ``state`` is the state id the worker reported when it started the
+    task (:attr:`~repro.engine.engine.QueryEngine.state_id`), so the
+    caller knows which state an answer was computed on; ``None``
+    until then, and for a worker whose state has no id.
+    """
+
+    state: Optional[str] = None
+
+
 class WorkerPool:
     """N processes serving the snapshot at ``snapshot_path``."""
 
@@ -302,7 +314,7 @@ class WorkerPool:
                 for wid, handle in self._handles.items()}
 
     def submit(self, op: str, payload: Any,
-               worker_id: Optional[int] = None) -> Future:
+               worker_id: Optional[int] = None) -> TaskFuture:
         """Queue one task; returns the future for its result.
 
         Without ``worker_id`` the task round-robins across live
@@ -321,7 +333,7 @@ class WorkerPool:
             worker_id = self._pick_worker()
         handle = self._handles[worker_id]
         request_id = uuid.uuid4().hex
-        future: Future = Future()
+        future = TaskFuture()
         with self._lock:
             self._pending[request_id] = (future, worker_id)
             if self.lease_seconds is not None:
@@ -407,7 +419,7 @@ class WorkerPool:
                     return
                 request_id, worker_id, status, payload = item
                 if status == "started":
-                    self._mark_started(request_id, worker_id)
+                    self._mark_started(request_id, worker_id, payload)
                     continue
                 with self._lock:
                     entry = self._pending.pop(request_id, None)
@@ -439,8 +451,10 @@ class WorkerPool:
                       file=sys.stderr)
                 time.sleep(0.05)      # never spin on a broken queue
 
-    def _mark_started(self, request_id: str, worker_id: int) -> None:
-        """A worker began executing ``request_id``: start its lease.
+    def _mark_started(self, request_id: str, worker_id: int,
+                      state: Optional[str]) -> None:
+        """A worker began executing ``request_id`` on ``state``: start
+        its lease and record the state on its future.
 
         Stale markers — from a killed incarnation, or for a request
         already failed by the monitor — no longer map to a pending
@@ -450,6 +464,7 @@ class WorkerPool:
             entry = self._pending.get(request_id)
             if entry is None or entry[1] != worker_id:
                 return
+            entry[0].state = state
             handle = self._handles.get(worker_id)
             if handle is not None:
                 handle.proved = True

@@ -17,10 +17,12 @@ Task protocol (all tuples, all picklable):
   the warmed count returns, never the communities) / ``delta`` (an
   ``(lsn, wire_delta, banks_reweight)`` triple applied through the
   worker engine's idempotent-per-LSN ``apply_delta``);
-* out: ``(request_id, worker_id, "started", None)`` the moment the
-  task is picked off the queue — the pool's watchdog starts the
+* out: ``(request_id, worker_id, "started", state_id)`` the moment
+  the task is picked off the queue — the pool's watchdog starts the
   request lease here, so queue wait behind earlier tasks never
-  counts against it — then ``(request_id, worker_id, "ok", result)``,
+  counts against it, and ``state_id`` (the engine's
+  :attr:`~repro.engine.engine.QueryEngine.state_id`) names the state
+  the task runs on — then ``(request_id, worker_id, "ok", result)``,
   ``(request_id, worker_id, "query_error", message)`` for a
   :class:`~repro.exceptions.QueryError` (a bad query, not a broken
   worker — the parent re-raises it as ``QueryError`` so the service
@@ -152,7 +154,8 @@ def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
         if task is None:
             break
         request_id, op, payload = task
-        result_queue.put((request_id, worker_id, "started", None))
+        result_queue.put((request_id, worker_id, "started",
+                          engine.state_id))
         try:
             if op == "query":
                 faults.hit("worker.exec")

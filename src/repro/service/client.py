@@ -56,10 +56,13 @@ request. A server may close an idle kept-alive connection at any
 time — the classic keep-alive race — so an exchange that dies on a
 *reused* connection before any response bytes arrive is replayed once
 on a fresh connection, regardless of idempotency: the server
-provably never started processing it. Failures on a *fresh*
-connection keep their usual ambiguous :class:`ServiceUnreachable`
-semantics. :attr:`ServiceClient.connections_opened` counts physical
-connects that succeeded (observability for the reuse property).
+provably never started processing it. Once a response byte has
+arrived the server has begun to answer, so a reset after it tears
+the exchange like any other. Failures on a *fresh* connection, or
+after the first response byte, keep their usual ambiguous
+:class:`ServiceUnreachable` semantics.
+:attr:`ServiceClient.connections_opened` counts physical connects
+that succeeded (observability for the reuse property).
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from repro.service.wire import (
     STALE_ERRORS,
     TORN_ERRORS,
     ClientCore,
+    StaleConnection,
 )
 
 __all__ = [
@@ -199,7 +203,7 @@ class ServiceClient(ClientCore):
                 response = self._roundtrip(conn, request)
             except TORN_ERRORS as error:
                 conn.close()
-                if not (reused and isinstance(error, STALE_ERRORS)):
+                if not (reused and isinstance(error, StaleConnection)):
                     raise self._unreachable(error) from None
                 conn, reused = self._connect(), False
                 continue
@@ -230,8 +234,11 @@ class ServiceClient(ClientCore):
         The body is always fully read so the connection is clean for
         the next exchange.
         """
-        conn.sock.sendall(request)
-        head = b""
+        try:
+            conn.sock.sendall(request)
+            head = conn.rfile.read(1)
+        except STALE_ERRORS as error:
+            raise StaleConnection(str(error)) from None
         while not head.endswith(HEAD_END):
             line = conn.rfile.readline(MAX_HEAD_BYTES)
             head += line

@@ -24,6 +24,7 @@ __all__ = [
     "BadRequest",
     "Conflict",
     "DeadlineExceeded",
+    "HeadTooLarge",
     "NotFound",
     "Overloaded",
     "RETRYABLE_STATUSES",
@@ -58,6 +59,13 @@ class Conflict(ServiceError):
     """
 
     status = 409
+
+
+class HeadTooLarge(ServiceError):
+    """The request head is longer than the front end reads (HTTP
+    431); the connection closes, since its framing is lost."""
+
+    status = 431
 
 
 class SessionGone(ServiceError):
@@ -117,8 +125,8 @@ RETRYABLE_STATUSES = frozenset({429, 503})
 #: Status-code -> error class, for client-side re-raising.
 _BY_STATUS = {
     cls.status: cls
-    for cls in (BadRequest, NotFound, Conflict, SessionGone,
-                Overloaded, DeadlineExceeded)
+    for cls in (BadRequest, NotFound, Conflict, HeadTooLarge,
+                SessionGone, Overloaded, DeadlineExceeded)
 }
 
 

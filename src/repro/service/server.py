@@ -109,7 +109,7 @@ from repro.service.sessions import (
     SessionLease,
     SessionManager,
 )
-from repro.service.wire import content_length
+from repro.service.wire import REASONS, content_length
 
 #: Content type for the Prometheus exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -301,6 +301,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the default stderr access log (metrics cover it)."""
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """http.server's own rejections (an overlong request head is
+        431) in the typed JSON shape of every other error; the
+        connection closes."""
+        text = message or REASONS.get(code, "")
+        if explain:
+            text = f"{text}: {explain}"
+        self._respond(code, json.dumps({"error": text, "status": code}),
+                      JSON_CONTENT_TYPE, close=True)
 
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:

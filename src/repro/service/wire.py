@@ -14,7 +14,9 @@ format once:
   :class:`~repro.exceptions.ServiceError` mapping with ``Retry-After``,
   the retry and idempotency decision with its backoff, the idle
   connection pool, and which transport failures are *stale* (replay
-  once) or *torn* (:class:`ServiceUnreachable`).
+  once) or *torn* (:class:`ServiceUnreachable`). A failure is stale
+  only on a reused connection and only before the first response
+  byte; each transport raises :class:`StaleConnection` for it.
 
 Two thin transports subclass the core and keep only their connect,
 one physical round trip and the sleep between retries:
@@ -69,7 +71,11 @@ REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 class StaleConnection(ConnectionError):
-    """The server closed a kept-alive connection before answering."""
+    """The connection failed before any byte of the response arrived.
+
+    On a reused kept-alive connection that is the server closing it
+    while idle, so the request is replayed once on a new connection.
+    """
 
 
 class MalformedResponse(Exception):
@@ -81,10 +87,15 @@ class MalformedResponse(Exception):
 #: and timeouts, ``EOFError`` a response cut short.
 TORN_ERRORS = (OSError, EOFError, MalformedResponse)
 
-#: Failures that, on a *reused* kept-alive connection, show the server
-#: closed it while idle — the classic keep-alive race. The request is
-#: replayed once on a fresh connection, whatever its idempotency.
-STALE_ERRORS = (StaleConnection, ConnectionResetError, BrokenPipeError,
+#: Failures that, while a request is sent and before the first byte
+#: of its response arrives, show the server closed the connection —
+#: on a *reused* kept-alive connection, the classic keep-alive race.
+#: A transport raises them as :class:`StaleConnection`, and the
+#: request is replayed once on a fresh connection, whatever its
+#: idempotency. After the first response byte the server had begun
+#: to answer, so the same errors tear the exchange: it is replayed
+#: only under the retry policy, and only when idempotent.
+STALE_ERRORS = (ConnectionResetError, BrokenPipeError,
                 ConnectionAbortedError)
 
 

@@ -69,7 +69,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, \
 from repro import faults
 from repro.exceptions import QueryError, ServiceError, WorkerError
 from repro.service.client import ServiceClient
-from repro.service.errors import BadRequest, NotFound
+from repro.service.errors import HeadTooLarge, NotFound
 from repro.service.server import (
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
@@ -84,6 +84,7 @@ from repro.service.wire import (
     TORN_ERRORS,
     ClientCore,
     MalformedResponse,
+    StaleConnection,
     content_length,
     frame,
     parse_head,
@@ -184,7 +185,7 @@ class AsyncShardClient(ClientCore):
                     self._roundtrip(stream, request))
             except TORN_ERRORS as error:
                 stream.close()
-                if not (reused and isinstance(error, STALE_ERRORS)):
+                if not (reused and isinstance(error, StaleConnection)):
                     raise self._unreachable(error) from None
                 stream, reused = await self._connect(), False
                 continue
@@ -222,12 +223,16 @@ class AsyncShardClient(ClientCore):
         The body is always fully read so the stream is clean for the
         next exchange.
         """
-        stream.writer.write(request)
-        await stream.writer.drain()
         try:
-            head = await stream.reader.readuntil(HEAD_END)
+            stream.writer.write(request)
+            await stream.writer.drain()
+            head = await stream.reader.read(1)
+        except STALE_ERRORS as error:
+            raise StaleConnection(str(error)) from None
+        try:
+            head += await stream.reader.readuntil(HEAD_END)
         except asyncio.IncompleteReadError as error:
-            head = error.partial       # cut short: the parse rejects it
+            head += error.partial      # cut short: the parse rejects it
         except asyncio.LimitOverrunError:
             raise MalformedResponse("overlong response head") from None
         status, headers, length = self._response_head(head)
@@ -423,7 +428,7 @@ class AsyncRouterService:
         try:
             server = await asyncio.start_server(
                 self._serve_connection, self._host_arg,
-                self._port_arg)
+                self._port_arg, limit=MAX_HEAD_BYTES)
         except OSError as error:
             self._startup_error = ServiceError(
                 f"cannot bind async router on "
@@ -485,9 +490,9 @@ class AsyncRouterService:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except BadRequest as error:
-                    await self._respond(writer, 400, json.dumps(
-                        {"error": str(error), "status": 400}),
+                except ServiceError as error:
+                    await self._respond(writer, error.status, json.dumps(
+                        {"error": str(error), "status": error.status}),
                         JSON_CONTENT_TYPE, close=True)
                     break
                 if request is None:
@@ -536,11 +541,15 @@ class AsyncRouterService:
         """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
         Raises :class:`BadRequest`, with the body unread, when its
-        ``Content-Length`` is malformed."""
+        ``Content-Length`` is malformed, and :class:`HeadTooLarge` when
+        its head outgrows the stream's limit."""
         try:
             head = await reader.readuntil(HEAD_END)
         except asyncio.IncompleteReadError:
             return None
+        except asyncio.LimitOverrunError:
+            raise HeadTooLarge(
+                f"request head exceeds {MAX_HEAD_BYTES} bytes") from None
         fields, headers = parse_head(head)
         if len(fields) != 3:
             raise ConnectionResetError("malformed request line")

@@ -7,14 +7,30 @@ funnels through. With it armed, the engine must keep returning
 **correct** answers (recomputed, never stale or truncated), the
 service must keep answering 200, and the failures must be visible as
 ``result_cache_errors`` — latency is the only acceptable casualty.
+
+On a pool server the parent's cache answers first: a poisoned parent
+lookup falls back to a worker, and a worker held on the old snapshot
+while the parent swaps never installs its answer there.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import faults
-from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX
+from repro.datasets.paper_example import (
+    FIG4_QUERY,
+    FIG4_RMAX,
+    figure4_graph,
+)
 from repro.engine import QueryContext, QueryEngine, QuerySpec
+from repro.parallel import ParallelQueryEngine
 from repro.service import CommunityService, ServiceClient
+from repro.snapshot import SnapshotStore
+from repro.text.inverted_index import CommunityIndex
+from repro.text.maintenance import GraphDelta, apply_delta
+
+from chaos_helpers import wait_until
 
 FIG4_TOTAL = 5
 
@@ -84,3 +100,58 @@ class TestPoisonedLookup:
             faults.clear()
             metrics = client.metrics()
             assert "repro_result_cache_errors_total 1" in metrics
+
+
+def _worker_lookups(engine):
+    """Result-cache lookups summed over the workers: they move exactly
+    when a worker runs a query."""
+    return sum(row["result_cache_hits"] + row["result_cache_misses"]
+               for row in engine.worker_stats())
+
+
+def _reference(store):
+    return QueryEngine.from_snapshot(SnapshotStore(store).resolve(),
+                                     result_cache_bytes=0)
+
+
+class TestPooledParentCache:
+    def test_poisoned_parent_lookup_falls_back_to_a_worker(
+            self, fig4_store):
+        spec = _spec()
+        expected = _fingerprint(_reference(fig4_store).top_k(spec))
+        with ParallelQueryEngine(fig4_store, workers=2) as engine:
+            engine.execute(spec)               # the parent caches it
+            lookups = _worker_lookups(engine)
+            # Armed after the workers forked: only the parent raises.
+            faults.activate("results.cache.lookup", "always:raise")
+            context = QueryContext()
+            got = engine.execute(spec, context)
+            faults.clear()
+            assert _fingerprint(got) == expected
+            assert context.counter("result_cache_errors") == 1
+            assert engine.results.stats.errors == 1
+            assert _worker_lookups(engine) == lookups + 1
+
+    def test_held_answer_from_the_old_snapshot_is_not_installed(
+            self, fig4_store, monkeypatch):
+        spec = QuerySpec.comm_k(list(FIG4_QUERY), 50, FIG4_RMAX)
+        old = _reference(fig4_store).top_k(spec)
+        monkeypatch.setenv("REPRO_FAILPOINTS",
+                           "worker.exec=once:sleep(1.0)")
+        with ParallelQueryEngine(fig4_store, workers=2) as engine, \
+                ThreadPoolExecutor(1) as caller:
+            held = caller.submit(engine.execute, spec)
+            # A worker started the query on the old snapshot and is
+            # held there while the parent swaps to a new one.
+            assert wait_until(lambda: engine.pool._leases)
+            dbg, index = apply_delta(
+                CommunityIndex.build(figure4_graph(), FIG4_RMAX),
+                GraphDelta(new_edges=[(0, 3, 0.25)]))
+            SnapshotStore(fig4_store).publish(
+                dbg, index, provenance={"dataset": "fig4+delta"})
+            engine.load_snapshot(SnapshotStore(fig4_store).resolve())
+            assert held.result() == old
+            assert len(engine.results) == 0
+            new = _reference(fig4_store).top_k(spec)
+            assert new != old
+            assert engine.execute(spec) == new

@@ -54,6 +54,7 @@ from wire_helpers import (
     TCP_QUICKACK,
     delayed_ack_round_trips,
     malformed_length_reply,
+    raw_reply,
 )
 
 
@@ -248,6 +249,17 @@ def test_malformed_content_length_is_a_typed_400(fig4_fleet, value):
     assert status.startswith("HTTP/1.1 400 ")
     assert "Connection: close" in headers
     assert json.loads(body)["status"] == 400
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_overlong_request_head_is_a_typed_431(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    status, headers, body = raw_reply(
+        server.port, b"X-Filler: " + b"a" * 70_000)
+    assert status.startswith("HTTP/1.1 431 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 431
 
 
 #: Query fields both front ends refuse with a 400 before any engine

@@ -13,7 +13,8 @@ A reply that is not HTTP as the service sends it (a garbage status
 line, an unreadable ``Content-Length``), a refused connect and a
 silent server are each a :class:`ServiceUnreachable` on both
 clients, and the connection is never pooled; a replica set fails
-such a replica over to its sibling.
+such a replica over to its sibling. A connection reset after the
+first response byte is torn, not stale: a ``POST`` is not replayed.
 
 The service answers on such a connection without waiting for the
 client's delayed ACK, and a request whose body framing is unreadable
@@ -23,7 +24,9 @@ client's delayed ACK, and a request whose body framing is unreadable
 import asyncio
 import json
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -57,6 +60,26 @@ def _service(port=0):
 BODY = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX, "k": 1}
 
 
+def _read_request(conn):
+    """Read one request, head and ``Content-Length`` body, off
+    ``conn``; ``False`` when the client hung up before a whole head."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return False
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value.strip())
+    while len(rest) < length:
+        rest += conn.recv(65536)
+    return True
+
+
 class RudeServer:
     """An HTTP server that advertises keep-alive but hangs up anyway.
 
@@ -82,22 +105,8 @@ class RudeServer:
             except OSError:
                 return               # listener closed: shut down
             with conn:
-                data = b""
-                while b"\r\n\r\n" not in data:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    data += chunk
-                if b"\r\n\r\n" not in data:
+                if not _read_request(conn):
                     continue
-                head, _, rest = data.partition(b"\r\n\r\n")
-                length = 0
-                for line in head.split(b"\r\n")[1:]:
-                    name, _, value = line.partition(b":")
-                    if name.strip().lower() == b"content-length":
-                        length = int(value.strip())
-                while len(rest) < length:
-                    rest += conn.recv(65536)
                 # Count before answering: once the client holds the
                 # reply, the count it reads must already include it.
                 self.served += 1
@@ -119,6 +128,45 @@ class RudeServer:
             pass
         self._listener.close()
         self._thread.join(timeout=5.0)
+
+
+class TornReplyServer(RudeServer):
+    """A keep-alive server that tears its second reply on a connection.
+
+    The first request on a connection gets a whole 200 and the
+    connection stays open. The second gets a 200 head announcing
+    ``Content-Length: 100`` and 3 body bytes, then a reset
+    (``SO_LINGER`` 0): the connection fails after response bytes
+    arrived. ``served`` counts the requests it executed.
+    """
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return               # listener closed: shut down
+            with conn:
+                for exchange in range(2):
+                    if not _read_request(conn):
+                        break
+                    self.served += 1
+                    if exchange == 0:
+                        body = json.dumps({"lsn": self.served}).encode()
+                        conn.sendall(
+                            b"HTTP/1.1 200 OK\r\n"
+                            b"Content-Type: application/json\r\n"
+                            b"Connection: keep-alive\r\n"
+                            b"Content-Length: %d\r\n\r\n%s"
+                            % (len(body), body))
+                        continue
+                    conn.sendall(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Type: application/json\r\n"
+                                 b"Content-Length: 100\r\n\r\n{\"l")
+                    # Let the bytes reach the client before the reset.
+                    time.sleep(0.2)
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
 
 
 class TestServiceClientKeepAlive:
@@ -341,6 +389,24 @@ class TestUnreachableOnBothClients:
             assert client.connections_opened == 0
         finally:
             close()
+
+    def test_reset_after_response_bytes_never_replays_a_post(self,
+                                                             kind):
+        server = TornReplyServer()
+        client, request, close = _open(kind, server.url, timeout=5.0)
+        delta = {"nodes": [], "edges": []}
+        try:
+            assert request("POST", "/admin/delta", delta)["lsn"] == 1
+            # The reply to the second delta tears after 3 body bytes
+            # on the reused connection: the server had executed it,
+            # so it is torn, not stale, and a POST is not replayed.
+            with pytest.raises(ServiceUnreachable):
+                request("POST", "/admin/delta", delta)
+            assert server.served == 2
+            assert client.connections_opened == 1
+        finally:
+            close()
+            server.close()
 
     def test_silent_server_times_out(self, kind):
         server = CannedServer(b"")

@@ -42,12 +42,28 @@ def malformed_length_reply(port, value):
     """Send a ``POST /query`` head whose ``Content-Length`` is
     ``value`` and read the reply until the server hangs up (2 s at
     most). Returns (status line, header lines, body bytes)."""
+    return raw_reply(port, b"Content-Length: " + value)
+
+
+def raw_reply(port, header):
+    """Send a ``POST /query`` head carrying the raw ``header`` line
+    and read the reply until the server hangs up (2 s at most).
+    Returns (status line, header lines, body bytes). A server that
+    closes with part of the request unread resets the connection;
+    the reply read before the reset is kept."""
+    chunks = []
     with socket.create_connection(("127.0.0.1", port),
                                   timeout=2.0) as sock:
         sock.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
-                     b"Content-Length: " + value + b"\r\n\r\n")
-        with sock.makefile("rb") as stream:
-            reply = stream.read()
-    head, _, body = reply.partition(b"\r\n\r\n")
+                     + header + b"\r\n\r\n")
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
     status, *headers = head.decode("latin-1").split("\r\n")
     return status, headers, body

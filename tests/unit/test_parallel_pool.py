@@ -16,6 +16,12 @@ acceptance properties covered:
   shared operation stays in the parent: ``warm`` fills the parent's
   own result cache (sessions attach to it) as well as every
   worker's;
+* the parent's result cache answers repeats and smaller-k slices
+  with no pool task, installs a worker's answer only when the worker
+  computed it on the parent's state (a WAL-logged delta state
+  included, never an unlogged one), and a session opened on a
+  worker's prefix pages past it exactly, each community computed
+  once;
 * ``POST /batch`` preserves request order and validates its body;
 * ``/metrics`` exposes one ``repro_worker_info`` row per worker and
   ``POST /admin/reload`` moves every row to the new snapshot id;
@@ -39,12 +45,16 @@ from repro.datasets.paper_example import (
 from repro.engine import QueryEngine, QuerySpec
 from repro.engine.cache import ProjectionCache
 from repro.engine.context import QueryContext
+from repro.engine.results import result_key
 from repro.exceptions import QueryError, WorkerCrashedError, WorkerError
+from repro.graph.generators import random_database_graph
 from repro.parallel import ParallelQueryEngine, WorkerPool
 from repro.service import CommunityService
 from repro.service.serialize import dumps
 from repro.snapshot import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
+from repro.text.maintenance import GraphDelta
+from repro.wal import WriteAheadLog
 
 #: Longest we poll for an asynchronous pool event (respawn).
 POLL_SECONDS = 15.0
@@ -174,7 +184,9 @@ class TestParallelEngineAnswers:
 
     def test_worker_stats_merge_into_context(self, parallel_engine):
         context = QueryContext()
-        spec = QuerySpec.comm_all(list(FIG4_QUERY), FIG4_RMAX)
+        # A spec no earlier test asks: the parent's cache answers a
+        # repeat itself, and only a worker's answer carries stages.
+        spec = QuerySpec.comm_all(list(FIG4_QUERY[:2]), FIG4_RMAX)
         parallel_engine.execute(spec, context)
         assert context.timings            # worker stages merged in
         assert context.counters["communities"] > 0
@@ -224,6 +236,123 @@ class TestParentHalf:
             assert "enumerate" not in context.timings
             assert all(row["result_cache_entries"] >= 1
                        for row in engine.worker_stats())
+
+
+def worker_cache_traffic(engine):
+    """Summed ``(result_cache_hits, result_cache_misses)`` of every
+    worker: the counters move exactly when a worker runs a query."""
+    rows = engine.worker_stats()
+    return (sum(row["result_cache_hits"] for row in rows),
+            sum(row["result_cache_misses"] for row in rows))
+
+
+def assert_ranked(got, reference, keywords, rmax):
+    """``got`` is a correct top-``len(got)`` answer under the
+    k-boundary tie rule of DESIGN.md §10: the reference's costs rank
+    by rank, its cores below the last cost, and at the last cost any
+    subset of the communities tied there."""
+    want = reference.top_k(QuerySpec.comm_k(keywords, len(got), rmax))
+    got_keys = [(round(c.cost, 9), c.core) for c in got]
+    want_keys = [(round(c.cost, 9), c.core) for c in want]
+    assert [cost for cost, _ in got_keys] \
+        == [cost for cost, _ in want_keys]
+    assert len(set(got_keys)) == len(got_keys)
+    boundary = want_keys[-1][0]
+    assert {key for key in got_keys if key[0] < boundary} \
+        == {key for key in want_keys if key[0] < boundary}
+    tied = {c.core for c in reference.run_all(
+                QuerySpec.comm_all(keywords, rmax))
+            if round(c.cost, 9) == boundary}
+    assert {core for cost, core in got_keys if cost == boundary} <= tied
+
+
+class TestParentResultCache:
+    def test_repeat_and_smaller_k_need_no_pool_task(self,
+                                                    parallel_engine,
+                                                    local_engine):
+        keywords = list(FIG4_QUERY[1:])
+        first = parallel_engine.top_k(
+            QuerySpec.comm_k(keywords, 3, FIG4_RMAX))
+        traffic = worker_cache_traffic(parallel_engine)
+        hits = parallel_engine.results.stats.hits
+        for k in (3, 2, 1):
+            spec = QuerySpec.comm_k(keywords, k, FIG4_RMAX)
+            context = QueryContext()
+            answer = parallel_engine.execute(spec, context)
+            assert answer == local_engine.top_k(spec)
+            assert context.counter("result_cache_hits") == 1
+            assert "result_cache_misses" not in context.counters
+        assert answer == first[:1]
+        assert worker_cache_traffic(parallel_engine) == traffic
+        assert parallel_engine.results.stats.hits == hits + 3
+
+    def test_session_pages_past_a_worker_prefix(self, tmp_path):
+        keywords, rmax = ["x", "y"], 6.0
+        dbg = random_database_graph(24, 0.12, keywords,
+                                    keyword_prob=0.3, seed=0,
+                                    bidirected=True)
+        index = CommunityIndex.build(dbg, rmax)
+        SnapshotStore(tmp_path).publish(dbg, index,
+                                        provenance={"dataset": "gnp"})
+        reference = QueryEngine(dbg, index, result_cache_bytes=0)
+        key = result_key(tuple(keywords), rmax, "pd", "sum", "topk")
+        with ParallelQueryEngine(tmp_path, workers=2) as engine:
+            engine.top_k(QuerySpec.comm_k(keywords, 5, rmax))
+            entry = engine.results.lookup(key, engine.generation)
+            assert len(entry.prefix) == 5 and entry.stream is None
+            context = QueryContext()
+            stream = engine.top_k_stream(keywords, rmax,
+                                         context=context)
+            pages = [stream.take(5) for _ in range(3)]
+            assert [len(page) for page in pages] == [5, 5, 5]
+            assert_ranked(pages[0] + pages[1] + pages[2], reference,
+                          keywords, rmax)
+            # One stream, rebuilt once past the worker's prefix and
+            # never again: it produced 15, and the session was
+            # charged each community once.
+            assert entry.stream.emitted == 15
+            assert context.counter("communities") == 15
+            assert context.counter("result_cache_extensions") == 2
+            # A second session reads all 15 from the shared prefix.
+            again = QueryContext()
+            assert engine.top_k_stream(keywords, rmax,
+                                       context=again).take(15) \
+                == pages[0] + pages[1] + pages[2]
+            assert "enumerate" not in again.timings
+
+    def test_logged_delta_state_installs_worker_answers(self,
+                                                        store_root,
+                                                        tmp_path):
+        spec = QuerySpec.comm_k(list(FIG4_QUERY), 50, FIG4_RMAX)
+        delta = GraphDelta(new_edges=[(0, 3, 0.25)])
+        fresh = QueryEngine.from_snapshot(
+            SnapshotStore(store_root).resolve(), result_cache_bytes=0)
+        fresh.apply_delta(delta)
+        with WriteAheadLog(tmp_path / "d.wal", fsync="off") as wal, \
+                ParallelQueryEngine(store_root, workers=2,
+                                    wal_path=wal) as engine:
+            base = engine.snapshot_id
+            engine.apply_delta(delta,
+                               lsn=wal.append_delta(delta, base=base))
+            assert engine.state_id == f"{base}+1"
+            first = engine.execute(spec)
+            traffic = worker_cache_traffic(engine)
+            context = QueryContext()
+            again = engine.execute(spec, context)
+            assert context.counter("result_cache_hits") == 1
+            assert worker_cache_traffic(engine) == traffic
+            assert again == first == fresh.top_k(spec)
+
+    def test_unlogged_delta_state_installs_nothing(self, store_root):
+        spec = QuerySpec.comm_k(list(FIG4_QUERY), 50, FIG4_RMAX)
+        with ParallelQueryEngine(store_root, workers=2) as engine:
+            engine.apply_delta(GraphDelta(new_edges=[(0, 3, 0.25)]))
+            assert engine.dirty and engine.state_id is None
+            first = engine.execute(spec)
+            assert len(engine.results) == 0
+            traffic = worker_cache_traffic(engine)
+            assert engine.execute(spec) == first
+            assert worker_cache_traffic(engine) != traffic
 
 
 def post(service, path, payload):

@@ -135,6 +135,42 @@ class TestPrefixReuse:
         assert len(engine.results) == 0
 
 
+class TestOfferedPrefixes:
+    """A prefix computed in another process (a pool worker's answer)
+    only ever grows the entry it lands on."""
+
+    def test_longer_prefix_grows_the_entry_and_keeps_its_stream(
+            self, engine, fig4):
+        reference = QueryEngine(fig4, result_cache_bytes=0)
+        reference.build_index(radius=FIG4_RMAX)
+        full = reference.top_k(_spec(k=FIG4_TOTAL))
+        engine.top_k(_spec(k=2))
+        key = result_key(tuple(FIG4_QUERY), FIG4_RMAX, "pd", "sum",
+                         "topk")
+        entry = engine.results.lookup(key, engine.generation)
+        stream = entry.stream
+        engine.results.offer(key, engine.generation, full[:4],
+                             complete=False)
+        engine.results.offer(key, engine.generation, full[:1],
+                             complete=False)
+        assert entry.stream is stream and entry.stream.emitted == 2
+        assert _fingerprint(entry.prefix) == _fingerprint(full[:4])
+        assert engine.results.bytes == entry.nbytes
+        # The stream replays the two offered answers it never
+        # produced, then extends: the answer is the uncached one.
+        context = QueryContext()
+        got = engine.top_k(_spec(k=FIG4_TOTAL), context)
+        assert _fingerprint(got) == _fingerprint(full)
+        assert context.counter("result_cache_extensions") == 1
+
+    def test_offer_under_another_generation_replaces_the_entry(self):
+        cache = ResultCache()
+        old = ResultEntry("k", "g1", stream=object())
+        cache.install(old)
+        cache.offer("k", "g2", [], complete=True)
+        assert cache.lookup("k", "g2").complete
+
+
 class TestInvalidation:
     def test_delta_swap_invalidates(self, engine, fig4):
         engine.top_k(_spec(k=3))
