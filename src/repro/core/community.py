@@ -17,8 +17,8 @@ ascending by cost (rank 1 = smallest).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, FrozenSet, Mapping, Tuple
 
 from repro.graph.database_graph import DatabaseGraph
 
@@ -44,6 +44,12 @@ class Community:
     pnodes: Tuple[int, ...]
     nodes: Tuple[int, ...]
     edges: Tuple[Edge, ...] = field(default_factory=tuple)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields only. A memo kept in the instance dict
+        (the service's encoded JSON) stays in its process, so a pickle
+        is the same bytes whether or not the community was encoded."""
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @property
     def knodes(self) -> FrozenSet[int]:
@@ -91,6 +97,9 @@ class Community:
             lines.append(f"  pnodes : {pnode_labels}")
         lines.append(f"  edges  : {len(self.edges)}")
         return "\n".join(lines)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(Community))
 
 
 def rank_table(communities) -> Dict[int, Community]:

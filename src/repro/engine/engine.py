@@ -612,16 +612,10 @@ class QueryEngine:
     def execute(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
-        """Run any spec to a materialized answer list, in-process.
-
-        The calls name this class, not ``self``: a subclass that
-        ships ``top_k``/``run_all`` to other processes still computes
-        here when it calls this method, which is how :meth:`warm`
-        fills this engine's own result cache.
-        """
+        """Run any spec to a materialized answer list."""
         if spec.mode == "topk":
-            return QueryEngine.top_k(self, spec, context)
-        return QueryEngine.run_all(self, spec, context)
+            return self.top_k(spec, context)
+        return self.run_all(spec, context)
 
     def execute_batch(self, specs: Sequence[QuerySpec],
                       contexts: Optional[Sequence[QueryContext]] = None
@@ -684,7 +678,7 @@ class QueryEngine:
                 continue
             ctx = QueryContext()
             try:
-                QueryEngine.execute(self, spec, ctx)
+                self.execute(spec, ctx)
             except QueryError:
                 continue
             if ctx.counter("result_cache_hits") == 0:

@@ -23,8 +23,9 @@ free, exact invalidation with no TTL guessing; a stale entry is
 dropped on sight, exactly like the projection cache.
 
 Memory is bounded in **bytes**, not entries: every cached community
-is charged an estimated serialized size (:func:`community_nbytes`)
-and eviction is LRU until the total fits ``max_bytes``
+is charged an estimate of the memory it holds (:func:`community_nbytes`:
+its Python objects plus the JSON text the service keeps on it) and
+eviction is LRU until the total fits ``max_bytes``
 (``serve --result-cache-mb``). Entries evicted while a session still
 holds them keep working — eviction only forgets them for future
 lookups.
@@ -49,27 +50,41 @@ from repro.engine.context import QueryContext, ensure_context
 from repro.exceptions import QueryError
 
 #: Default result-cache budget per engine: 64 MiB of estimated
-#: serialized communities (the serve CLI exposes ``--result-cache-mb``).
+#: community memory (the serve CLI exposes ``--result-cache-mb``).
 DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Fixed per-entry overhead charged on top of the communities
 #: (key string, bookkeeping, OrderedDict slot).
 ENTRY_OVERHEAD_BYTES = 512
 
-#: Estimated serialized size of one community that has no nodes/edges.
-_COMMUNITY_BASE_BYTES = 96
+#: The charge of one community: a fixed part, and parts per id slot
+#: (``core``, ``centers``, ``pnodes``, ``nodes``), per node and per
+#: edge. Together they cover the instance, its tuples, ints and floats,
+#: and its JSON text. Fitted to ``sys.getsizeof`` walks plus text
+#: lengths of fig4, random-graph, tiny DBLP/IMDB and bench DBLP
+#: answers, in-process and after a pickle round trip (a pool worker's
+#: answer, whose tuples no longer share int objects): within ±22% of
+#: each.
+_COMMUNITY_BYTES = 440
+_ID_BYTES = 32
+_NODE_BYTES = 40
+_EDGE_BYTES = 120
 
 
 def community_nbytes(community: Community) -> int:
-    """Estimated serialized size of one community, in bytes.
+    """Estimated memory one cached community holds, in bytes: its
+    Python objects plus its encoded JSON text.
 
-    Used only for LRU budgeting — it tracks the JSON envelope size
-    (ids ~8 digits, edges carry a float weight) without actually
-    serializing, so cache accounting never touches the service layer.
+    A formula over the tuple lengths, so charging an install walks no
+    objects and encodes nothing (the text is charged up front; the
+    service stores it on the first response that carries the
+    community, see :func:`repro.service.serialize.community_json`).
     """
     ids = (len(community.core) + len(community.centers)
            + len(community.pnodes) + len(community.nodes))
-    return _COMMUNITY_BASE_BYTES + 12 * ids + 40 * len(community.edges)
+    return (_COMMUNITY_BYTES + _ID_BYTES * ids
+            + _NODE_BYTES * len(community.nodes)
+            + _EDGE_BYTES * len(community.edges))
 
 
 def result_key(keywords: Sequence[str], rmax: float, algorithm: str,
@@ -480,7 +495,7 @@ class ResultCache:
 
     @property
     def bytes(self) -> int:
-        """Estimated serialized bytes currently retained."""
+        """Estimated bytes of the communities currently retained."""
         with self._lock:
             return self._bytes
 

@@ -35,9 +35,10 @@ Division of labor:
   lazy ``iter_all`` streams, projections requested directly, label
   lookups (``dbg``), and the generation/snapshot identity the
   session manager stale-checks against;
-* ``warm``, ``apply_delta`` and ``swap_snapshot`` do the parent's
-  half through the inherited method, then broadcast the same
-  operation to every worker.
+* ``apply_delta`` and ``swap_snapshot`` do the parent's half through
+  the inherited method, then broadcast the same operation to every
+  worker; ``warm`` fills the parent from worker answers, then
+  broadcasts.
 
 Hot swap: :meth:`~ParallelQueryEngine.swap_snapshot` swaps the parent
 first (new queries immediately see the new generation), then
@@ -232,23 +233,39 @@ class ParallelQueryEngine(QueryEngine):
     def warm(self, specs: Sequence[QuerySpec]) -> int:
         """Pre-warm the parent's result cache, then every worker's.
 
-        The parent warms in-process (sessions attach to its entries).
-        The specs then go out as one ``warm`` control task per worker
-        — each worker executes them into its private cache and reports
-        only a count, so warming N workers costs no community
-        serialization. Returns the parent-side warmed count (the
-        fleet's caches are private; a dead worker is skipped, not
-        fatal — warming is an optimization, never a failure source).
+        The parent enumerates nothing: it also serves HTTP. Each spec
+        it does not hold yet goes to one worker as a query task, and
+        the answer is installed through :meth:`_install`, like every
+        worker answer. The specs then go out as one ``warm`` control
+        task per worker: each worker executes them into its private
+        cache and reports only a count, and the worker that answered a
+        spec already holds it. So each spec is enumerated once per
+        worker, N times in all. Returns how many specs were newly
+        computed into the parent. A spec a worker refuses (an unknown
+        keyword after a reload) or loses to a crash is skipped, and
+        not broadcast: warming is an optimization, never a failure
+        source.
         """
-        specs = list(specs)
-        warmed = super().warm(specs)
-        for future in self.pool.broadcast("warm", specs).values():
+        specs = [spec for spec in specs if self._result_cacheable(spec)]
+        asked = [(spec, self.pool.submit("query", spec))
+                 for spec in specs
+                 if self._cached(spec, QueryContext()) is None]
+        refused = []
+        for spec, future in asked:
+            try:
+                communities, _, _ = future.result()
+            except (QueryError, WorkerError):
+                refused.append(spec)
+                continue
+            self._install(spec, list(communities), future.state)
+        kept = [spec for spec in specs if spec not in refused]
+        for future in self.pool.broadcast("warm", kept).values():
             try:
                 future.result()
             except Exception:  # noqa: BLE001 — best effort: a worker
                 # that failed to warm still answers, just cold.
                 pass
-        return warmed
+        return len(asked) - len(refused)
 
     def apply_delta(self, delta: Any, banks_reweight: bool = False,
                     lsn: Optional[int] = None):

@@ -48,6 +48,7 @@ from repro.service.server import CommunityService
 from repro.service.sessions import (
     SessionLease,
     SessionManager,
+    SessionPage,
     SessionStats,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "SessionGone",
     "SessionLease",
     "SessionManager",
+    "SessionPage",
     "SessionStats",
     "ShuttingDown",
 ]

@@ -16,12 +16,21 @@ response with the same code:
 
 Everything returned is plain lists/dicts/scalars, safe for
 ``json.dumps`` with no custom encoder.
+
+The service writes the same bytes without rebuilding them per request.
+:func:`community_json` encodes a community once and keeps the text on
+the instance. The result cache hands every hit, k-slice and session
+page the same instances, so a cached community is encoded once for as
+long as its entry lives. :func:`render` is the one envelope writer: it
+splices such texts (:class:`Raw` values) between the envelope's small
+fields, and :func:`results_to_json` is ``json.dumps`` of
+:func:`results_to_dict`, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.community import Community
 from repro.engine.context import QueryContext
@@ -88,9 +97,35 @@ def results_to_dict(results: Sequence[Community],
     entirely from the engine's generation-keyed result cache — a pure
     prefix lookup with no enumeration work.
     """
+    return _envelope(len(results),
+                     [community_to_dict(c, dbg) for c in results],
+                     context, spec, elapsed_seconds, cached)
+
+
+def results_to_json(results: Sequence[Community],
+                    dbg: Optional[DatabaseGraph] = None,
+                    context: Optional[QueryContext] = None,
+                    spec: Optional[QuerySpec] = None,
+                    elapsed_seconds: Optional[float] = None,
+                    cached: Optional[bool] = None) -> str:
+    """``json.dumps(results_to_dict(...))``, byte for byte, with each
+    community spliced from its stored text (:func:`community_json`)."""
+    return render(_envelope(len(results),
+                            communities_json(results, dbg),
+                            context, spec, elapsed_seconds, cached))
+
+
+def _envelope(count: int, communities: Any,
+              context: Optional[QueryContext],
+              spec: Optional[QuerySpec],
+              elapsed_seconds: Optional[float],
+              cached: Optional[bool]) -> Dict[str, Any]:
+    """The envelope's fields, in wire order, around ``communities``
+    (dicts for :func:`results_to_dict`, a :class:`Raw` array for
+    :func:`results_to_json`)."""
     payload: Dict[str, Any] = {
-        "count": len(results),
-        "communities": [community_to_dict(c, dbg) for c in results],
+        "count": count,
+        "communities": communities,
     }
     if cached is not None:
         payload["cached"] = bool(cached)
@@ -101,6 +136,62 @@ def results_to_dict(results: Sequence[Community],
     if elapsed_seconds is not None:
         payload["elapsed_seconds"] = float(elapsed_seconds)
     return payload
+
+
+#: The instance-``__dict__`` key under which :func:`community_json`
+#: keeps a community's encoded text. It is not a dataclass field, so
+#: ``==``, ``hash``, ``repr`` and pickles ignore it.
+_TEXT = "_json"
+
+
+class Raw(str):
+    """Text that is already JSON: :func:`render` writes it as is."""
+
+
+def community_json(community: Community,
+                   dbg: Optional[DatabaseGraph] = None) -> str:
+    """``json.dumps(community_to_dict(community, dbg))``, encoding each
+    community once.
+
+    The label-free text is stored on the instance the first time it is
+    asked for; a community is immutable, so the text never goes stale,
+    and two threads that both encode it store the same text. Labels
+    are per request: with ``dbg`` the ``labels`` map is appended to
+    the stored text, the last key of the dict form.
+    """
+    memo = vars(community)
+    text = memo.get(_TEXT)
+    if text is None:
+        text = memo[_TEXT] = json.dumps(community_to_dict(community))
+    if dbg is None:
+        return text
+    labels = {str(u): dbg.label_of(u) for u in community.nodes}
+    return text[:-1] + ', "labels": ' + json.dumps(labels) + "}"
+
+
+def json_array(texts: Iterable[str]) -> Raw:
+    """A JSON array of already-encoded items."""
+    return Raw("[" + ", ".join(texts) + "]")
+
+
+def communities_json(communities: Sequence[Community],
+                     dbg: Optional[DatabaseGraph] = None) -> Raw:
+    """The ``communities`` array, spliced from stored texts."""
+    return json_array(community_json(c, dbg) for c in communities)
+
+
+def render(payload: Dict[str, Any]) -> str:
+    """``json.dumps(payload)``, byte for byte, with every :class:`Raw`
+    value written as is rather than encoded again.
+
+    The one writer of the ``/query``, ``/batch`` and
+    ``/sessions/{id}/next`` bodies: the small fields go through
+    ``json.dumps``, and the communities arrays are spliced in.
+    """
+    return "{" + ", ".join(
+        json.dumps(key) + ": "
+        + (value if isinstance(value, Raw) else json.dumps(value))
+        for key, value in payload.items()) + "}"
 
 
 def dumps(payload: Dict[str, Any], indent: Optional[int] = None) -> str:

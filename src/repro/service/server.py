@@ -99,9 +99,12 @@ from repro.service.http import (
 from repro.service.metrics import ServiceMetrics, prefixed, split_rates
 from repro.service.querylog import DEFAULT_QUERYLOG_CAPACITY, QueryLog
 from repro.service.serialize import (
-    community_to_dict,
+    communities_json,
     context_to_dict,
-    results_to_dict,
+    json_array,
+    render,
+    results_to_dict,  # noqa: F401 — perfbench's traced run wraps it
+    results_to_json,
 )
 from repro.service.sessions import (
     DEFAULT_MAX_SESSIONS,
@@ -244,27 +247,6 @@ def _served_from_cache(context: QueryContext) -> bool:
     return (context.counter("result_cache_hits") > 0
             and context.counter("result_cache_misses") == 0
             and context.counter("result_cache_extensions") == 0)
-
-
-def _context_delta(before_timings: Dict[str, float],
-                   before_counters: Dict[str, int],
-                   context: QueryContext) -> QueryContext:
-    """What ``context`` accumulated since the snapshot was taken.
-
-    Session contexts are cumulative (that is how clients verify
-    enlargement is free), so the service folds per-call *deltas* into
-    the global metrics to avoid double counting.
-    """
-    delta = QueryContext()
-    for name, seconds in context.timings.items():
-        gained = seconds - before_timings.get(name, 0.0)
-        if gained > 0:
-            delta.add_time(name, gained)
-    for name, value in context.counters.items():
-        gained = value - before_counters.get(name, 0)
-        if gained > 0:
-            delta.count(name, gained)
-    return delta
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -563,11 +545,9 @@ class CommunityService:
             return route_snapshot_transfer(
                 self.snapshot_transfer, method, parts, body)
         if method == "POST" and parts == ("query",):
-            return "/query", json.dumps(self._query(body)), \
-                JSON_CONTENT_TYPE
+            return "/query", self._query(body), JSON_CONTENT_TYPE
         if method == "POST" and parts == ("batch",):
-            return "/batch", json.dumps(self._batch(body)), \
-                JSON_CONTENT_TYPE
+            return "/batch", self._batch(body), JSON_CONTENT_TYPE
         if method == "POST" and parts == ("sessions",):
             return "/sessions", \
                 json.dumps(self._session_create(body)), \
@@ -575,8 +555,7 @@ class CommunityService:
         if method == "POST" and len(parts) == 3 \
                 and parts[0] == "sessions" and parts[2] == "next":
             return "/sessions/{id}/next", \
-                json.dumps(self._session_next(parts[1], body)), \
-                JSON_CONTENT_TYPE
+                self._session_next(parts[1], body), JSON_CONTENT_TYPE
         if method == "DELETE" and len(parts) == 2 \
                 and parts[0] == "sessions":
             self.sessions.close(parts[1])
@@ -840,7 +819,7 @@ class CommunityService:
             return replace(spec, budget_seconds=remaining)
         return spec
 
-    def _query(self, body: bytes) -> Dict[str, Any]:
+    def _query(self, body: bytes) -> str:
         """``POST /query``: one-shot COMM-all / COMM-k."""
         payload = _parse_body(body)
         spec = spec_of(payload, self.engine.registry)
@@ -858,14 +837,14 @@ class CommunityService:
         results = self.admission.run(job, deadline)
         self.metrics.observe_context(context)
         self.querylog.record(spec)
-        return results_to_dict(
+        return results_to_json(
             results,
             dbg=self.engine.dbg if want_labels else None,
             context=context, spec=spec,
             elapsed_seconds=time.perf_counter() - start,
             cached=_served_from_cache(context))
 
-    def _batch(self, body: bytes) -> Dict[str, Any]:
+    def _batch(self, body: bytes) -> str:
         """``POST /batch``: a list of queries in one request.
 
         Body: ``{"queries": [<query payload>, ...]}`` plus optional
@@ -900,14 +879,14 @@ class CommunityService:
                                           all_results):
             self.metrics.observe_context(context)
             self.querylog.record(spec)
-            envelopes.append(results_to_dict(
+            envelopes.append(results_to_json(
                 results, dbg=dbg, context=context, spec=spec,
                 cached=_served_from_cache(context)))
-        return {
+        return render({
             "queries": len(envelopes),
-            "results": envelopes,
+            "results": json_array(envelopes),
             "elapsed_seconds": elapsed,
-        }
+        })
 
     def _session_create(self, body: bytes) -> Dict[str, Any]:
         """``POST /sessions``: lease an interactive PDk stream."""
@@ -938,9 +917,14 @@ class CommunityService:
             "stats": context_to_dict(lease.context),
         }
 
-    def _session_next(self, session_id: str,
-                      body: bytes) -> Dict[str, Any]:
-        """``POST /sessions/{id}/next``: enlarge k, no recomputation."""
+    def _session_next(self, session_id: str, body: bytes) -> str:
+        """``POST /sessions/{id}/next``: enlarge k, no recomputation.
+
+        The page's position and stats are read under the lease lock
+        (:class:`~repro.service.sessions.SessionPage`), so concurrent
+        pages of one session each report and count only their own
+        communities.
+        """
         payload = _parse_body(body)
         k = _int_of(payload, "k", default=10)
         deadline = _float_of(payload, "deadline_seconds",
@@ -949,26 +933,21 @@ class CommunityService:
         want_labels = bool(payload.get("labels", False))
 
         def job(remaining: Optional[float]) -> Any:
-            lease = self.sessions.get(session_id)
-            before_t = dict(lease.context.timings)
-            before_c = dict(lease.context.counters)
-            communities, lease = self.sessions.next(session_id, k)
-            self.metrics.observe_context(
-                _context_delta(before_t, before_c, lease.context))
-            return communities, lease
+            communities, page = self.sessions.next(session_id, k)
+            self.metrics.observe_context(page.spent)
+            return communities, page
 
-        communities, lease = self.admission.run(job, deadline)
+        communities, page = self.admission.run(job, deadline)
         dbg = self.engine.dbg if want_labels else None
-        return {
-            "session": lease.id,
-            "generation": lease.generation,
+        return render({
+            "session": page.lease.id,
+            "generation": page.lease.generation,
             "returned": len(communities),
-            "emitted": lease.stream.emitted,
-            "exhausted": lease.stream.exhausted,
-            "communities": [community_to_dict(c, dbg)
-                            for c in communities],
-            "stats": context_to_dict(lease.context),
-        }
+            "emitted": page.emitted,
+            "exhausted": page.exhausted,
+            "communities": communities_json(communities, dbg),
+            "stats": context_to_dict(page.context),
+        })
 
     # ------------------------------------------------------------------
     # metrics

@@ -25,7 +25,11 @@ and both invalidate the lease:
 
 All methods are thread-safe: the manager locks its table, each lease
 locks its stream (two ``next`` calls on one session serialize rather
-than corrupt the heap).
+than corrupt the heap). What a page reports about its lease — the
+stream position, the cumulative stats and what this page added to
+them — is read under the same lock and returned as a
+:class:`SessionPage`, so two concurrent pages never report or count
+each other's communities.
 """
 
 from __future__ import annotations
@@ -69,6 +73,30 @@ class SessionStats:
         }
 
 
+def _copy(context: QueryContext) -> QueryContext:
+    """A snapshot of a context's timings and counters."""
+    return QueryContext(dict(context.timings), dict(context.counters))
+
+
+def _gained(before: QueryContext, after: QueryContext) -> QueryContext:
+    """What one context accumulated between two snapshots of it.
+
+    Session contexts are cumulative (that is how clients verify
+    enlargement is free), so the service folds per-page *deltas* into
+    the global metrics to avoid double counting.
+    """
+    delta = QueryContext()
+    for name, seconds in after.timings.items():
+        gained = seconds - before.seconds(name)
+        if gained > 0:
+            delta.add_time(name, gained)
+    for name, value in after.counters.items():
+        gained = value - before.counter(name)
+        if gained > 0:
+            delta.count(name, gained)
+    return delta
+
+
 class SessionLease:
     """One leased stream plus the bookkeeping to police it."""
 
@@ -96,6 +124,19 @@ class SessionLease:
     def expired(self, now: float) -> bool:
         """True once the lease has sat unused past its TTL."""
         return now >= self.expires_at
+
+
+@dataclass(frozen=True)
+class SessionPage:
+    """One ``next`` call's view of its lease, read under the lease
+    lock: the stream position after the page, the session's cumulative
+    stats as of the page, and what the page itself added to them."""
+
+    lease: SessionLease
+    emitted: int
+    exhausted: bool
+    context: QueryContext
+    spent: QueryContext
 
 
 class SessionManager:
@@ -161,8 +202,9 @@ class SessionManager:
         return lease
 
     def next(self, session_id: str, k: int
-             ) -> Tuple[List[Community], SessionLease]:
-        """Up to ``k`` further answers from a live, current lease.
+             ) -> Tuple[List[Community], SessionPage]:
+        """Up to ``k`` further answers from a live, current lease,
+        with the :class:`SessionPage` they make.
 
         Raises :class:`NotFound` for an unknown id and
         :class:`SessionGone` for an expired or generation-stale lease
@@ -181,9 +223,14 @@ class SessionManager:
                     f"session {session_id} is stale: the graph/index "
                     f"changed (generation {lease.generation} -> "
                     f"{self.engine.generation}); open a new session")
+            before = _copy(lease.context)
             communities = lease.stream.take(k)
             lease.touch(self._clock())
-        return communities, lease
+            after = _copy(lease.context)
+            page = SessionPage(lease, lease.stream.emitted,
+                               lease.stream.exhausted, after,
+                               _gained(before, after))
+        return communities, page
 
     def close(self, session_id: str) -> None:
         """Release a lease explicitly (idempotent for unknown ids)."""

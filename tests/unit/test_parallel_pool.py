@@ -14,8 +14,8 @@ acceptance properties covered:
   fields) with and without ``--workers``;
 * the pool engine *is* a ``QueryEngine``, and the parent's half of a
   shared operation stays in the parent: ``warm`` fills the parent's
-  own result cache (sessions attach to it) as well as every
-  worker's;
+  own result cache (sessions attach to it) from worker answers, with
+  no enumeration in the parent, as well as every worker's;
 * the parent's result cache answers repeats and smaller-k slices
   with no pool task, installs a worker's answer only when the worker
   computed it on the parent's state (a WAL-logged delta state
@@ -236,6 +236,36 @@ class TestParentHalf:
             assert "enumerate" not in context.timings
             assert all(row["result_cache_entries"] >= 1
                        for row in engine.worker_stats())
+
+    def test_warm_enumerates_each_spec_once_per_worker(
+            self, store_root, monkeypatch):
+        specs = [QuerySpec.comm_k(list(FIG4_QUERY), 3, FIG4_RMAX),
+                 QuerySpec.comm_k(list(FIG4_QUERY[1:]), 2, FIG4_RMAX),
+                 QuerySpec.comm_k(["zzz-unknown"], 1, FIG4_RMAX)]
+        with ParallelQueryEngine(store_root, workers=2) as engine:
+            # The workers are forked already: this counts streams the
+            # parent builds, and no worker's.
+            built = []
+            ranked = QueryEngine._ranked
+
+            def counting(self, *args, **kwargs):
+                built.append(args[0])
+                return ranked(self, *args, **kwargs)
+
+            monkeypatch.setattr(QueryEngine, "_ranked", counting)
+            _, misses = worker_cache_traffic(engine)
+            # The unknown keyword is skipped, not fatal: one worker
+            # refuses it and it is not broadcast. Each other spec
+            # misses once on each of the 2 workers.
+            assert engine.warm(specs) == 2
+            assert built == []
+            assert worker_cache_traffic(engine)[1] \
+                == misses + 2 * 2 + 1
+            for spec in specs[:2]:
+                context = QueryContext()
+                assert len(engine.execute(spec, context)) == spec.k
+                assert context.counter("result_cache_hits") == 1
+            assert engine.warm(specs[:2]) == 0
 
 
 def worker_cache_traffic(engine):

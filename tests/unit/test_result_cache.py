@@ -8,6 +8,11 @@ recomputing, memory is byte-bounded LRU, and a generation swap is a
 total, free invalidation.
 """
 
+import dataclasses
+import json
+import pickle
+import sys
+
 import pytest
 
 from repro.core.community import Community
@@ -22,6 +27,8 @@ from repro.engine import (
     community_nbytes,
     result_key,
 )
+from repro.graph.generators import random_database_graph
+from repro.service.serialize import community_to_dict
 from repro.text.maintenance import GraphDelta
 
 FIG4_TOTAL = 5
@@ -231,6 +238,66 @@ class TestByteBudget:
         costs = [c.cost for c in first + rest]
         assert len(first + rest) == FIG4_TOTAL
         assert costs == sorted(costs)
+
+
+def _held_bytes(community):
+    """``sys.getsizeof`` over the objects one community holds (each
+    counted once), plus the JSON text the service keeps on it."""
+    seen = set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        size = sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            size += sum(walk(item) for item in obj)
+        return size
+
+    objects = walk(community) + sys.getsizeof(vars(community)) + sum(
+        walk(getattr(community, f.name))
+        for f in dataclasses.fields(community))
+    return objects + len(json.dumps(community_to_dict(community)))
+
+
+def _random_answers():
+    answers = []
+    for seed in range(12):
+        dbg = random_database_graph(10 + 2 * seed, 0.2, ["a", "b"],
+                                    seed=seed)
+        if not all(dbg.nodes_with_keyword(kw) for kw in "ab"):
+            continue
+        engine = QueryEngine(dbg)
+        engine.build_index(radius=8.0)
+        answers += engine.run_all(QuerySpec(("a", "b"), 8.0))
+    return answers
+
+
+class TestChargeTracksMemory:
+    """The charge covers a community's objects plus its text, from a
+    formula over tuple lengths, within ±25% of a ``getsizeof`` walk."""
+
+    @pytest.mark.parametrize("dataset", ["fig4", "random", "tiny-dblp"])
+    def test_charge_within_a_quarter_of_the_walk(self, dataset, engine,
+                                                 tiny_dblp):
+        if dataset == "fig4":
+            answers = engine.run_all(_spec())
+        elif dataset == "random":
+            answers = _random_answers()
+        else:
+            dblp = QueryEngine(tiny_dblp[1])
+            dblp.build_index(radius=4.0)
+            answers = dblp.top_k(QuerySpec(("data", "model"), 4.0,
+                                           mode="topk", k=50))
+        assert len(answers) >= 5
+        # A pool server's parent caches answers unpickled from a
+        # worker, whose tuples share no int objects.
+        for communities in (answers,
+                            pickle.loads(pickle.dumps(answers))):
+            held = sum(_held_bytes(c) for c in communities)
+            charged = sum(community_nbytes(c) for c in communities)
+            assert 0.75 * held <= charged <= 1.25 * held, \
+                (dataset, charged, held)
 
 
 class TestDisabledCache:

@@ -1,10 +1,14 @@
 """Unit tests for session leases (:mod:`repro.service.sessions`)."""
 
+import json
+import threading
+
 import pytest
 
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX
 from repro.engine import QueryEngine
 from repro.exceptions import QueryError
+from repro.service import CommunityService
 from repro.service.errors import NotFound, Overloaded, SessionGone
 from repro.service.sessions import SessionManager
 from repro.text.maintenance import GraphDelta
@@ -225,3 +229,62 @@ class TestGenerationChecks:
         assert set(flat) == {"sessions_created", "sessions_closed",
                              "sessions_expired",
                              "sessions_stale_dropped"}
+
+
+def events(service, name):
+    """One ``repro_query_events_total`` counter of ``service``."""
+    prefix = f'repro_query_events_total{{event="{name}"}} '
+    for line in service.render_metrics().splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix):])
+    return 0.0
+
+
+class TestConcurrentPages:
+    def test_each_page_reports_and_counts_only_its_own(self, engine):
+        """Two ``next(2)`` calls on one session, forced to interleave:
+        each page reads its position and stats under the lease lock,
+        so the pages say 2 and 4 and the metrics count 4 communities
+        (not 8, from two stale "before" snapshots)."""
+        with CommunityService(engine, workers=2) as service:
+            status, _, body, _ = service.handle(
+                "POST", "/sessions", json.dumps(
+                    {"keywords": list(FIG4_QUERY),
+                     "rmax": FIG4_RMAX}).encode())
+            assert status == 200
+            session = json.loads(body)["session"]
+            # Both calls are inside the service's job before either
+            # pages, and neither replies before both paged.
+            barrier = threading.Barrier(2, timeout=10.0)
+            paged = service.sessions.next
+
+            def next_in_step(session_id, k):
+                barrier.wait()
+                try:
+                    return paged(session_id, k)
+                finally:
+                    barrier.wait()
+
+            service.sessions.next = next_in_step
+            before = events(service, "communities")
+            replies = []
+
+            def page():
+                replies.append(service.handle(
+                    "POST", f"/sessions/{session}/next", b'{"k": 2}'))
+
+            threads = [threading.Thread(target=page) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert [status for status, *_ in replies] == [200, 200]
+            pages = [json.loads(body) for _, _, body, _ in replies]
+            assert sorted(p["emitted"] for p in pages) == [2, 4]
+            assert sum(p["returned"] for p in pages) == 4
+            cores = [c["core"] for p in pages for c in p["communities"]]
+            assert len({tuple(core) for core in cores}) == 4
+            assert events(service, "communities") - before == 4
+            counted = sorted(p["stats"]["counters"]["communities"]
+                             for p in pages)
+            assert counted == [2, 4]
