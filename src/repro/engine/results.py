@@ -244,7 +244,8 @@ class ResultCache:
             self._put_locked(entry)
 
     def offer(self, key: str, generation: str,
-              prefix: Sequence[Community], complete: bool) -> None:
+              prefix: Sequence[Community],
+              complete: bool) -> List[Community]:
         """Install a ranked prefix computed in another process (a
         pool worker's answer) without losing anything cached here.
 
@@ -252,23 +253,27 @@ class ResultCache:
         becomes one. A live entry only grows: a longer prefix extends
         it and the entry keeps its stream, which replays the gap
         before its next extension; a complete answer completes it.
+        Returns the prefix with the entry's own instances where it
+        held them, whose stored JSON texts a response reuses.
         """
         if not self.enabled:
-            return
+            return list(prefix)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.generation != generation:
                 self._put_locked(ResultEntry(
                     key, generation, prefix=prefix, complete=complete))
-                return
+                return list(prefix)
         with entry.lock:
             have = len(entry.prefix)
-            if entry.complete or len(prefix) < have:
-                return
-            tail = list(prefix[have:])
-            entry.prefix.extend(tail)
-            entry.complete = complete
-            self._grow(entry, sum(community_nbytes(c) for c in tail))
+            if not entry.complete and len(prefix) >= have:
+                tail = list(prefix[have:])
+                entry.prefix.extend(tail)
+                entry.complete = complete
+                self._grow(entry,
+                           sum(community_nbytes(c) for c in tail))
+            served = entry.prefix[:len(prefix)]
+        return served if len(served) == len(prefix) else list(prefix)
 
     def discard(self, key: str) -> None:
         """Forget one entry (poisoned-lookup recovery path)."""

@@ -190,8 +190,8 @@ class ParallelQueryEngine(QueryEngine):
         for index, future in futures.items():
             communities, timings, counters = future.result()
             contexts[index].merge(QueryContext(timings, counters))
-            results[index] = list(communities)
-            self._install(specs[index], results[index], future.state)
+            results[index] = self._install(
+                specs[index], list(communities), future.state)
         return results
 
     def _cached(self, spec: QuerySpec, context: QueryContext
@@ -215,15 +215,16 @@ class ParallelQueryEngine(QueryEngine):
         return served
 
     def _install(self, spec: QuerySpec, communities: List[Community],
-                 state: Optional[str]) -> None:
+                 state: Optional[str]) -> List[Community]:
         """Offer a worker's answer, computed on ``state``, to the
-        parent's cache — only when the parent serves that state now."""
+        parent's cache — only when the parent serves that state now;
+        returns the answer to serve (``ResultCache.offer``)."""
         if state is None or not self._result_cacheable(spec):
-            return
+            return communities
         generation, current = self._state()
         if state != current:
-            return
-        self.results.offer(
+            return communities
+        return self.results.offer(
             _key(spec), generation, communities,
             complete=spec.mode != "topk" or len(communities) < spec.k)
 

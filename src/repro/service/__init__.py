@@ -21,9 +21,9 @@ dependencies:
 * :mod:`repro.service.client` — :class:`ServiceClient` /
   :class:`ServiceSession`, the matching dependency-free client on a
   blocking socket;
-* :mod:`repro.service.wire` — the HTTP/1.1 message format and
-  ``ClientCore``, the transport-free half of both clients (this one
-  and the router's asyncio ``AsyncShardClient``);
+* :mod:`repro.service.wire` — the HTTP/1.1 message format,
+  ``ClientCore`` (both clients) and the route table and response
+  writer (both servers: this one and the shard router);
 * :mod:`repro.service.errors` — the HTTP-mapped error taxonomy.
 
 Start one from the shell with ``python -m repro serve ...``.

@@ -18,7 +18,10 @@ whose deadline expired before or during execution is
 
 from __future__ import annotations
 
-from repro.exceptions import ServiceError
+import json
+from typing import Tuple
+
+from repro.exceptions import QueryError, ServiceError, WorkerError
 
 __all__ = [
     "BadRequest",
@@ -32,6 +35,7 @@ __all__ = [
     "ServiceUnreachable",
     "SessionGone",
     "ShuttingDown",
+    "error_reply",
     "for_status",
 ]
 
@@ -137,3 +141,20 @@ def for_status(status: int, message: str) -> ServiceError:
     if cls is ServiceError:
         error.status = status
     return error
+
+
+def error_reply(error: BaseException) -> Tuple[int, str]:
+    """The status and JSON body both servers answer ``error`` with.
+
+    A pool ``WorkerError`` is 503: the watchdog respawned the worker,
+    so the unavailability is transient. Anything unexpected is a bug,
+    answered 500 rather than with a dead connection."""
+    if isinstance(error, ServiceError):
+        status = error.status
+    elif isinstance(error, WorkerError):
+        status = 503
+    elif isinstance(error, QueryError):
+        status = 400
+    else:
+        status = 500
+    return status, json.dumps({"error": str(error), "status": status})

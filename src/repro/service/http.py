@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.exceptions import (
     SnapshotError,
@@ -59,9 +59,8 @@ class SnapshotTransfer:
 
     One per service; holds at most a handful of pending
     :class:`~repro.snapshot.store.SnapshotIngest` stagings keyed by
-    snapshot id. All methods raise the service error taxonomy
-    (``400``/``404``) so the HTTP layer maps them without special
-    cases.
+    snapshot id. The service's routes call it directly; all methods
+    raise the service error taxonomy (``400``/``404``).
     """
 
     def __init__(self, store_root: Union[str, Path]) -> None:
@@ -237,61 +236,6 @@ def fetch_snapshot(client: Any, snapshot_id: str,
     except BaseException:
         ingest.abort()
         raise
-
-
-def route_snapshot_transfer(transfer: Optional[SnapshotTransfer],
-                            method: str, parts: Tuple[str, ...],
-                            body: bytes
-                            ) -> Tuple[str, Union[str, bytes], str]:
-    """Dispatch one ``/admin/snapshot...`` request.
-
-    Returns ``(template, payload, content_type)`` for the service's
-    ``handle`` plumbing; raises the service error taxonomy otherwise.
-    ``transfer`` may be ``None`` — services without a configured
-    snapshot store answer 400 rather than 404, so a misconfigured
-    fleet is distinguishable from a bad URL.
-    """
-    if transfer is None:
-        raise BadRequest(
-            "snapshot transfer is not available: the service has no "
-            "snapshot store (serve with --snapshot <store>)")
-    json_type = "application/json; charset=utf-8"
-    if method == "POST" and len(parts) == 2:
-        payload = _transfer_body(body)
-        return ("/admin/snapshot",
-                json.dumps(transfer.begin(payload)), json_type)
-    if method == "POST" and len(parts) == 4 and parts[3] == "commit":
-        return ("/admin/snapshot/{id}/commit",
-                json.dumps(transfer.commit(parts[2])), json_type)
-    if method == "PUT" and len(parts) == 4:
-        return ("/admin/snapshot/{id}/{section}",
-                json.dumps(transfer.receive(parts[2], parts[3],
-                                            body)), json_type)
-    if method == "DELETE" and len(parts) == 3:
-        return ("/admin/snapshot/{id}",
-                json.dumps(transfer.abort(parts[2])), json_type)
-    if method == "GET" and len(parts) == 4 \
-            and parts[3] == "manifest":
-        return ("/admin/snapshot/{id}/manifest",
-                json.dumps(transfer.manifest_of(parts[2])),
-                json_type)
-    if method == "GET" and len(parts) == 4:
-        return ("/admin/snapshot/{id}/{section}",
-                transfer.section_of(parts[2], parts[3]),
-                OCTET_CONTENT_TYPE)
-    raise NotFound(f"no route {method} /{'/'.join(parts)}")
-
-
-def _transfer_body(body: bytes) -> Dict[str, Any]:
-    """The begin-transfer body as a JSON object."""
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise BadRequest(
-            f"request body is not valid JSON: {error}")
-    if not isinstance(payload, dict):
-        raise BadRequest("request body must be a JSON object")
-    return payload
 
 
 def snapshot_store_of(source: Optional[Union[str, Path]]

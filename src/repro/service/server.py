@@ -49,9 +49,12 @@ cheap — they mostly block on the admission future) are therefore
 decoupled from query threads (bounded, hot).
 
 Routing and handling live on :meth:`CommunityService.handle`, which is
-plain ``(method, path, body) -> (status, template, payload)`` — unit
-tests exercise it without a socket; the integration suite drives the
-real server through :class:`~repro.service.client.ServiceClient`.
+plain ``(method, path, body) -> (status, template, payload, type)`` —
+unit tests exercise it without a socket; the integration suite drives
+the real server through :class:`~repro.service.client.ServiceClient`.
+The route table, the error mapping and the response bytes are the
+front door this service shares with the shard router
+(:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro import faults
 from repro.core.cost import resolve_aggregate
@@ -71,11 +74,9 @@ from repro.engine.engine import QueryEngine
 from repro.engine.registry import AlgorithmRegistry
 from repro.engine.spec import QuerySpec
 from repro.exceptions import (
-    QueryError,
     ServiceError,
     SnapshotError,
     SnapshotNotFoundError,
-    WorkerError,
 )
 from repro.snapshot.snapshot import load_snapshot
 from repro.snapshot.store import locate_snapshot
@@ -89,11 +90,12 @@ from repro.service.errors import (
     BadRequest,
     Conflict,
     NotFound,
-    ShuttingDown,
+    error_reply,
+    for_status,
 )
 from repro.service.http import (
+    OCTET_CONTENT_TYPE,
     SnapshotTransfer,
-    route_snapshot_transfer,
     snapshot_store_of,
 )
 from repro.service.metrics import ServiceMetrics, prefixed, split_rates
@@ -112,27 +114,26 @@ from repro.service.sessions import (
     SessionLease,
     SessionManager,
 )
-from repro.service.wire import REASONS, content_length
-
-#: Content type for the Prometheus exposition format.
-METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+from repro.service.wire import (
+    BODY_CHUNK,
+    JSON_CONTENT_TYPE,
+    METRICS_CONTENT_TYPE,
+    REASONS,
+    UNMATCHED,
+    Response,
+    Route,
+    RouteTable,
+    content_length,
+    response,
+)
 
 #: Seconds :meth:`CommunityService.shutdown` waits for in-flight and
 #: queued work before tearing the admission pool down hard.
 DEFAULT_DRAIN_SECONDS = 5.0
 
-#: ``Retry-After`` value (seconds) sent with 429/503 sheds.
-RETRY_AFTER_SECONDS = 1
-
 #: How many of the query log's hottest specs the service replays into
 #: the result cache right after a reload adopts a new generation.
 DEFAULT_WARM_TOP = 8
-
-JSON_CONTENT_TYPE = "application/json; charset=utf-8"
-
-#: One response: status, metric path template, body (text for
-#: JSON/metrics, raw bytes for snapshot sections), content type.
-Response = Tuple[int, str, Union[str, bytes], str]
 
 
 def _parse_body(body: bytes) -> Dict[str, Any]:
@@ -257,76 +258,66 @@ class ServiceHandler(BaseHTTPRequestHandler):
     only speaks HTTP.
     """
 
-    server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
-    #: ``TCP_NODELAY`` on every accepted connection. A response
-    #: leaves as two writes, headers then body; with Nagle on, the
-    #: body waits for the client's delayed ACK of the headers, about
-    #: 40 ms on a busy keep-alive connection.
+    #: ``TCP_NODELAY`` on every accepted connection: a response larger
+    #: than one segment must not hold its last segment back for the
+    #: client's delayed ACK of the others, about 40 ms on a busy
+    #: keep-alive connection.
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:            # noqa: N802 — http.server API
-        """Route GET requests."""
-        self._dispatch("GET")
+        """GET, POST, DELETE and PUT alike: the route table decides."""
+        self._dispatch(self.command)
 
-    def do_POST(self) -> None:           # noqa: N802
-        """Route POST requests."""
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:         # noqa: N802
-        """Route DELETE requests."""
-        self._dispatch("DELETE")
-
-    def do_PUT(self) -> None:            # noqa: N802
-        """Route PUT requests (snapshot section uploads)."""
-        self._dispatch("PUT")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Silence the default stderr access log (metrics cover it)."""
+    do_POST = do_DELETE = do_PUT = do_GET   # noqa: N815
 
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
-        """http.server's own rejections (an overlong request head is
-        431) in the typed JSON shape of every other error; the
-        connection closes."""
+        """http.server's own rejections (a malformed request line is
+        400, an overlong request head 431) in the typed JSON shape of
+        every other error; the connection closes."""
         text = message or REASONS.get(code, "")
         if explain:
             text = f"{text}: {explain}"
-        self._respond(code, json.dumps({"error": text, "status": code}),
+        self._respond(*error_reply(for_status(code, text)),
                       JSON_CONTENT_TYPE, close=True)
 
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
         service: "CommunityService" = self.server.service  # type: ignore[attr-defined]
         try:
-            length = content_length(self.headers.get("Content-Length"))
+            body = self._read_body()
         except BadRequest as error:
-            self._respond(400, json.dumps(
-                {"error": str(error), "status": 400}),
-                JSON_CONTENT_TYPE, close=True)
+            self._respond(*error_reply(error), JSON_CONTENT_TYPE,
+                          close=True)
             return
-        body = self.rfile.read(length) if length else b""
         status, _, payload, content_type = service.handle(
             method, self.path, body)
         self._respond(status, payload, content_type)
 
+    def _read_body(self) -> bytes:
+        """The request body, read as it arrives in pieces of at most
+        :data:`~repro.service.wire.BODY_CHUNK` bytes. A malformed
+        ``Content-Length`` or a body that ends before it raises
+        :class:`BadRequest`; the connection then closes."""
+        length = content_length(self.headers.get("Content-Length"))
+        chunks = []
+        while length:
+            chunk = self.rfile.read(min(length, BODY_CHUNK))
+            if not chunk:
+                raise BadRequest(
+                    "request body ends before its Content-Length")
+            chunks.append(chunk)
+            length -= len(chunk)
+        return b"".join(chunks)
+
     def _respond(self, status: int, payload: Union[str, bytes],
                  content_type: str, close: bool = False) -> None:
-        data = (payload if isinstance(payload, bytes)
-                else payload.encode("utf-8"))
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if status in (429, 503):
-            # Both shed classes are transient: tell clients when to
-            # come back, so their retry loops need not guess.
-            self.send_header("Retry-After", str(RETRY_AFTER_SECONDS))
-        if close:
-            # Also sets ``close_connection``: the server hangs up
-            # after this response.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        """Write one response; ``close`` (or a client that asked for
+        it) hangs up after it."""
+        self.close_connection = close or self.close_connection
+        self.wfile.write(response(status, payload, content_type,
+                                  self.close_connection))
 
 
 class CommunityService:
@@ -383,7 +374,7 @@ class CommunityService:
         self.snapshot_source = snapshot_source
         #: Cross-box transfer state (``/admin/snapshot...`` routes);
         #: ``None`` when no snapshot store is derivable, in which
-        #: case those routes answer 400.
+        #: case those routes answer 400 (:meth:`_transfer`).
         store_root = snapshot_store_of(snapshot_source)
         self.snapshot_transfer = (SnapshotTransfer(store_root)
                                   if store_root is not None else None)
@@ -393,6 +384,38 @@ class CommunityService:
         self.sessions = SessionManager(
             engine, ttl_seconds=session_ttl, max_sessions=max_sessions)
         self.metrics = ServiceMetrics()
+        transfer = self._transfer
+        #: Every endpoint; :meth:`handle` serves what this table
+        #: matches, labelled with the row's template.
+        self.routes = RouteTable([
+            Route("POST", "/query", self._query),
+            Route("POST", "/batch", self._batch),
+            Route("POST", "/sessions", self._session_create),
+            Route("POST", "/sessions/{id}/next", self._session_next),
+            Route("DELETE", "/sessions/{id}", self._session_close),
+            Route("GET", "/metrics", lambda _: self.render_metrics(),
+                  METRICS_CONTENT_TYPE),
+            Route("GET", "/healthz", lambda _: self._health()),
+            Route("POST", "/admin/reload", self._admin_reload),
+            Route("POST", "/admin/delta", self._admin_delta),
+            Route("GET", "/admin/querylog",
+                  lambda _: self._admin_querylog()),
+            # cross-box snapshot transfer (repro.service.http)
+            Route("POST", "/admin/snapshot",
+                  lambda body: transfer().begin(_parse_body(body))),
+            Route("PUT", "/admin/snapshot/{id}/{section}",
+                  lambda body, sid, name: transfer().receive(
+                      sid, name, body)),
+            Route("POST", "/admin/snapshot/{id}/commit",
+                  lambda _, sid: transfer().commit(sid)),
+            Route("DELETE", "/admin/snapshot/{id}",
+                  lambda _, sid: transfer().abort(sid)),
+            Route("GET", "/admin/snapshot/{id}/manifest",
+                  lambda _, sid: transfer().manifest_of(sid)),
+            Route("GET", "/admin/snapshot/{id}/{section}",
+                  lambda _, sid, name: transfer().section_of(sid, name),
+                  OCTET_CONTENT_TYPE),
+        ])
         self._httpd = ThreadingHTTPServer((host, port), ServiceHandler)
         self._httpd.daemon_threads = True                 # type: ignore[attr-defined]
         self._httpd.service = self                        # type: ignore[attr-defined]
@@ -478,113 +501,37 @@ class CommunityService:
         """Serve one request; never raises.
 
         Returns ``(status, path_template, body, content_type)``. The
-        template (e.g. ``/sessions/{id}/next``) keys the latency
-        histograms, so metric cardinality stays bounded however many
-        session ids exist.
+        template (e.g. ``/sessions/{id}/next``, or
+        :data:`~repro.service.wire.UNMATCHED` for a path no route
+        matches) keys the latency histograms, so metric cardinality
+        stays bounded however many session ids and unknown paths
+        exist.
         """
         start = time.perf_counter()
-        parts = tuple(p for p in path.split("?", 1)[0].split("/") if p)
-        template = path
+        template = UNMATCHED
         try:
+            route, params = self.routes.match(method, path)
+            template = route.template
             faults.hit("service.request")
-            template, result, content_type = self._route(
-                method, parts, body)
-            status, payload = 200, result
-        except ServiceError as error:
-            status = error.status
-            template = self._error_template(template, parts)
-            payload = json.dumps(
-                {"error": str(error), "status": status})
-            content_type = JSON_CONTENT_TYPE
-        except WorkerError as error:
-            # A pool worker crashed or blew its lease mid-request. The
-            # request is lost but the *service* is healthy (the
-            # watchdog respawned the worker), so this is transient
-            # unavailability: 503 + Retry-After, not a 500.
-            status = 503
-            template = self._error_template(template, parts)
-            payload = json.dumps({"error": str(error), "status": 503})
-            content_type = JSON_CONTENT_TYPE
-        except QueryError as error:
-            status = 400
-            template = self._error_template(template, parts)
-            payload = json.dumps({"error": str(error), "status": 400})
-            content_type = JSON_CONTENT_TYPE
+            payload = route.handler(body, *params)
+            if not isinstance(payload, (str, bytes)):
+                payload = json.dumps(payload)
+            status, content_type = 200, route.content_type
         except Exception as error:  # noqa: BLE001 — boundary: any bug
             # becomes a 500 response rather than a dead connection.
-            status = 500
-            template = self._error_template(template, parts)
-            payload = json.dumps({"error": str(error), "status": 500})
-            content_type = JSON_CONTENT_TYPE
+            (status, payload), content_type = (error_reply(error),
+                                               JSON_CONTENT_TYPE)
         self.metrics.observe_request(template, status,
                                      time.perf_counter() - start)
         return status, template, payload, content_type
 
-    def _route(self, method: str, parts: Tuple[str, ...],
-               body: bytes) -> Tuple[str, str, str]:
-        """Dispatch to a handler; returns (template, body, type)."""
-        if method == "GET" and parts == ("metrics",):
-            return "/metrics", self.render_metrics(), \
-                METRICS_CONTENT_TYPE
-        if method == "GET" and parts == ("healthz",):
-            return "/healthz", json.dumps(self._health()), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("admin", "reload"):
-            return "/admin/reload", \
-                json.dumps(self._admin_reload(body)), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("admin", "delta"):
-            return "/admin/delta", \
-                json.dumps(self._admin_delta(body)), \
-                JSON_CONTENT_TYPE
-        if method == "GET" and parts == ("admin", "querylog"):
-            return "/admin/querylog", \
-                json.dumps(self._admin_querylog()), \
-                JSON_CONTENT_TYPE
-        if parts[:2] == ("admin", "snapshot"):
-            return route_snapshot_transfer(
-                self.snapshot_transfer, method, parts, body)
-        if method == "POST" and parts == ("query",):
-            return "/query", self._query(body), JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("batch",):
-            return "/batch", self._batch(body), JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("sessions",):
-            return "/sessions", \
-                json.dumps(self._session_create(body)), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and len(parts) == 3 \
-                and parts[0] == "sessions" and parts[2] == "next":
-            return "/sessions/{id}/next", \
-                self._session_next(parts[1], body), JSON_CONTENT_TYPE
-        if method == "DELETE" and len(parts) == 2 \
-                and parts[0] == "sessions":
-            self.sessions.close(parts[1])
-            return "/sessions/{id}", json.dumps({"closed": True}), \
-                JSON_CONTENT_TYPE
-        raise NotFound(f"no route {method} /{'/'.join(parts)}")
-
-    @staticmethod
-    def _error_template(template: str, parts: Tuple[str, ...]) -> str:
-        """A bounded-cardinality metric label for failed requests."""
-        if template.startswith("/") and "{" in template:
-            return template          # routing already templated it
-        if parts == ("admin", "reload"):
-            return "/admin/reload"
-        if parts == ("admin", "delta"):
-            return "/admin/delta"
-        if parts[:2] == ("admin", "snapshot"):
-            if len(parts) == 4:
-                return ("/admin/snapshot/{id}/commit"
-                        if parts[3] == "commit"
-                        else "/admin/snapshot/{id}/{section}")
-            if len(parts) == 3:
-                return "/admin/snapshot/{id}"
-            return "/admin/snapshot"
-        if parts[:1] == ("sessions",) and len(parts) == 3:
-            return "/sessions/{id}/next"
-        if parts[:1] == ("sessions",) and len(parts) == 2:
-            return "/sessions/{id}"
-        return "/" + "/".join(parts[:1]) if parts else "/"
+    def _transfer(self) -> SnapshotTransfer:
+        """The transfer state; without a snapshot store, a 400 (not a
+        404: a misconfigured fleet is told apart from a bad URL)."""
+        if self.snapshot_transfer is None:
+            raise BadRequest("the service has no snapshot store "
+                             "(serve with --snapshot <store>)")
+        return self.snapshot_transfer
 
     # ------------------------------------------------------------------
     # handlers
@@ -659,12 +606,8 @@ class CommunityService:
         payload = _parse_body(body)
         snapshot_id = payload.get("snapshot")
         if snapshot_id is not None:
-            if self.snapshot_transfer is None:
-                raise BadRequest(
-                    "cannot reload by snapshot id: the service has "
-                    "no snapshot store (serve with --snapshot)")
             try:
-                source: Any = self.snapshot_transfer.store.resolve(
+                source: Any = self._transfer().store.resolve(
                     str(snapshot_id))
             except SnapshotNotFoundError as error:
                 raise NotFound(str(error))
@@ -917,7 +860,7 @@ class CommunityService:
             "stats": context_to_dict(lease.context),
         }
 
-    def _session_next(self, session_id: str, body: bytes) -> str:
+    def _session_next(self, body: bytes, session_id: str) -> str:
         """``POST /sessions/{id}/next``: enlarge k, no recomputation.
 
         The page's position and stats are read under the lease lock
@@ -948,6 +891,12 @@ class CommunityService:
             "communities": communities_json(communities, dbg),
             "stats": context_to_dict(page.context),
         })
+
+    def _session_close(self, body: bytes,
+                       session_id: str) -> Dict[str, bool]:
+        """``DELETE /sessions/{id}``: release a lease early."""
+        self.sessions.close(session_id)
+        return {"closed": True}
 
     # ------------------------------------------------------------------
     # metrics

@@ -1,13 +1,12 @@
-"""The HTTP/1.1 wire format and the client core both clients share.
+"""The HTTP/1.1 wire format, and the cores both clients and both
+servers share.
 
 The service speaks one small dialect of HTTP/1.1: ``Content-Length``
 framed messages on kept-alive connections. This module holds that
 format once:
 
 * :func:`frame` writes a message, :func:`parse_head` reads a message
-  head, and :func:`content_length` reads a body size. The asyncio
-  router (:mod:`repro.shard.aio`) frames its responses and parses its
-  requests with them.
+  head, and :func:`content_length` reads a body size.
 * :class:`ClientCore` is everything an HTTP client of the service
   decides without a socket: the base-URL split and the counters,
   request framing, response-head parsing, 2xx decoding, the status →
@@ -17,13 +16,20 @@ format once:
   once) or *torn* (:class:`ServiceUnreachable`). A failure is stale
   only on a reused connection and only before the first response
   byte; each transport raises :class:`StaleConnection` for it.
+* The front door of both servers: :class:`RouteTable` matches a
+  request to its :class:`Route` row (metric template, handler,
+  content type) and path parameters, and :func:`response` writes a
+  reply's bytes; :func:`~repro.service.errors.error_reply` maps an
+  exception to its status and body.
 
-Two thin transports subclass the core and keep only their connect,
-one physical round trip and the sleep between retries:
+Two thin client transports subclass the core and keep only their
+connect, one physical round trip and the sleep between retries:
 :class:`~repro.service.client.ServiceClient` on a blocking socket and
 :class:`~repro.shard.aio.AsyncShardClient` on an asyncio stream. Both
 send and parse the same bytes, so a reply that one client turns into
-an answer or an error, the other turns into the same one.
+an answer or an error, the other turns into the same one. Likewise
+the two servers (``http.server`` threads, one asyncio loop) keep only
+their transports.
 """
 
 from __future__ import annotations
@@ -34,12 +40,15 @@ import socket
 import ssl
 import threading
 import urllib.parse
+from email.utils import formatdate
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 from repro.service.errors import (
     RETRYABLE_STATUSES,
     BadRequest,
+    NotFound,
     ServiceError,
     ServiceUnreachable,
     for_status,
@@ -68,6 +77,27 @@ MAX_HEAD_BYTES = 2 ** 16
 
 #: Reason phrases for response status lines.
 REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+#: Content type of every JSON body either server sends.
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
+#: Content type for the Prometheus exposition format.
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: ``Retry-After`` value (seconds) sent with 429/503 sheds.
+RETRY_AFTER_SECONDS = 1
+
+#: Largest piece of a request body a server reads at once: a body is
+#: read as it arrives, never allocated at its declared size.
+BODY_CHUNK = 2 ** 20
+
+#: The ``path`` metric label of every request no route matches, so
+#: unknown paths add one label, not one each.
+UNMATCHED = "{unmatched}"
+
+#: One handled request: status, metric path template, body (text for
+#: JSON and metrics, raw bytes for snapshot sections), content type.
+Response = Tuple[int, str, Union[str, bytes], str]
 
 
 class StaleConnection(ConnectionError):
@@ -143,6 +173,67 @@ def content_length(value: Optional[str]) -> int:
     if not _decimal(value):
         raise BadRequest(f"invalid Content-Length: {value!r}")
     return int(value)
+
+
+class Route(NamedTuple):
+    """One route: ``template`` (``{name}`` per parameter segment) is
+    also the ``path`` metric label; ``handler(body, *params)`` returns
+    the response body, as text, bytes, or a value sent as JSON."""
+
+    method: str
+    template: str
+    handler: Callable[..., Any]
+    content_type: str = JSON_CONTENT_TYPE
+
+
+class RouteTable:
+    """One server's routes. Exact paths are one dict lookup; templated
+    rows are tried in table order, so a fixed segment listed first
+    (``/admin/snapshot/{id}/manifest``) wins over a parameter."""
+
+    def __init__(self, rows: Iterable[Route]) -> None:
+        self._exact: Dict[Tuple[str, str], Route] = {}
+        self._templated: List[Tuple[Route, List[str]]] = []
+        for row in rows:
+            if "{" in row.template:
+                self._templated.append(
+                    (row, row.template.strip("/").split("/")))
+            else:
+                self._exact[(row.method, row.template)] = row
+
+    def match(self, method: str, path: str
+              ) -> Tuple[Route, Tuple[str, ...]]:
+        """The row serving ``method`` on ``path`` (query string and
+        empty segments ignored) and its path parameters; no match
+        raises :class:`NotFound`, labelled :data:`UNMATCHED`."""
+        parts = [part for part in path.partition("?")[0].split("/")
+                 if part]
+        path = "/" + "/".join(parts)
+        row = self._exact.get((method, path))
+        if row is not None:
+            return row, ()
+        for row, segments in self._templated:
+            pairs = list(zip(segments, parts))
+            if row.method == method and len(segments) == len(parts) \
+                    and all(s[0] == "{" or s == p for s, p in pairs):
+                return row, tuple(p for s, p in pairs if s[0] == "{")
+        raise NotFound(f"no route {method} {path}")
+
+
+def response(status: int, body: Union[str, bytes], content_type: str,
+             close: bool = False) -> bytes:
+    """One response in wire bytes, for a single write: ``Retry-After``
+    on the transient 429 and 503, so clients need not guess when to
+    come back, and ``Connection: close`` when the server hangs up."""
+    data = body if isinstance(body, bytes) else body.encode("utf-8")
+    headers: Dict[str, Any] = {"Content-Type": content_type,
+                               "Date": formatdate(usegmt=True)}
+    if status in RETRYABLE_STATUSES:
+        headers["Retry-After"] = RETRY_AFTER_SECONDS
+    if close:
+        headers["Connection"] = "close"
+    return frame(f"HTTP/1.1 {status} {REASONS.get(status, '')}",
+                 headers, data)
 
 
 class ClientCore:

@@ -14,10 +14,12 @@ Transport half of the router; all routing *policy* lives in
   behind a sticky active cursor, failing a leg over to a sibling box
   before the router gives the shard up.
 * :class:`AsyncRouterService` — an ``asyncio.start_server`` front
-  end that parses requests and frames responses with
-  :mod:`repro.service.wire`. A query is one ``asyncio.gather`` of
-  one leg per eligible shard, so its concurrency is bounded by the
-  fleet, not a thread pool, and its latency by the slowest leg:
+  end that reads requests and answers them through the front door it
+  shares with the single-box service (:mod:`repro.service.wire`: one
+  route matcher, one error mapping, one response writer). A query is
+  one ``asyncio.gather`` of one leg per eligible shard, so its
+  concurrency is bounded by the fleet, not a thread pool, and its
+  latency by the slowest leg:
   each shard enumerates only the communities it owns, so one round
   of ``k`` per shard is the whole merge (:mod:`repro.shard.merge`).
   The admin plane (``/admin/reload``, including the cross-box
@@ -67,27 +69,26 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, \
     Tuple, Union
 
 from repro import faults
-from repro.exceptions import QueryError, ServiceError, WorkerError
+from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.errors import HeadTooLarge, NotFound
-from repro.service.server import (
-    JSON_CONTENT_TYPE,
-    METRICS_CONTENT_TYPE,
-    RETRY_AFTER_SECONDS,
-    Response,
-)
+from repro.service.errors import BadRequest, HeadTooLarge, error_reply
 from repro.service.wire import (
     HEAD_END,
+    JSON_CONTENT_TYPE,
     MAX_HEAD_BYTES,
-    REASONS,
+    METRICS_CONTENT_TYPE,
     STALE_ERRORS,
     TORN_ERRORS,
+    UNMATCHED,
     ClientCore,
     MalformedResponse,
+    Response,
+    Route,
+    RouteTable,
     StaleConnection,
     content_length,
-    frame,
     parse_head,
+    response,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.routing import (
@@ -374,6 +375,20 @@ class AsyncRouterService:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
+        #: Every endpoint; :meth:`handle_async` awaits what its
+        #: handlers return.
+        self.routes = RouteTable([
+            Route("POST", "/query", self._query),
+            Route("POST", "/batch", self._batch),
+            Route("GET", "/metrics", self._metrics,
+                  METRICS_CONTENT_TYPE),
+            Route("GET", "/healthz", lambda _: self._health()),
+            # rare, and walks every replica: off the loop
+            Route("POST", "/admin/reload",
+                  lambda body: asyncio.get_running_loop()
+                  .run_in_executor(None, reload_fleet, self.core,
+                                   self._admin_fleet, body)),
+        ])
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -491,9 +506,8 @@ class AsyncRouterService:
                 try:
                     request = await self._read_request(reader)
                 except ServiceError as error:
-                    await self._respond(writer, error.status, json.dumps(
-                        {"error": str(error), "status": error.status}),
-                        JSON_CONTENT_TYPE, close=True)
+                    await self._respond(writer, *error_reply(error),
+                                        JSON_CONTENT_TYPE, close=True)
                     break
                 if request is None:
                     break
@@ -523,14 +537,7 @@ class AsyncRouterService:
                        payload: Union[str, bytes], content_type: str,
                        close: bool) -> None:
         """Write one response in a single send."""
-        data = (payload if isinstance(payload, bytes)
-                else payload.encode("utf-8"))
-        headers: Dict[str, Any] = {"Content-Type": content_type}
-        if status in (429, 503):
-            headers["Retry-After"] = RETRY_AFTER_SECONDS
-        headers["Connection"] = "close" if close else "keep-alive"
-        writer.write(frame(f"HTTP/1.1 {status} {REASONS.get(status, '')}",
-                           headers, data))
+        writer.write(response(status, payload, content_type, close))
         await writer.drain()
 
     @staticmethod
@@ -540,9 +547,10 @@ class AsyncRouterService:
                                                 bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
-        Raises :class:`BadRequest`, with the body unread, when its
-        ``Content-Length`` is malformed, and :class:`HeadTooLarge` when
-        its head outgrows the stream's limit."""
+        Raises :class:`HeadTooLarge` when the head outgrows the
+        stream's limit, and :class:`BadRequest` for a malformed
+        request line or ``Content-Length`` (the body left unread) or a
+        body that ends before its ``Content-Length``."""
         try:
             head = await reader.readuntil(HEAD_END)
         except asyncio.IncompleteReadError:
@@ -551,70 +559,39 @@ class AsyncRouterService:
             raise HeadTooLarge(
                 f"request head exceeds {MAX_HEAD_BYTES} bytes") from None
         fields, headers = parse_head(head)
-        if len(fields) != 3:
-            raise ConnectionResetError("malformed request line")
+        if len(fields) != 3 or not fields[2].startswith("HTTP/"):
+            raise BadRequest(
+                f"malformed request line {' '.join(fields)[:64]!r}")
         length = content_length(headers.get("Content-Length"))
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise BadRequest(
+                "request body ends before its Content-Length") from None
         return fields[0].upper(), fields[1], headers, body
 
     # ------------------------------------------------------------------
-    # request handling (same ladder as CommunityService.handle)
+    # request handling (the front door CommunityService.handle uses)
     # ------------------------------------------------------------------
     async def handle_async(self, method: str, path: str,
                            body: bytes) -> Response:
         """Serve one request; never raises."""
         start = time.perf_counter()
-        parts = tuple(p for p in path.split("?", 1)[0].split("/")
-                      if p)
-        template = "/" + "/".join(parts[:2]) if parts else "/"
+        template = UNMATCHED
         try:
-            template, result, content_type = await self._route(
-                method, parts, body)
-            status, payload = 200, result
-        except ServiceError as error:
-            status = error.status
-            payload = json.dumps(
-                {"error": str(error), "status": status})
-            content_type = JSON_CONTENT_TYPE
-        except (QueryError, WorkerError) as error:
-            status = 400 if isinstance(error, QueryError) else 503
-            payload = json.dumps(
-                {"error": str(error), "status": status})
-            content_type = JSON_CONTENT_TYPE
+            route, params = self.routes.match(method, path)
+            template = route.template
+            payload = await route.handler(body, *params)
+            if not isinstance(payload, str):
+                payload = json.dumps(payload)
+            status, content_type = 200, route.content_type
         except Exception as error:  # noqa: BLE001 — boundary: any bug
             # becomes a 500 response rather than a dead connection.
-            status = 500
-            payload = json.dumps({"error": str(error),
-                                  "status": 500})
-            content_type = JSON_CONTENT_TYPE
+            (status, payload), content_type = (error_reply(error),
+                                               JSON_CONTENT_TYPE)
         self.core.metrics.observe_request(
             template, status, time.perf_counter() - start)
         return status, template, payload, content_type
-
-    async def _route(self, method: str, parts: Tuple[str, ...],
-                     body: bytes) -> Tuple[str, str, str]:
-        """Dispatch to a handler; returns (template, body, type)."""
-        if method == "GET" and parts == ("metrics",):
-            return "/metrics", \
-                self.core.render_metrics(self.replica_sets), \
-                METRICS_CONTENT_TYPE
-        if method == "GET" and parts == ("healthz",):
-            return "/healthz", json.dumps(await self._health()), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("query",):
-            return "/query", json.dumps(await self._query(body)), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("batch",):
-            return "/batch", json.dumps(await self._batch(body)), \
-                JSON_CONTENT_TYPE
-        if method == "POST" and parts == ("admin", "reload"):
-            loop = asyncio.get_running_loop()
-            reply = await loop.run_in_executor(
-                None, reload_fleet, self.core,
-                self._admin_fleet, body)
-            return "/admin/reload", json.dumps(reply), \
-                JSON_CONTENT_TYPE
-        raise NotFound(f"no route {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
     # fan-out plumbing
@@ -717,6 +694,10 @@ class AsyncRouterService:
     # ------------------------------------------------------------------
     # health + metrics
     # ------------------------------------------------------------------
+    async def _metrics(self, body: bytes) -> str:
+        """``GET /metrics``: the router's Prometheus scrape."""
+        return self.core.render_metrics(self.replica_sets)
+
     async def _health(self) -> Dict[str, Any]:
         """``GET /healthz``: fan probes to every replica."""
         manifest = self.core.capture()

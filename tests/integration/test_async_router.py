@@ -23,11 +23,17 @@ Acceptance coverage for the router:
 * **the wire** — a routed read pays no delayed-ACK floor on any hop,
   and a malformed ``Content-Length`` gets a typed 400 and a closed
   connection;
+* **one front door** — on the service and the router alike, a
+  malformed request line and a body that ends before its
+  ``Content-Length`` get a typed 400 with a status line and a closed
+  connection, and unknown paths add one ``path`` metric label, not
+  one each;
 * **one request parser** — a query field the service refuses is a
   400 from the router too, on ``/query`` and in a ``/batch`` entry.
 """
 
 import json
+import re
 import threading
 import time
 
@@ -42,7 +48,13 @@ from repro.datasets.paper_example import (
 from repro.engine.engine import QueryEngine
 from repro.exceptions import ServiceError
 from repro.graph.generators import random_database_graph
-from repro.service import BadRequest, CommunityService, ServiceClient
+from repro.service import (
+    BadRequest,
+    CommunityService,
+    NotFound,
+    ServiceClient,
+)
+from repro.service.wire import UNMATCHED
 from repro.shard import partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot import read_manifest
@@ -54,6 +66,7 @@ from wire_helpers import (
     TCP_QUICKACK,
     delayed_ack_round_trips,
     malformed_length_reply,
+    raw_exchange,
     raw_reply,
 )
 
@@ -260,6 +273,65 @@ def test_overlong_request_head_is_a_typed_431(fig4_fleet, front):
     assert status.startswith("HTTP/1.1 431 ")
     assert "Connection: close" in headers
     assert json.loads(body)["status"] == 431
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_short_body_is_a_typed_400(fig4_fleet, front):
+    """A body is read as it arrives: a huge declared size is not
+    allocated, and a body that ends before it is refused."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    status, headers, body = raw_exchange(
+        server.port, b"POST /query HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: 99999999999999999\r\n\r\n{}",
+        half_close=True)
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_malformed_request_line_is_a_typed_400(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    status, headers, body = raw_exchange(server.port,
+                                         b"GARBAGE\r\n\r\n")
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
+
+
+def _path_labels(metrics):
+    """The ``path`` labels of the request counter and histogram."""
+    return set(re.findall(
+        r'^repro_request(?:s_total|_seconds\w*)\{path="([^"]*)"',
+        metrics, re.M))
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_unknown_paths_add_one_path_label(fig4_fleet, front):
+    router, single = fig4_fleet
+    client = ServiceClient((router if front == "router" else single).url,
+                           timeout=30.0)
+    client.metrics()                  # its own label is not counted
+    before = _path_labels(client.metrics())
+    unknown = [f"/scan{i}" for i in range(100)] \
+        + [f"/scan{i}/a" for i in range(100)] + ["/query{x}"]
+    for path in unknown:
+        with pytest.raises(NotFound):
+            client.request("GET" if len(path) % 2 else "POST", path)
+    after = _path_labels(client.metrics())
+    assert after - before <= {UNMATCHED}
+    assert UNMATCHED in after
+
+
+def test_failed_templated_request_keeps_its_template(fig4_fleet):
+    _, single = fig4_fleet
+    client = ServiceClient(single.url, timeout=30.0)
+    with pytest.raises(NotFound):
+        client.request("POST", "/sessions/nope/next", {"k": 1})
+    assert 'repro_requests_total{path="/sessions/{id}/next",' \
+        'status="404"}' in client.metrics()
 
 
 #: Query fields both front ends refuse with a 400 before any engine

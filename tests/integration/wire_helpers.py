@@ -51,11 +51,21 @@ def raw_reply(port, header):
     Returns (status line, header lines, body bytes). A server that
     closes with part of the request unread resets the connection;
     the reply read before the reset is kept."""
+    return raw_exchange(port, b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                        + header + b"\r\n\r\n")
+
+
+def raw_exchange(port, request, half_close=False):
+    """Send the raw ``request`` bytes — then, with ``half_close``, shut
+    the sending side — and read the reply until the server hangs up
+    (2 s at most). Returns (status line, header lines, body bytes),
+    as :func:`raw_reply` does."""
     chunks = []
     with socket.create_connection(("127.0.0.1", port),
                                   timeout=2.0) as sock:
-        sock.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
-                     + header + b"\r\n\r\n")
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         try:
             while True:
                 chunk = sock.recv(65536)

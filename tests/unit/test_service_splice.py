@@ -6,6 +6,9 @@ result cache hands out again, and splices it into the ``/query``,
 
 * a repeated cached ``/query`` encodes no community, on an exact
   repeat and on a smaller ``k`` alike;
+* a larger ``k`` that a pool worker answers encodes only the new
+  tail: the parent answers with its cached instances for the prefix
+  it already held;
 * the stored text is invisible to the rest of the program: equality,
   hashing, ``repr``, the dataclass fields and pickles are unchanged;
 * after a generation swap (a delta or a reload) the next body is
@@ -30,6 +33,7 @@ from repro.datasets.paper_example import (
     figure4_graph,
 )
 from repro.engine import QueryEngine, QuerySpec
+from repro.parallel import ParallelQueryEngine
 from repro.service import CommunityService
 from repro.service import serialize
 from repro.service.serialize import (
@@ -119,6 +123,20 @@ class TestEncodeOnce:
             "POST", f"/sessions/{session}/next", b'{"k": 3}')
         assert json.loads(body)["returned"] == 3
         assert len(encodes) == 3
+
+    def test_worker_extension_encodes_only_the_tail(self, tmp_path,
+                                                    encodes, fig4):
+        SnapshotStore(tmp_path).publish(
+            fig4, CommunityIndex.build(fig4, FIG4_RMAX))
+        with ParallelQueryEngine(tmp_path, workers=2) as engine, \
+                CommunityService(engine, workers=1) as service:
+            counts = []
+            for k in (2, 4, 4):
+                before = len(encodes)
+                reply = query(service, k)
+                assert reply["count"] == k
+                counts.append(len(encodes) - before)
+        assert counts == [2, 2, 0]
 
 
 class TestInvisibleText:
