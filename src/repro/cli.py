@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 120)")
     serve.add_argument("--result-cache-mb", type=float, default=64.0,
                        dest="result_cache_mb",
-                       help="result-cache budget in MiB per engine "
+                       help="result-cache budget in MiB per server "
                             "(LRU by estimated bytes; 0 disables "
                             "the cache; default 64)")
     serve.add_argument("--warm-top", type=int, default=8,

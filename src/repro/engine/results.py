@@ -62,9 +62,8 @@ ENTRY_OVERHEAD_BYTES = 512
 #: edge. Together they cover the instance, its tuples, ints and floats,
 #: and its JSON text. Fitted to ``sys.getsizeof`` walks plus text
 #: lengths of fig4, random-graph, tiny DBLP/IMDB and bench DBLP
-#: answers, in-process and after a pickle round trip (a pool worker's
-#: answer, whose tuples no longer share int objects): within ±22% of
-#: each.
+#: answers (a pool worker's answer is installed with its ids shared,
+#: as in-process): within ±22% of each.
 _COMMUNITY_BYTES = 440
 _ID_BYTES = 32
 _NODE_BYTES = 40

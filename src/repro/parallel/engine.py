@@ -10,23 +10,21 @@ throughput.
 
 Division of labor:
 
-* **the parent's result cache** answers first: ``execute``,
-  ``run_all``, ``top_k`` and ``execute_batch`` look each spec up in
-  the parent's own :class:`~repro.engine.results.ResultCache`, and
-  whatever it serves without enumeration — an exact repeat, a
-  smaller-k slice of a cached ranked prefix, a complete COMM-all
-  entry — is answered with no pool task;
-* **workers** run the rest (misses and k-extensions) — the
-  CPU-bound, stateless bulk of the traffic. Results come back as the
-  same :class:`~repro.core.community.Community` dataclasses an
-  in-process engine returns, and the worker's stage timings/counters
-  are merged into the caller's :class:`~repro.engine.context.
-  QueryContext`, so ``/metrics`` aggregation is unchanged. A worker's
-  answer is installed in the parent's cache only when the worker
-  computed it on the state the parent serves: the state id the worker
-  reports when it starts the task (see :attr:`~repro.engine.engine.
-  QueryEngine.state_id`) must equal the parent's when the answer
-  arrives;
+* **the parent's result cache is the pool server's only one**:
+  ``execute``, ``run_all``, ``top_k`` and ``execute_batch`` look each
+  spec up there, counting the hit, miss or error into the request's
+  context, and an exact repeat, a smaller-k slice of a cached ranked
+  prefix or a complete COMM-all entry is answered with no pool task;
+* **workers** compute the rest (misses and k-extensions, from the
+  start) and keep only their projection cache and Dijkstra memo.
+  Results come back as the same :class:`~repro.core.community.
+  Community` dataclasses an in-process engine returns, and the
+  worker's stage timings/counters merge into the caller's
+  :class:`~repro.engine.context.QueryContext`. A worker's answer is
+  installed in the parent's cache only when the state id the worker
+  reported when it started the task (see :attr:`~repro.engine.engine.
+  QueryEngine.state_id`) equals the parent's when the answer arrives,
+  so a state with no id (a delta without a WAL) caches nothing;
 * **the parent** is itself the engine, so everything stateful or
   cheap is inherited and stays in-process: PDk session streams
   (``top_k_stream`` — leases hold generators, which cannot cross a
@@ -37,8 +35,8 @@ Division of labor:
   session manager stale-checks against;
 * ``apply_delta`` and ``swap_snapshot`` do the parent's half through
   the inherited method, then broadcast the same operation to every
-  worker; ``warm`` fills the parent from worker answers, then
-  broadcasts.
+  worker; ``warm`` fills the parent from worker answers, one pool
+  task per spec it lacks.
 
 Hot swap: :meth:`~ParallelQueryEngine.swap_snapshot` swaps the parent
 first (new queries immediately see the new generation), then
@@ -76,17 +74,25 @@ DEFAULT_POOL_WORKERS = 2
 
 
 def _key(spec: QuerySpec) -> str:
-    """The result-cache key a worker's engine files ``spec`` under."""
+    """The result-cache key an in-process engine files ``spec`` under."""
     return result_key(spec.keywords, spec.rmax, spec.algorithm,
                       spec.aggregate, spec.mode)
 
 
+def _share_ids(communities: List[Community]) -> List[Community]:
+    """``communities`` relabelled through one identity dict, so each
+    node id is one int object, as in-process: unpickled tuples share
+    none. (Every id of a community is among its ``nodes``.)"""
+    ids = {u: u for community in communities for u in community.nodes}
+    return [community.relabel(ids) for community in communities]
+
+
 class ParallelQueryEngine(QueryEngine):
-    """A :class:`QueryEngine` that executes queries on a process pool."""
+    """A :class:`QueryEngine` that executes queries on a process pool;
+    ``result_cache_bytes`` sizes the parent's cache, the only one."""
 
     def __init__(self, source: Union[str, Path],
                  workers: int = DEFAULT_POOL_WORKERS,
-                 mp_method: Optional[str] = None,
                  lease_seconds: Optional[float] = DEFAULT_LEASE_SECONDS,
                  max_respawns: int = DEFAULT_MAX_RESPAWNS,
                  respawn_window: float = DEFAULT_RESPAWN_WINDOW,
@@ -110,11 +116,9 @@ class ParallelQueryEngine(QueryEngine):
         pool_wal = (str(getattr(wal_path, "path", wal_path))
                     if wal_path is not None else None)
         self.pool = WorkerPool(self.path, workers=workers,
-                               mp_method=mp_method,
                                lease_seconds=lease_seconds,
                                max_respawns=max_respawns,
                                respawn_window=respawn_window,
-                               result_cache_bytes=result_cache_bytes,
                                wal_path=pool_wal)
         if wal_path is not None:
             # The pool has no workers yet, so these deltas broadcast
@@ -176,8 +180,8 @@ class ParallelQueryEngine(QueryEngine):
         Every miss is queued before any result is awaited, so the
         batch runs on as many workers (cores) as the pool has. With
         ``contexts`` given (one per spec), each query's stats — the
-        parent's hit, or the worker's stages and counters — go to its
-        own context.
+        parent's lookup, and a worker's stages and counters — go to
+        its own context.
         """
         if contexts is None:
             contexts = [QueryContext() for _ in specs]
@@ -197,76 +201,56 @@ class ParallelQueryEngine(QueryEngine):
     def _cached(self, spec: QuerySpec, context: QueryContext
                 ) -> Optional[List[Community]]:
         """The parent's answer to ``spec`` without enumeration, or
-        ``None`` to ask a worker.
-
-        Only a hit or a failed lookup is counted into ``context``; on
-        a miss the worker's own cache counters describe the request,
-        so each query still counts one lookup.
-        """
+        ``None`` to ask a worker; the hit, miss or error is counted
+        into ``context``."""
         if not self._result_cacheable(spec):
             return None
-        probe = QueryContext()
-        served = self.results.fetch(
+        return self.results.fetch(
             _key(spec), self.generation,
-            spec.k if spec.mode == "topk" else None, probe,
+            spec.k if spec.mode == "topk" else None, context,
             extend=False)
-        if served is not None or probe.counter("result_cache_errors"):
-            context.merge(probe)
-        return served
 
     def _install(self, spec: QuerySpec, communities: List[Community],
                  state: Optional[str]) -> List[Community]:
         """Offer a worker's answer, computed on ``state``, to the
-        parent's cache — only when the parent serves that state now;
-        returns the answer to serve (``ResultCache.offer``)."""
+        parent's cache, ids shared — only when the parent serves that
+        state now; returns the answer to serve (``ResultCache.offer``)."""
         if state is None or not self._result_cacheable(spec):
             return communities
         generation, current = self._state()
         if state != current:
             return communities
         return self.results.offer(
-            _key(spec), generation, communities,
+            _key(spec), generation, _share_ids(communities),
             complete=spec.mode != "topk" or len(communities) < spec.k)
 
     # ------------------------------------------------------------------
     # the parent's half, then every worker's
     # ------------------------------------------------------------------
     def warm(self, specs: Sequence[QuerySpec]) -> int:
-        """Pre-warm the parent's result cache, then every worker's.
+        """Pre-warm the parent's result cache.
 
         The parent enumerates nothing: it also serves HTTP. Each spec
         it does not hold yet goes to one worker as a query task, and
         the answer is installed through :meth:`_install`, like every
-        worker answer. The specs then go out as one ``warm`` control
-        task per worker: each worker executes them into its private
-        cache and reports only a count, and the worker that answered a
-        spec already holds it. So each spec is enumerated once per
-        worker, N times in all. Returns how many specs were newly
-        computed into the parent. A spec a worker refuses (an unknown
-        keyword after a reload) or loses to a crash is skipped, and
-        not broadcast: warming is an optimization, never a failure
-        source.
+        worker answer. Returns how many specs were computed. A spec a
+        worker refuses (an unknown keyword after a reload) or loses to
+        a crash is skipped: warming is an optimization, never a
+        failure source.
         """
-        specs = [spec for spec in specs if self._result_cacheable(spec)]
         asked = [(spec, self.pool.submit("query", spec))
                  for spec in specs
-                 if self._cached(spec, QueryContext()) is None]
-        refused = []
+                 if self._result_cacheable(spec)
+                 and self._cached(spec, QueryContext()) is None]
+        warmed = 0
         for spec, future in asked:
             try:
                 communities, _, _ = future.result()
             except (QueryError, WorkerError):
-                refused.append(spec)
                 continue
             self._install(spec, list(communities), future.state)
-        kept = [spec for spec in specs if spec not in refused]
-        for future in self.pool.broadcast("warm", kept).values():
-            try:
-                future.result()
-            except Exception:  # noqa: BLE001 — best effort: a worker
-                # that failed to warm still answers, just cold.
-                pass
-        return len(asked) - len(refused)
+            warmed += 1
+        return warmed
 
     def apply_delta(self, delta: Any, banks_reweight: bool = False,
                     lsn: Optional[int] = None):

@@ -41,10 +41,9 @@ snapshot. The plumbing is deliberately simple and lock-light:
   ``terminate()`` then ``kill()`` for stragglers — shutdown can
   never leave a live orphan process behind.
 
-The pool prefers the ``fork`` start method when the platform offers
-it (workers then share the parent's page-cache view of the snapshot
-files and start in milliseconds); pass ``mp_method="spawn"`` for a
-fully isolated cold start.
+Workers start by ``fork`` where the platform offers it (they then
+share the parent's page-cache view of the snapshot files and start in
+milliseconds), else by ``spawn``. They keep no result cache.
 """
 
 from __future__ import annotations
@@ -128,11 +127,9 @@ class WorkerPool:
 
     def __init__(self, snapshot_path: Union[str, Path],
                  workers: int = 2,
-                 mp_method: Optional[str] = None,
                  lease_seconds: Optional[float] = DEFAULT_LEASE_SECONDS,
                  max_respawns: int = DEFAULT_MAX_RESPAWNS,
                  respawn_window: float = DEFAULT_RESPAWN_WINDOW,
-                 result_cache_bytes: Optional[int] = None,
                  wal_path: Optional[str] = None
                  ) -> None:
         if workers <= 0:
@@ -142,9 +139,6 @@ class WorkerPool:
             raise ValueError(
                 f"lease_seconds must be positive, got {lease_seconds}")
         self.snapshot_path = str(snapshot_path)
-        #: Per-worker result-cache budget (``None`` = engine default,
-        #: ``0`` disables); each worker owns a private cache.
-        self.result_cache_bytes = result_cache_bytes
         #: Path of the delta WAL every worker incarnation replays
         #: after loading its snapshot (``None`` = no WAL). Spawn-mode
         #: children re-read the file themselves, so this stays a
@@ -155,10 +149,9 @@ class WorkerPool:
         self.lease_seconds = lease_seconds
         self.max_respawns = max_respawns
         self.respawn_window = respawn_window
-        methods = multiprocessing.get_all_start_methods()
-        if mp_method is None:
-            mp_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_method)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self._handles: Dict[int, _WorkerHandle] = {}
         self._pending: Dict[str, Tuple[Future, int]] = {}
         #: request_id -> monotonic lease deadline, set by the router
@@ -219,8 +212,7 @@ class WorkerPool:
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self.snapshot_path, queue,
-                  self._result_queue, self.result_cache_bytes,
-                  self.wal_path),
+                  self._result_queue, self.wal_path),
             daemon=True, name=f"repro-worker-{worker_id}")
         process.start()
         self._handles[worker_id] = _WorkerHandle(

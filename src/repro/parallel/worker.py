@@ -12,9 +12,7 @@ objects in and :class:`~repro.core.community.Community` tuples out.
 Task protocol (all tuples, all picklable):
 
 * in:  ``(request_id, op, payload)`` where ``op`` is one of
-  ``query`` / ``reload`` / ``stats`` / ``ping`` / ``warm`` (a list
-  of specs executed into the worker's private result cache — only
-  the warmed count returns, never the communities) / ``delta`` (an
+  ``query`` / ``reload`` / ``stats`` / ``ping`` / ``delta`` (an
   ``(lsn, wire_delta, banks_reweight)`` triple applied through the
   worker engine's idempotent-per-LSN ``apply_delta``);
 * out: ``(request_id, worker_id, "started", state_id)`` the moment
@@ -36,9 +34,10 @@ parent can merge the worker's per-stage wall-clock and cache counters
 into its own :class:`~repro.engine.context.QueryContext` — that is
 how ``/metrics`` keeps aggregating stage timings when execution moves
 out of process. ``stats`` reports the worker's identity (pid,
-snapshot id, generation) plus its private projection-cache and
-Dijkstra-memo counters; ``reload`` re-points the worker at a snapshot
-path and returns the adopted snapshot id.
+snapshot id, generation) plus its projection-cache and Dijkstra-memo
+counters (a worker keeps no result cache: the parent's is the only
+one); ``reload`` re-points the worker at a snapshot path and returns
+the adopted snapshot id.
 
 When the pool carries a WAL path, every worker incarnation replays
 the log's pending deltas right after loading its snapshot — at first
@@ -91,7 +90,6 @@ def _stats(worker_id: int, engine: QueryEngine) -> Dict[str, Any]:
         "dijkstra_memo_misses": memo.misses,
     }
     payload.update(engine.cache.stats.as_dict())
-    payload.update(engine.results.as_dict())
     return payload
 
 
@@ -122,9 +120,7 @@ def _apply_delta(worker_id: int, engine: QueryEngine,
 
 
 def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
-                result_queue: Any,
-                result_cache_bytes: Any = None,
-                wal_path: Any = None) -> None:
+                result_queue: Any, wal_path: Any = None) -> None:
     """Process target: load the snapshot, serve tasks until sentinel.
 
     Every worker maps the same section files, so the pool shares one
@@ -137,8 +133,7 @@ def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
     faults.hit("worker.start")
     faults.hit(f"worker.{worker_id}.start")
     engine = QueryEngine.from_snapshot(
-        snapshot_path, result_cache_bytes=result_cache_bytes,
-        wal_path=wal_path)
+        snapshot_path, result_cache_bytes=0, wal_path=wal_path)
     parent = os.getppid()
     while True:
         try:
@@ -168,10 +163,6 @@ def worker_main(worker_id: int, snapshot_path: str, task_queue: Any,
                                  wal_path)
             elif op == "delta":
                 result = _apply_delta(worker_id, engine, payload)
-            elif op == "warm":
-                # Pre-warm this worker's private result cache; no
-                # communities cross the queue, just the count.
-                result = {"warmed": engine.warm(payload)}
             elif op == "ping":
                 result = {"worker": worker_id, "pid": os.getpid()}
             else:

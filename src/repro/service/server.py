@@ -60,6 +60,7 @@ front door this service shares with the shard router
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -116,6 +117,7 @@ from repro.service.sessions import (
 )
 from repro.service.wire import (
     BODY_CHUNK,
+    BODY_TIMEOUT,
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
     REASONS,
@@ -124,6 +126,7 @@ from repro.service.wire import (
     Route,
     RouteTable,
     content_length,
+    reject,
     response,
 )
 
@@ -238,13 +241,9 @@ def spec_of(payload: Dict[str, Any],
 
 
 def _served_from_cache(context: QueryContext) -> bool:
-    """Whether a query was answered purely from the result cache.
-
-    True only for a pure prefix lookup: at least one result-cache hit
-    and neither a miss nor an extension — i.e. zero enumeration work
-    happened anywhere (parent or pool worker; worker counters merge
-    into the same context).
-    """
+    """Whether a query was answered purely from the result cache: a
+    hit and neither a miss nor an extension, so nothing enumerated
+    (on a pool server the lookup is the parent's)."""
     return (context.counter("result_cache_hits") > 0
             and context.counter("result_cache_misses") == 0
             and context.counter("result_cache_extensions") == 0)
@@ -273,13 +272,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
-        """http.server's own rejections (a malformed request line is
-        400, an overlong request head 431) in the typed JSON shape of
-        every other error; the connection closes."""
+        """Rejections before routing (a malformed request line is 400,
+        an overlong head 431, an unreadable body 400) as typed JSON
+        errors, counted by :func:`~repro.service.wire.reject`; the
+        connection closes."""
         text = message or REASONS.get(code, "")
         if explain:
             text = f"{text}: {explain}"
-        self._respond(*error_reply(for_status(code, text)),
+        metrics = self.server.service.metrics  # type: ignore[attr-defined]
+        self._respond(*reject(for_status(code, text), metrics),
                       JSON_CONTENT_TYPE, close=True)
 
     # ------------------------------------------------------------------
@@ -288,8 +289,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except BadRequest as error:
-            self._respond(*error_reply(error), JSON_CONTENT_TYPE,
-                          close=True)
+            self.send_error(error.status, str(error))
             return
         status, _, payload, content_type = service.handle(
             method, self.path, body)
@@ -297,18 +297,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body, read as it arrives in pieces of at most
-        :data:`~repro.service.wire.BODY_CHUNK` bytes. A malformed
-        ``Content-Length`` or a body that ends before it raises
-        :class:`BadRequest`; the connection then closes."""
+        ``BODY_CHUNK`` bytes, each within ``BODY_TIMEOUT`` (an idle
+        keep-alive connection has no timeout). A malformed
+        ``Content-Length`` or a body that ends or stalls before it
+        raises :class:`BadRequest`; the connection then closes."""
         length = content_length(self.headers.get("Content-Length"))
         chunks = []
-        while length:
-            chunk = self.rfile.read(min(length, BODY_CHUNK))
-            if not chunk:
-                raise BadRequest(
-                    "request body ends before its Content-Length")
-            chunks.append(chunk)
-            length -= len(chunk)
+        self.connection.settimeout(BODY_TIMEOUT)
+        try:
+            while length:
+                chunk = self.rfile.read(min(length, BODY_CHUNK))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                length -= len(chunk)
+        except socket.timeout:
+            pass
+        finally:
+            self.connection.settimeout(None)
+        if length:
+            raise BadRequest(
+                "request body ends before its Content-Length")
         return b"".join(chunks)
 
     def _respond(self, status: int, payload: Union[str, bytes],
@@ -981,8 +990,8 @@ class CommunityService:
         * ``repro_worker_info{worker,pid,snapshot_id,generation}`` —
           one identity row per worker, which is how the reload smoke
           test asserts every worker adopted the new snapshot;
-        * ``repro_worker_*_total`` — the workers' private projection
-          cache and Dijkstra-memo counters, summed (per-stage wall
+        * ``repro_worker_*_total`` — the workers' projection cache
+          and Dijkstra-memo counters, summed (per-stage wall
           clock needs no special handling: workers report timings per
           query and the service folds them into
           ``repro_stage_seconds_total`` exactly as in-process
@@ -1014,7 +1023,7 @@ class CommunityService:
                 summed[name] = summed.get(name, 0.0) + float(value)
         infos["repro_worker_info"] = rows
         worker_counters, worker_gauges = split_rates(
-            summed, ("cache_hit_rate", "result_cache_hit_rate"))
+            summed, ("cache_hit_rate",))
         counters.update(prefixed(worker_counters,
                                  prefix="repro_worker_",
                                  suffix="_total"))

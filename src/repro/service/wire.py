@@ -20,7 +20,8 @@ format once:
   request to its :class:`Route` row (metric template, handler,
   content type) and path parameters, and :func:`response` writes a
   reply's bytes; :func:`~repro.service.errors.error_reply` maps an
-  exception to its status and body.
+  exception to its status and body, and :func:`reject` counts a
+  request refused before routing.
 
 Two thin client transports subclass the core and keep only their
 connect, one physical round trip and the sleep between retries:
@@ -51,6 +52,7 @@ from repro.service.errors import (
     NotFound,
     ServiceError,
     ServiceUnreachable,
+    error_reply,
     for_status,
 )
 
@@ -90,6 +92,10 @@ RETRY_AFTER_SECONDS = 1
 #: Largest piece of a request body a server reads at once: a body is
 #: read as it arrives, never allocated at its declared size.
 BODY_CHUNK = 2 ** 20
+
+#: Seconds a server waits on a request body (the service per read, the
+#: router in all) before answering it as a short one.
+BODY_TIMEOUT = 30.0
 
 #: The ``path`` metric label of every request no route matches, so
 #: unknown paths add one label, not one each.
@@ -234,6 +240,14 @@ def response(status: int, body: Union[str, bytes], content_type: str,
         headers["Connection"] = "close"
     return frame(f"HTTP/1.1 {status} {REASONS.get(status, '')}",
                  headers, data)
+
+
+def reject(error: ServiceError, metrics: Any) -> Tuple[int, str]:
+    """:func:`error_reply` for a request refused before routing (a bad
+    head or body), counted in ``metrics`` under :data:`UNMATCHED`."""
+    status, payload = error_reply(error)
+    metrics.observe_request(UNMATCHED, status, 0.0)
+    return status, payload
 
 
 class ClientCore:

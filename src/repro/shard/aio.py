@@ -73,6 +73,7 @@ from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.errors import BadRequest, HeadTooLarge, error_reply
 from repro.service.wire import (
+    BODY_TIMEOUT,
     HEAD_END,
     JSON_CONTENT_TYPE,
     MAX_HEAD_BYTES,
@@ -88,6 +89,7 @@ from repro.service.wire import (
     StaleConnection,
     content_length,
     parse_head,
+    reject,
     response,
 )
 from repro.shard.manifest import RoutingManifest
@@ -506,8 +508,9 @@ class AsyncRouterService:
                 try:
                     request = await self._read_request(reader)
                 except ServiceError as error:
-                    await self._respond(writer, *error_reply(error),
-                                        JSON_CONTENT_TYPE, close=True)
+                    await self._respond(
+                        writer, *reject(error, self.core.metrics),
+                        JSON_CONTENT_TYPE, close=True)
                     break
                 if request is None:
                     break
@@ -550,7 +553,7 @@ class AsyncRouterService:
         Raises :class:`HeadTooLarge` when the head outgrows the
         stream's limit, and :class:`BadRequest` for a malformed
         request line or ``Content-Length`` (the body left unread) or a
-        body that ends before its ``Content-Length``."""
+        body that ends or stalls before its ``Content-Length``."""
         try:
             head = await reader.readuntil(HEAD_END)
         except asyncio.IncompleteReadError:
@@ -563,11 +566,17 @@ class AsyncRouterService:
             raise BadRequest(
                 f"malformed request line {' '.join(fields)[:64]!r}")
         length = content_length(headers.get("Content-Length"))
+        short = BadRequest("request body ends before its Content-Length")
+        # A body still short at the deadline fails the read through the
+        # reader's own error channel: unlike wait_for, no task per body.
+        stalled = asyncio.get_running_loop().call_later(
+            BODY_TIMEOUT, reader.set_exception, short)
         try:
-            body = await reader.readexactly(length) if length else b""
+            body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
-            raise BadRequest(
-                "request body ends before its Content-Length") from None
+            raise short from None
+        finally:
+            stalled.cancel()
         return fields[0].upper(), fields[1], headers, body
 
     # ------------------------------------------------------------------

@@ -103,10 +103,9 @@ class TestPoisonedLookup:
 
 
 def _worker_lookups(engine):
-    """Result-cache lookups summed over the workers: they move exactly
-    when a worker runs a query."""
-    return sum(row["result_cache_hits"] + row["result_cache_misses"]
-               for row in engine.worker_stats())
+    """Projection-cache lookups summed over the workers: one per query
+    a worker runs on a projection."""
+    return sum(row["cache_lookups"] for row in engine.worker_stats())
 
 
 def _reference(store):

@@ -24,14 +24,16 @@ Acceptance coverage for the router:
   and a malformed ``Content-Length`` gets a typed 400 and a closed
   connection;
 * **one front door** — on the service and the router alike, a
-  malformed request line and a body that ends before its
+  malformed request line and a body that ends or stalls before its
   ``Content-Length`` get a typed 400 with a status line and a closed
-  connection, and unknown paths add one ``path`` metric label, not
+  connection, each rejection is counted under the ``{unmatched}``
+  label, and unknown paths add that one ``path`` metric label, not
   one each;
 * **one request parser** — a query field the service refuses is a
   400 from the router too, on ``/query`` and in a ``/batch`` entry.
 """
 
+import http.client
 import json
 import re
 import threading
@@ -54,8 +56,9 @@ from repro.service import (
     NotFound,
     ServiceClient,
 )
+from repro.service import server as service_server
 from repro.service.wire import UNMATCHED
-from repro.shard import partition_snapshot
+from repro.shard import aio, partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot import read_manifest
 from repro.snapshot.store import SnapshotStore
@@ -299,6 +302,51 @@ def test_malformed_request_line_is_a_typed_400(fig4_fleet, front):
     assert status.startswith("HTTP/1.1 400 ")
     assert "Connection: close" in headers
     assert json.loads(body)["status"] == 400
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_http_rejections_are_counted(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    client = ServiceClient(server.url, timeout=30.0)
+    series = f'repro_requests_total{{path="{UNMATCHED}",status="400"}}'
+    before = _metric(client.metrics(), series)
+    for _ in range(5):
+        assert raw_exchange(server.port, b"GARBAGE\r\n\r\n")[0] \
+            .startswith("HTTP/1.1 400 ")
+    assert _metric(client.metrics(), series) == before + 5
+    client.close()
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_stalled_body_is_a_typed_400(fig4_fleet, front, monkeypatch):
+    """A body that stops arriving is answered as a short one once it
+    has stalled for the body timeout; an idle keep-alive connection is
+    not timed out."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    monkeypatch.setattr(aio if front == "router" else service_server,
+                        "BODY_TIMEOUT", 0.5)
+    start = time.monotonic()
+    # raw_exchange holds the connection open and reads for 2 s.
+    status, headers, body = raw_exchange(
+        server.port, b"POST /query HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: 10\r\n\r\n{}")
+    assert time.monotonic() - start < 2.0
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
+    conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                      timeout=10.0)
+    try:
+        for pause in (0.0, 1.0):
+            time.sleep(pause)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200
+    finally:
+        conn.close()
 
 
 def _path_labels(metrics):

@@ -14,8 +14,9 @@ acceptance properties covered:
   fields) with and without ``--workers``;
 * the pool engine *is* a ``QueryEngine``, and the parent's half of a
   shared operation stays in the parent: ``warm`` fills the parent's
-  own result cache (sessions attach to it) from worker answers, with
-  no enumeration in the parent, as well as every worker's;
+  result cache, the only one (sessions attach to it), from worker
+  answers, with no enumeration in the parent and each spec computed
+  on one worker once;
 * the parent's result cache answers repeats and smaller-k slices
   with no pool task, installs a worker's answer only when the worker
   computed it on the parent's state (a WAL-logged delta state
@@ -234,8 +235,9 @@ class TestParentHalf:
             assert context.counter("result_cache_hits") == 1
             assert context.counter("result_cache_extensions") == 0
             assert "enumerate" not in context.timings
-            assert all(row["result_cache_entries"] >= 1
-                       for row in engine.worker_stats())
+            assert not any(name.startswith("result_cache_")
+                           for row in engine.worker_stats()
+                           for name in row)
 
     def test_warm_enumerates_each_spec_once_per_worker(
             self, store_root, monkeypatch):
@@ -253,14 +255,13 @@ class TestParentHalf:
                 return ranked(self, *args, **kwargs)
 
             monkeypatch.setattr(QueryEngine, "_ranked", counting)
-            _, misses = worker_cache_traffic(engine)
+            lookups = worker_cache_traffic(engine)
             # The unknown keyword is skipped, not fatal: one worker
-            # refuses it and it is not broadcast. Each other spec
-            # misses once on each of the 2 workers.
+            # refuses it before any projection. Each other spec runs
+            # on one worker once in all.
             assert engine.warm(specs) == 2
             assert built == []
-            assert worker_cache_traffic(engine)[1] \
-                == misses + 2 * 2 + 1
+            assert worker_cache_traffic(engine) == lookups + 2
             for spec in specs[:2]:
                 context = QueryContext()
                 assert len(engine.execute(spec, context)) == spec.k
@@ -269,11 +270,9 @@ class TestParentHalf:
 
 
 def worker_cache_traffic(engine):
-    """Summed ``(result_cache_hits, result_cache_misses)`` of every
-    worker: the counters move exactly when a worker runs a query."""
-    rows = engine.worker_stats()
-    return (sum(row["result_cache_hits"] for row in rows),
-            sum(row["result_cache_misses"] for row in rows))
+    """Projection-cache lookups summed over the workers: one per query
+    a worker runs on a projection."""
+    return sum(row["cache_lookups"] for row in engine.worker_stats())
 
 
 def assert_ranked(got, reference, keywords, rmax):
@@ -349,6 +348,34 @@ class TestParentResultCache:
                                        context=again).take(15) \
                 == pages[0] + pages[1] + pages[2]
             assert "enumerate" not in again.timings
+
+    def test_installed_worker_answers_share_their_ids(self, tmp_path):
+        """Pickle does not share int objects between tuples; the
+        parent rebuilds an installed answer so that each id is one
+        object, as in-process. Ids above 256, which CPython does not
+        intern, show it."""
+        keywords, rmax = ["x", "y"], 4.0
+        dbg = random_database_graph(300, 0.01, keywords,
+                                    keyword_prob=0.05, seed=1,
+                                    bidirected=True)
+        SnapshotStore(tmp_path).publish(
+            dbg, CommunityIndex.build(dbg, rmax),
+            provenance={"dataset": "gnp"})
+        spec = QuerySpec.comm_k(keywords, 10, rmax)
+        key = result_key(tuple(keywords), rmax, "pd", "sum", "topk")
+        with ParallelQueryEngine(tmp_path, workers=2) as engine:
+            answer = engine.execute(spec)
+            prefix = engine.results.lookup(key, engine.generation).prefix
+        assert answer == prefix \
+            == QueryEngine(dbg, CommunityIndex.build(dbg, rmax),
+                           result_cache_bytes=0).top_k(spec)
+        assert any(u > 256 for c in prefix for u in c.core)
+        for community in prefix:
+            nodes = {u: u for u in community.nodes}
+            ids = [*community.core, *community.centers,
+                   *community.pnodes,
+                   *(u for edge in community.edges for u in edge[:2])]
+            assert all(u is nodes[u] for u in ids)
 
     def test_logged_delta_state_installs_worker_answers(self,
                                                         store_root,
