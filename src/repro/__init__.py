@@ -41,7 +41,7 @@ from repro.core.comm_k import TopKStream, top_k
 from repro.core.community import Community, Core
 from repro.core.getcommunity import get_community
 from repro.core.projection import ProjectionResult, project
-from repro.core.search import CommunitySearch, ProjectedTopKStream
+from repro.core.search import CommunitySearch
 from repro.engine import (
     AlgorithmRegistry,
     AlgorithmSpec,
@@ -85,7 +85,6 @@ __all__ = [
     "GraphError",
     "IntegrityError",
     "NodeNotFoundError",
-    "ProjectedTopKStream",
     "ProjectionCache",
     "ProjectionResult",
     "QueryContext",

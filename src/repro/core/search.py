@@ -40,7 +40,6 @@ from repro.engine.context import QueryContext
 from repro.engine.engine import QueryEngine
 from repro.engine.registry import REGISTRY, AlgorithmRegistry
 from repro.engine.spec import QuerySpec
-from repro.engine.stream import ProjectedTopKStream
 from repro.graph.database_graph import DatabaseGraph
 from repro.text.inverted_index import CommunityIndex
 from repro.text.maintenance import GraphDelta
@@ -56,7 +55,6 @@ __all__ = [
     "ALL_ALGORITHMS",
     "TOPK_ALGORITHMS",
     "CommunitySearch",
-    "ProjectedTopKStream",
 ]
 
 

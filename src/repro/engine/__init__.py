@@ -14,11 +14,11 @@ benchmarks — shares one plan/execute/instrument pipeline:
   Algorithm 6 results with generation-based invalidation;
 * :mod:`repro.engine.results` — :class:`ResultCache`, the
   generation-keyed answer cache with ranked-prefix reuse (exact
-  repeats are lookups, larger k resumes the cached frontier);
+  repeats are lookups, larger k resumes the cached frontier), and
+  :class:`CachedStream`, the view over one result entry that every
+  interactive PDk stream is, with the cache on or off;
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, tying the above
-  together (and :func:`translate_community`);
-* :mod:`repro.engine.stream` — :class:`ProjectedTopKStream` for
-  interactive PDk over a projection.
+  together (and :func:`translate_community`).
 """
 
 from repro.engine.cache import CacheStats, ProjectionCache
@@ -40,7 +40,6 @@ from repro.engine.results import (
     result_key,
 )
 from repro.engine.spec import QuerySpec
-from repro.engine.stream import ProjectedTopKStream
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
@@ -49,7 +48,6 @@ __all__ = [
     "AlgorithmSpec",
     "CacheStats",
     "CachedStream",
-    "ProjectedTopKStream",
     "ProjectionCache",
     "QueryContext",
     "QueryEngine",

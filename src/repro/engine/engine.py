@@ -57,6 +57,7 @@ import time
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -583,8 +584,8 @@ class QueryEngine:
             # the frontier: a later, larger k computes only the tail.
             # Byte-identical to the registry's run_top_k — which is
             # literally TopKStream(...).take(k).
-            entry = ResultEntry(key, generation, stream=self._ranked(
-                spec, ctx, captured))
+            entry = ResultEntry(key, generation,
+                                *self._ranked(spec, ctx, captured))
             results = self.results.materialize(entry, spec.k, ctx)
             self.results.install(entry)
             return results
@@ -634,16 +635,17 @@ class QueryEngine:
                      use_projection: Optional[bool] = None,
                      aggregate: AggregateSpec = "sum",
                      context: Optional[QueryContext] = None
-                     ) -> Union[TopKStream, "ProjectedTopKStream",
-                                CachedStream]:
-        """A resumable PDk stream (``take(k)`` then ``more(n)``).
+                     ) -> CachedStream:
+        """A resumable PDk stream (``take(k)`` then ``more(n)``): a
+        :class:`~repro.engine.results.CachedStream` view over this
+        query's result entry.
 
-        With the result cache enabled the stream is a
-        :class:`~repro.engine.results.CachedStream` view over the
-        shared cache entry for this query: a session opened after a
-        warm ``/query`` (or another session) serves the cached prefix
-        with zero enumeration, and enlargements past the frontier
-        extend the shared entry for everyone.
+        With the result cache enabled the entry is the shared one: a
+        session opened after a warm ``/query`` (or another session)
+        serves the cached prefix with zero enumeration, and
+        enlargements past the frontier extend the shared entry for
+        everyone. With it disabled the view owns an entry that is
+        never installed.
         """
         ctx = ensure_context(context)
         spec = QuerySpec(tuple(keywords), rmax, mode="all",
@@ -651,8 +653,6 @@ class QueryEngine:
                          use_projection=use_projection)
         captured = self._capture()
         _, _, generation, _ = captured
-        if not self.results.enabled:
-            return self._ranked(spec, ctx, captured, attached=True)
         key = result_key(spec.keywords, spec.rmax, "pd",
                          spec.aggregate, "topk")
         # An entry a pool worker's answer filled holds a prefix and no
@@ -663,7 +663,7 @@ class QueryEngine:
                                      captured=captured))
         if entry is None:
             entry = ResultEntry(key, generation,
-                                stream=self._ranked(spec, ctx, captured))
+                                *self._ranked(spec, ctx, captured))
             self.results.install(entry)
         return CachedStream(self.results, entry, context=ctx)
 
@@ -687,27 +687,27 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def _ranked(self, spec: QuerySpec, ctx: QueryContext,
-                captured: Captured, attached: bool = False
-                ) -> Union[TopKStream, "ProjectedTopKStream"]:
-        """A fresh PDk stream for ``spec`` on the ``captured`` state,
-        translated to ``G_D`` ids when it runs on a projection.
+                captured: Captured
+                ) -> Tuple[TopKStream,
+                           Optional[Callable[[Community], Community]]]:
+        """A fresh PDk stream for ``spec`` on the ``captured`` state and
+        its map to ``G_D`` ids (``None`` when it runs on ``G_D``), the
+        pair a :class:`~repro.engine.results.ResultEntry` holds.
 
-        Setup (projection, the first best core) is charged to ``ctx``.
-        An ``attached`` stream also charges every ``Next()`` there; a
-        stream a cache entry owns is lent each consumer's context by
-        the cache instead.
+        Setup (projection, the first best core) is charged to ``ctx``;
+        every ``Next()`` is charged by the entry's pump to whoever
+        pulls it.
         """
         graph, node_lists, projection, origin = \
             self._query_graph(spec, ctx, captured=captured)
         with ctx.stage("enumerate"):
-            inner = TopKStream(graph, list(spec.keywords), spec.rmax,
-                               node_lists=node_lists,
-                               aggregate=spec.aggregate)
+            stream = TopKStream(graph, list(spec.keywords), spec.rmax,
+                                node_lists=node_lists,
+                                aggregate=spec.aggregate)
         if projection is None:
-            return inner
-        from repro.engine.stream import ProjectedTopKStream
-        return ProjectedTopKStream(inner, projection, origin,
-                                   context=ctx if attached else None)
+            return stream, None
+        return stream, functools.partial(
+            translate_community, projection=projection, dbg=origin)
 
     def _result_cacheable(self, spec: QuerySpec) -> bool:
         """Whether this spec's answer may be cached and served.

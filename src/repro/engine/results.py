@@ -12,6 +12,11 @@ normalized spec is a constant — :class:`ResultCache` stores it:
   computes only the tail — the cache keeps the live stream next to the
   materialized prefix until it is exhausted.
 
+Every interactive PDk stream is a :class:`CachedStream` view over an
+entry — with the cache disabled, over an entry of its own that is
+never installed — and :meth:`ResultCache._extend_locked` is the one
+pump that advances an entry's stream.
+
 Keys are ``(generation, canonical spec key)``; the canonical key is
 :func:`result_key` — keywords (already sorted + casefolded by
 :class:`~repro.engine.spec.QuerySpec`), mode, rmax (repr-stable
@@ -150,27 +155,32 @@ class ResultCacheStats:
 
 
 class ResultEntry:
-    """One cached answer: a materialized ranked prefix + live frontier.
+    """One ranked answer: a materialized prefix + live frontier.
 
     ``prefix`` holds the first ``len(prefix)`` communities of the
-    ranked stream in order; ``stream`` is the retained resumable
-    stream, positioned at or behind the end of the prefix (``None``
-    once exhausted or for answers that cannot be extended, e.g. a
-    materialized non-streaming backend or a pool worker's answer);
+    ranked stream in order, in ``G_D`` ids; ``stream`` is the retained
+    raw :class:`~repro.core.comm_k.TopKStream`, positioned at or
+    behind the end of the prefix (``None`` once exhausted or for
+    answers that cannot be extended, e.g. a materialized
+    non-streaming backend or a pool worker's answer), and
+    ``translate`` maps its answers to ``G_D`` ids (``None`` when it
+    runs on ``G_D`` itself, and with the stream once it exhausts);
     ``complete`` means the prefix is the whole answer. A stream falls
     behind when another process's answer grows the prefix; it replays
     the gap before it extends. ``resume``, when set, builds a fresh
-    stream on the entry's state for a prefix that has none. All of
-    these mutate under ``lock`` — entry locks nest *inside* nothing
-    and may take the owning cache's lock for byte accounting, never
-    the reverse.
+    ``(stream, translate)`` pair on the entry's state for a prefix
+    that has none. All of these mutate under ``lock`` — entry locks
+    nest *inside* nothing and may take the owning cache's lock for
+    byte accounting, never the reverse.
     """
 
-    __slots__ = ("key", "generation", "prefix", "stream", "complete",
-                 "resume", "nbytes", "lock")
+    __slots__ = ("key", "generation", "prefix", "stream", "translate",
+                 "complete", "resume", "nbytes", "lock")
 
     def __init__(self, key: str, generation: str,
                  stream=None,
+                 translate: Optional[Callable[[Community],
+                                              Community]] = None,
                  prefix: Optional[List[Community]] = None,
                  complete: bool = False) -> None:
         self.key = key
@@ -178,6 +188,7 @@ class ResultEntry:
         self.prefix: List[Community] = (list(prefix)
                                         if prefix is not None else [])
         self.stream = stream
+        self.translate = translate
         self.complete = complete
         self.resume: Optional[Callable[[QueryContext], Any]] = None
         self.nbytes = ENTRY_OVERHEAD_BYTES + sum(
@@ -396,57 +407,42 @@ class ResultCache:
 
     def _extend_locked(self, entry: ResultEntry, target: int,
                        ctx: QueryContext) -> int:
-        """Resume the retained stream until ``target`` communities are
-        materialized (or it runs dry). Caller holds ``entry.lock``.
+        """Pull the entry's stream until ``target`` communities are
+        materialized (or it runs dry); returns how many it added.
+        Caller holds ``entry.lock``.
 
-        Enumeration/translation time and per-community counts land in
-        the *extender's* context — the consumer who needed the tail
-        pays for it; later consumers get it from the prefix for free.
+        The one pump of every PDk stream: each ``Next()`` is timed as
+        ``enumerate``, the map to ``G_D`` ids as ``translate``, and
+        each new community is counted into ``ctx`` — the consumer who
+        needed the tail pays for it; later consumers get it from the
+        prefix for free. A stream behind the prefix (another process
+        grew it on the same state) replays the gap untranslated.
         """
         if entry.stream is None:
-            entry.stream, entry.resume = entry.resume(ctx), None
-        stream = entry.stream
-        behind = len(entry.prefix) - stream.emitted
-        if behind > 0:
-            # The prefix came from another process on the same state,
-            # so the stream's next ``behind`` answers are the prefix's
-            # own: replay them uncounted, before the context is lent.
-            start = time.perf_counter()
-            for _ in range(behind):
-                stream.next_community()
-            ctx.add_time("enumerate", time.perf_counter() - start)
-        attached = hasattr(stream, "_context")
-        if attached:
-            previous = stream._context
-            stream._context = ctx
-        added = 0
+            entry.stream, entry.translate = entry.resume(ctx)
+            entry.resume = None
+        stream, translate = entry.stream, entry.translate
+        have = len(entry.prefix)
         added_bytes = 0
-        try:
-            while len(entry.prefix) < target:
-                if attached:
-                    community = stream.next_community()
-                else:
-                    start = time.perf_counter()
-                    community = stream.next_community()
-                    ctx.add_time("enumerate",
-                                 time.perf_counter() - start)
-                    if community is not None:
-                        ctx.count("communities")
-                if community is None:
-                    entry.complete = True
-                    entry.stream = None
-                    break
-                entry.prefix.append(community)
-                added += 1
-                added_bytes += community_nbytes(community)
-            if entry.stream is not None and stream.exhausted:
-                entry.complete = True
-                entry.stream = None
-        finally:
-            if attached and entry.stream is not None:
-                stream._context = previous
+        while len(entry.prefix) < target and not stream.exhausted:
+            start = time.perf_counter()
+            community = stream.next_community()
+            ctx.add_time("enumerate", time.perf_counter() - start)
+            if stream.emitted <= len(entry.prefix):
+                continue                  # the prefix holds it already
+            if translate is not None:
+                start = time.perf_counter()
+                community = translate(community)
+                ctx.add_time("translate", time.perf_counter() - start)
+            ctx.count("communities")
+            entry.prefix.append(community)
+            added_bytes += community_nbytes(community)
+        if stream.exhausted:
+            # Drop the map too: it holds the projection alive.
+            entry.complete = True
+            entry.stream = entry.translate = None
         self._grow(entry, added_bytes)
-        return added
+        return len(entry.prefix) - have
 
     def _grow(self, entry: ResultEntry, added_bytes: int) -> None:
         """Charge ``added_bytes`` more to ``entry`` (caller holds its
@@ -528,12 +524,14 @@ class ResultCache:
 
 
 class CachedStream:
-    """A per-consumer cursor over one shared :class:`ResultEntry`.
+    """A per-consumer cursor over one :class:`ResultEntry` — the one
+    shape of a PDk stream.
 
-    Several sessions (and repeated ``/query`` calls) share a single
+    Several sessions (and repeated ``/query`` calls) share a cached
     entry: each view serves ``prefix[cursor:]`` with **zero**
     enumeration work, and only the view that walks past the frontier
-    pays to extend it — everyone after rides the longer prefix.
+    pays to extend it — everyone after rides the longer prefix. With
+    the cache disabled a view owns an entry that is never installed.
     Mirrors the :class:`~repro.core.comm_k.TopKStream` surface
     (``take``/``more``/``next_community``/``emitted``/``exhausted``).
     """
@@ -550,22 +548,25 @@ class CachedStream:
         batch = self.take(1)
         return batch[0] if batch else None
 
-    def take(self, k: int) -> List[Community]:
-        """Up to ``k`` further communities (cached prefix first)."""
+    def take(self, k: int, context: Optional[QueryContext] = None
+             ) -> List[Community]:
+        """Up to ``k`` further communities (cached prefix first),
+        charged to ``context`` — the view's own when not given."""
         if k < 0:
             raise QueryError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        entry = self._entry
-        ctx = ensure_context(self._context)
+        cache, entry = self._cache, self._entry
+        ctx = ensure_context(context if context is not None
+                             else self._context)
         target = self._cursor + k
         with entry.lock:
             have = len(entry.prefix)
             if target > have and entry.extendable:
-                added = self._cache._extend_locked(entry, target, ctx)
-                if added:
-                    with self._cache._lock:
-                        self._cache.stats.extensions += 1
+                added = cache._extend_locked(entry, target, ctx)
+                if added and cache.enabled:
+                    with cache._lock:
+                        cache.stats.extensions += 1
                     ctx.count("result_cache_extensions")
             end = min(target, len(entry.prefix))
             batch = entry.prefix[self._cursor:end]

@@ -270,6 +270,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     do_POST = do_DELETE = do_PUT = do_GET   # noqa: N815
 
+    def handle_one_request(self) -> None:
+        """Wait untimed for a request's first byte (an idle keep-alive
+        connection has no deadline), then read its head and body with
+        ``BODY_TIMEOUT`` on the socket; :meth:`_read_body` clears it
+        before the request is handled."""
+        self.rfile.peek(1)
+        self.connection.settimeout(BODY_TIMEOUT)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        """The stdlib's head parser, with a header block that stalls
+        answered as a typed 400 (the connection then closes)."""
+        try:
+            return super().parse_request()
+        except socket.timeout:
+            self.send_error(400, "request head stalled")
+            return False
+
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
         """Rejections before routing (a malformed request line is 400,
@@ -297,13 +315,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body, read as it arrives in pieces of at most
-        ``BODY_CHUNK`` bytes, each within ``BODY_TIMEOUT`` (an idle
-        keep-alive connection has no timeout). A malformed
-        ``Content-Length`` or a body that ends or stalls before it
-        raises :class:`BadRequest`; the connection then closes."""
+        ``BODY_CHUNK`` bytes, each within the ``BODY_TIMEOUT``
+        :meth:`handle_one_request` armed, which is cleared here. A
+        malformed ``Content-Length`` or a body that ends or stalls
+        before it raises :class:`BadRequest`; the connection then
+        closes."""
         length = content_length(self.headers.get("Content-Length"))
         chunks = []
-        self.connection.settimeout(BODY_TIMEOUT)
         try:
             while length:
                 chunk = self.rfile.read(min(length, BODY_CHUNK))

@@ -5,9 +5,10 @@ The paper's Exp-3 headline is that PDk enlarges ``k`` at run time for
 free — 50 more answers after the first 200 cost exactly 50 more
 ``Next()`` calls. Serving that over HTTP needs server-side state: a
 :class:`SessionManager` leases one
-:class:`~repro.engine.stream.ProjectedTopKStream` (heap + can-list
-intact) per session id, so ``POST /sessions/{id}/next`` resumes where
-the previous call stopped instead of re-running Algorithm 6 and
+:class:`~repro.engine.results.CachedStream` per session id — a view
+over the query's result entry, whose PDk stream keeps its heap and
+can-list intact — so ``POST /sessions/{id}/next`` resumes where the
+previous call stopped instead of re-running Algorithm 6 and
 re-seeding the heap.
 
 Two things can make a retained stream *wrong* rather than merely old,
@@ -25,11 +26,11 @@ and both invalidate the lease:
 
 All methods are thread-safe: the manager locks its table, each lease
 locks its stream (two ``next`` calls on one session serialize rather
-than corrupt the heap). What a page reports about its lease — the
-stream position, the cumulative stats and what this page added to
-them — is read under the same lock and returned as a
-:class:`SessionPage`, so two concurrent pages never report or count
-each other's communities.
+than corrupt the heap). Each page is charged to a context of its
+own, merged into the lease's; what a page reports — the stream
+position, the cumulative stats and the page's own context — is read
+under the same lock and returned as a :class:`SessionPage`, so two
+concurrent pages never report or count each other's communities.
 """
 
 from __future__ import annotations
@@ -78,25 +79,6 @@ def _copy(context: QueryContext) -> QueryContext:
     return QueryContext(dict(context.timings), dict(context.counters))
 
 
-def _gained(before: QueryContext, after: QueryContext) -> QueryContext:
-    """What one context accumulated between two snapshots of it.
-
-    Session contexts are cumulative (that is how clients verify
-    enlargement is free), so the service folds per-page *deltas* into
-    the global metrics to avoid double counting.
-    """
-    delta = QueryContext()
-    for name, seconds in after.timings.items():
-        gained = seconds - before.seconds(name)
-        if gained > 0:
-            delta.add_time(name, gained)
-    for name, value in after.counters.items():
-        gained = value - before.counter(name)
-        if gained > 0:
-            delta.count(name, gained)
-    return delta
-
-
 class SessionLease:
     """One leased stream plus the bookkeeping to police it."""
 
@@ -130,7 +112,7 @@ class SessionLease:
 class SessionPage:
     """One ``next`` call's view of its lease, read under the lease
     lock: the stream position after the page, the session's cumulative
-    stats as of the page, and what the page itself added to them."""
+    stats as of the page, and the page's own context (``spent``)."""
 
     lease: SessionLease
     emitted: int
@@ -214,22 +196,16 @@ class SessionManager:
             raise QueryError(f"k must be >= 0, got {k}")
         lease = self._checked_out(session_id)
         with lease.lock:
-            # Re-check staleness under the lease lock: a delta applied
-            # while we waited must not slip a stale batch through.
-            if self.engine.generation != lease.generation:
-                self._drop(lease.id)
-                self.stats.stale_dropped += 1
-                raise SessionGone(
-                    f"session {session_id} is stale: the graph/index "
-                    f"changed (generation {lease.generation} -> "
-                    f"{self.engine.generation}); open a new session")
-            before = _copy(lease.context)
-            communities = lease.stream.take(k)
+            # Re-check under the lease lock: a delta applied while we
+            # waited must not slip a stale batch through.
+            self._police(lease)
+            spent = QueryContext()
+            communities = lease.stream.take(k, spent)
             lease.touch(self._clock())
-            after = _copy(lease.context)
+            lease.context.merge(spent)
             page = SessionPage(lease, lease.stream.emitted,
-                               lease.stream.exhausted, after,
-                               _gained(before, after))
+                               lease.stream.exhausted,
+                               _copy(lease.context), spent)
         return communities, page
 
     def close(self, session_id: str) -> None:
@@ -264,26 +240,29 @@ class SessionManager:
 
     # ------------------------------------------------------------------
     def _checked_out(self, session_id: str) -> SessionLease:
-        now = self._clock()
         with self._lock:
             lease = self._leases.get(session_id)
         if lease is None:
             raise NotFound(f"no session {session_id!r}")
-        if lease.expired(now):
-            self._drop(session_id)
-            self.stats.expired += 1
-            raise SessionGone(
-                f"session {session_id} expired after "
-                f"{lease.ttl_seconds:g}s idle; open a new session")
-        if self.engine.generation != lease.generation:
-            self._drop(session_id)
-            self.stats.stale_dropped += 1
-            raise SessionGone(
-                f"session {session_id} is stale: the graph/index "
-                f"changed (generation {lease.generation} -> "
-                f"{self.engine.generation}); open a new session")
+        self._police(lease)
         return lease
 
-    def _drop(self, session_id: str) -> None:
+    def _police(self, lease: SessionLease) -> None:
+        """Raise :class:`SessionGone` for an expired or
+        generation-stale lease, first dropping it from the table and
+        counting the drop under the manager's lock."""
+        generation = self.engine.generation
+        if lease.expired(self._clock()):
+            stat, why = "expired", (f"expired after "
+                                    f"{lease.ttl_seconds:g}s idle")
+        elif generation != lease.generation:
+            stat, why = "stale_dropped", (
+                f"is stale: the graph/index changed (generation "
+                f"{lease.generation} -> {generation})")
+        else:
+            return
         with self._lock:
-            self._leases.pop(session_id, None)
+            if self._leases.pop(lease.id, None) is not None:
+                setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        raise SessionGone(
+            f"session {lease.id} {why}; open a new session")

@@ -550,31 +550,40 @@ class AsyncRouterService:
                                                 bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
-        Raises :class:`HeadTooLarge` when the head outgrows the
-        stream's limit, and :class:`BadRequest` for a malformed
-        request line or ``Content-Length`` (the body left unread) or a
-        body that ends or stalls before its ``Content-Length``."""
-        try:
-            head = await reader.readuntil(HEAD_END)
-        except asyncio.IncompleteReadError:
+        Waits untimed for the request's first byte (an idle keep-alive
+        connection has no deadline), then gives its head and body
+        ``BODY_TIMEOUT`` in all. Raises :class:`HeadTooLarge` when the
+        head outgrows the stream's limit, and :class:`BadRequest` for
+        a malformed request line or ``Content-Length`` (the body left
+        unread) or a request that ends or stalls before its
+        ``Content-Length``."""
+        first = await reader.read(1)
+        if not first:
             return None
-        except asyncio.LimitOverrunError:
-            raise HeadTooLarge(
-                f"request head exceeds {MAX_HEAD_BYTES} bytes") from None
-        fields, headers = parse_head(head)
-        if len(fields) != 3 or not fields[2].startswith("HTTP/"):
-            raise BadRequest(
-                f"malformed request line {' '.join(fields)[:64]!r}")
-        length = content_length(headers.get("Content-Length"))
-        short = BadRequest("request body ends before its Content-Length")
-        # A body still short at the deadline fails the read through the
-        # reader's own error channel: unlike wait_for, no task per body.
+        # A request still short at the deadline fails the read through
+        # the reader's own error channel: unlike wait_for, no task per
+        # request.
         stalled = asyncio.get_running_loop().call_later(
-            BODY_TIMEOUT, reader.set_exception, short)
+            BODY_TIMEOUT, reader.set_exception,
+            BadRequest("request stalled before its end"))
         try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise short from None
+            try:
+                head = first + await reader.readuntil(HEAD_END)
+            except asyncio.IncompleteReadError:
+                return None
+            except asyncio.LimitOverrunError:
+                raise HeadTooLarge(f"request head exceeds "
+                                   f"{MAX_HEAD_BYTES} bytes") from None
+            fields, headers = parse_head(head)
+            if len(fields) != 3 or not fields[2].startswith("HTTP/"):
+                raise BadRequest(
+                    f"malformed request line {' '.join(fields)[:64]!r}")
+            length = content_length(headers.get("Content-Length"))
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                raise BadRequest("request body ends before its "
+                                 "Content-Length") from None
         finally:
             stalled.cancel()
         return fields[0].upper(), fields[1], headers, body

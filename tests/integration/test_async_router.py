@@ -24,11 +24,11 @@ Acceptance coverage for the router:
   and a malformed ``Content-Length`` gets a typed 400 and a closed
   connection;
 * **one front door** — on the service and the router alike, a
-  malformed request line and a body that ends or stalls before its
-  ``Content-Length`` get a typed 400 with a status line and a closed
-  connection, each rejection is counted under the ``{unmatched}``
-  label, and unknown paths add that one ``path`` metric label, not
-  one each;
+  malformed request line, a head that stalls and a body that ends or
+  stalls before its ``Content-Length`` get a typed 400 with a status
+  line and a closed connection, each rejection is counted under the
+  ``{unmatched}`` label, and unknown paths add that one ``path``
+  metric label, not one each;
 * **one request parser** — a query field the service refuses is a
   400 from the router too, on ``/query`` and in a ``/batch`` entry.
 """
@@ -332,6 +332,35 @@ def test_stalled_body_is_a_typed_400(fig4_fleet, front, monkeypatch):
     status, headers, body = raw_exchange(
         server.port, b"POST /query HTTP/1.1\r\nHost: test\r\n"
         b"Content-Length: 10\r\n\r\n{}")
+    assert time.monotonic() - start < 2.0
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
+    conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                      timeout=10.0)
+    try:
+        for pause in (0.0, 1.0):
+            time.sleep(pause)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_stalled_head_is_dropped(fig4_fleet, front, monkeypatch):
+    """A request head that stops arriving is answered with a typed 400
+    once it has stalled for the timeout, armed at the request's first
+    byte; an idle keep-alive connection is still not timed out."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    monkeypatch.setattr(aio if front == "router" else service_server,
+                        "BODY_TIMEOUT", 0.5)
+    start = time.monotonic()
+    status, headers, body = raw_exchange(
+        server.port, b"POST /query HTTP/1.1\r\nHost: test\r\n")
     assert time.monotonic() - start < 2.0
     assert status.startswith("HTTP/1.1 400 ")
     assert "Connection: close" in headers

@@ -1,4 +1,5 @@
-"""Unit tests for :class:`repro.engine.stream.ProjectedTopKStream`.
+"""Unit tests for the PDk stream ``top_k_stream`` hands out: a
+:class:`repro.engine.results.CachedStream` view over a result entry.
 
 The stream is what session leases hand out, so its edge behaviour
 (k=0, exhaustion mid-take, takes after exhaustion) is the service's

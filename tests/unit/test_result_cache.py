@@ -27,8 +27,10 @@ from repro.engine import (
     community_nbytes,
     result_key,
 )
+from repro.engine import engine as engine_module
 from repro.graph.generators import random_database_graph
 from repro.service.serialize import community_to_dict
+from repro.text.inverted_index import CommunityIndex
 from repro.text.maintenance import GraphDelta
 
 FIG4_TOTAL = 5
@@ -311,10 +313,10 @@ class TestDisabledCache:
         assert ctx.counter("result_cache_hits") == 0
         assert ctx.counter("result_cache_misses") == 0
         assert len(engine.results) == 0
-        # Streams fall back to the raw (projected) stream types.
+        # A stream is a view over an entry of its own, never installed.
         stream = engine.top_k_stream(list(FIG4_QUERY), FIG4_RMAX)
-        assert not isinstance(stream, CachedStream)
         assert len(stream.take(100)) == FIG4_TOTAL
+        assert len(engine.results) == 0
 
 
 class TestCachedStreamViews:
@@ -353,6 +355,59 @@ class TestCachedStreamViews:
         stream = engine.top_k_stream(list(FIG4_QUERY), FIG4_RMAX)
         with pytest.raises(QueryError):
             stream.take(-1)
+
+
+class TestOnePumpPath:
+    """Every PDk stream is a view over a result entry, pumped by one
+    loop, with the cache on or off."""
+
+    @pytest.mark.parametrize("use_projection", [True, False],
+                             ids=["projected", "unprojected"])
+    @pytest.mark.parametrize("cache_bytes", [None, 0],
+                             ids=["cache-on", "cache-off"])
+    def test_stream_is_the_cold_answer_and_counts_it(
+            self, fig4, cache_bytes, use_projection):
+        reference = QueryEngine(fig4, result_cache_bytes=0)
+        reference.build_index(radius=FIG4_RMAX)
+        engine = QueryEngine(fig4, result_cache_bytes=cache_bytes)
+        engine.build_index(radius=FIG4_RMAX)
+        ctx = QueryContext()
+        stream = engine.top_k_stream(list(FIG4_QUERY), FIG4_RMAX,
+                                     use_projection=use_projection,
+                                     context=ctx)
+        cold = reference.top_k(QuerySpec(
+            tuple(FIG4_QUERY), FIG4_RMAX, mode="topk", k=3,
+            use_projection=use_projection))
+        assert _fingerprint(stream.take(3)) == _fingerprint(cold)
+        assert ctx.counter("communities") == 3
+
+    def test_paging_past_an_offered_prefix_translates_only_new_answers(
+            self, monkeypatch):
+        keywords, rmax = ["x", "y"], 6.0
+        dbg = random_database_graph(24, 0.12, keywords,
+                                    keyword_prob=0.3, seed=0,
+                                    bidirected=True)
+        index = CommunityIndex.build(dbg, rmax)
+        reference = QueryEngine(dbg, index, result_cache_bytes=0)
+        engine = QueryEngine(dbg, index)
+        want = reference.top_k(QuerySpec.comm_k(keywords, 10, rmax))
+        engine.results.offer(
+            result_key(tuple(keywords), rmax, "pd", "sum", "topk"),
+            engine.generation, want[:5], complete=False)
+        translated = []
+        translate = engine_module.translate_community
+
+        def counting(*args, **kwargs):
+            translated.append(1)
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "translate_community",
+                            counting)
+        stream = engine.top_k_stream(keywords, rmax)
+        pages = stream.take(5) + stream.take(5)
+        assert _fingerprint(pages) == _fingerprint(want)
+        # The rebuilt stream replays the 5 offered answers untranslated.
+        assert len(translated) == 5
 
 
 class TestWarm:
