@@ -59,6 +59,7 @@ front door this service shares with the shard router
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import threading
@@ -249,6 +250,24 @@ def _served_from_cache(context: QueryContext) -> bool:
             and context.counter("result_cache_extensions") == 0)
 
 
+class _RequestReader(socket.SocketIO):
+    """A connection's raw reader under one request deadline: while
+    ``deadline`` (a :func:`time.monotonic` instant) is set, each read
+    waits only for what is left of it, so a request that trickles in
+    cannot re-arm its timeout byte by byte."""
+
+    deadline: Optional[float] = None
+
+    def readinto(self, buffer) -> Optional[int]:
+        """One socket read, within what is left of the deadline."""
+        if self.deadline is not None:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise socket.timeout("request stalled")
+            self._sock.settimeout(left)
+        return super().readinto(buffer)
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     """Per-connection glue: read body, delegate, write response.
 
@@ -270,13 +289,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     do_POST = do_DELETE = do_PUT = do_GET   # noqa: N815
 
+    def setup(self) -> None:
+        """The stdlib's setup, with requests read through a
+        :class:`_RequestReader`."""
+        super().setup()
+        self.rfile.close()
+        self._reader = _RequestReader(self.connection, "rb")
+        self.rfile = io.BufferedReader(self._reader)
+
     def handle_one_request(self) -> None:
         """Wait untimed for a request's first byte (an idle keep-alive
-        connection has no deadline), then read its head and body with
-        ``BODY_TIMEOUT`` on the socket; :meth:`_read_body` clears it
+        connection has no deadline), then give its head and body
+        ``BODY_TIMEOUT`` in all; :meth:`_read_body` lifts the deadline
         before the request is handled."""
         self.rfile.peek(1)
-        self.connection.settimeout(BODY_TIMEOUT)
+        self._reader.deadline = time.monotonic() + BODY_TIMEOUT
         super().handle_one_request()
 
     def parse_request(self) -> bool:
@@ -315,8 +342,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The request body, read as it arrives in pieces of at most
-        ``BODY_CHUNK`` bytes, each within the ``BODY_TIMEOUT``
-        :meth:`handle_one_request` armed, which is cleared here. A
+        ``BODY_CHUNK`` bytes, within the deadline
+        :meth:`handle_one_request` set, which is lifted here. A
         malformed ``Content-Length`` or a body that ends or stalls
         before it raises :class:`BadRequest`; the connection then
         closes."""
@@ -332,6 +359,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except socket.timeout:
             pass
         finally:
+            self._reader.deadline = None
             self.connection.settimeout(None)
         if length:
             raise BadRequest(

@@ -93,9 +93,9 @@ RETRY_AFTER_SECONDS = 1
 #: read as it arrives, never allocated at its declared size.
 BODY_CHUNK = 2 ** 20
 
-#: Seconds a server waits on a request's head and body once its first
-#: byte arrived (the service per read, the router in all) before
-#: answering it with a 400; an idle keep-alive connection is not timed.
+#: Seconds a server waits, in all, on a request's head and body once
+#: its first byte arrived before answering it with a 400; an idle
+#: keep-alive connection is not timed.
 BODY_TIMEOUT = 30.0
 
 #: The ``path`` metric label of every request no route matches, so

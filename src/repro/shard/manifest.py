@@ -197,10 +197,11 @@ class RoutingManifest:
     def generation(self) -> str:
         """A content-derived token naming this shard configuration.
 
-        Hashes the ordered shard snapshot ids, so republishing
-        identical content yields the same generation — the router's
-        analogue of the engine adopting a snapshot id as its
-        generation.
+        Hashes the ordered shard snapshot ids, which digest content
+        only (not build times), so republishing identical content,
+        or partitioning the same source again, yields the same
+        generation — the router's analogue of the engine adopting a
+        snapshot id as its generation.
         """
         digest = hashlib.sha256(
             "|".join(e.snapshot_id for e in self.shards)

@@ -9,12 +9,13 @@ worker's startup is a checksum-verified *load* instead of a rebuild.
 On-disk layout (one directory per snapshot)::
 
     <dir>/
-      manifest.json        format, version, id, created_at, counts,
-                           build provenance, per-section SHA-256
+      manifest.json        format, version, id, created_at, build
+                           seconds, counts, build provenance,
+                           per-section SHA-256
       graph.bin            forward CSR: indptr | targets | weights
       nodes.json           labels, provenance, vocab, per-node
                            keyword ids
-      index.json           radius, build seconds, posting directory
+      index.json           radius, posting directory
       postings.bin         node postings | edge (u | v | w) columns
       owned.bin            optional: the sorted local ids of the
                            nodes one shard owns (shard snapshots)
@@ -25,13 +26,19 @@ columns in ``np.frombuffer`` views, so the forward CSR and the posting
 columns *are* the mapped pages, shared through the page cache by
 every process serving the same artifact; only the reverse CSR is
 derived (:meth:`~repro.graph.csr.CompiledGraph.from_csr_arrays`), and
-``nodes.json`` is parsed on first metadata access. Manifests written
-by earlier releases may flag gzip-compressed sections; those cannot be
-mapped and are refused with a typed error telling the operator to
-rebuild.
+``nodes.json`` is parsed on first metadata access. Both inverted
+indexes read their postings out of the mapped columns
+(:class:`~repro.text.inverted_index.PostingColumns`), decoding a
+keyword on first use, and an index updated by a delta keeps reading
+its unchanged keywords there. Manifests written by earlier releases
+may flag gzip-compressed sections; those cannot be mapped and are
+refused with a typed error telling the operator to rebuild. Their
+``index.json`` may carry the build time, which still loads.
 
 The snapshot **id** (``sn-`` + 12 hex chars) digests every section,
-which gives the engine a durable cache-invalidation generation: two
+and only the sections: the manifest's ``created_at`` and build time
+stay out of it, so two builds of the same data publish one id. That
+gives the engine a durable cache-invalidation generation: two
 workers loading the same snapshot agree on the id, and republishing
 identical content republishes the same snapshot. That includes the
 ``owned`` section a partition run writes into each shard snapshot
@@ -70,9 +77,10 @@ from repro.graph.csr import CompiledGraph
 from repro.graph.database_graph import DatabaseGraph, LazyDatabaseGraph
 from repro.snapshot.codec import decode_provenance, encode_provenance
 from repro.text.inverted_index import (
-    ArrayEdgeInvertedIndex,
-    ArrayNodeInvertedIndex,
     CommunityIndex,
+    EdgeInvertedIndex,
+    NodeInvertedIndex,
+    PostingColumns,
 )
 
 FORMAT_NAME = "repro.snapshot"
@@ -224,7 +232,6 @@ def _index_sections(index: CommunityIndex,
         edge_w.append(ws.tobytes())
     directory = _json_bytes({
         "radius": index.radius,
-        "build_seconds": index.build_seconds,
         "node_keywords": [vocab_ids[kw] for kw in node_kws],
         "node_counts": node_counts,
         "edge_keywords": [vocab_ids[kw] for kw in edge_kws],
@@ -316,6 +323,8 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
         "version": FORMAT_VERSION,
         "id": f"sn-{digest.hexdigest()[:12]}",
         "created_at": _utcnow(),
+        "build_seconds": (index.build_seconds
+                          if index is not None else None),
         "provenance": dict(provenance or {}),
         "has_index": index is not None,
         "counts": counts,
@@ -495,7 +504,9 @@ def _load_mapped(path: Path, manifest: Dict[str, Any], verify: bool
             node_counts = [int(c) for c in directory["node_counts"]]
             edge_counts = [int(c) for c in directory["edge_counts"]]
             radius = float(directory["radius"])
-            build_seconds = float(directory.get("build_seconds", 0.0))
+            # Earlier releases kept the build time in index.json.
+            build_seconds = float(manifest.get(
+                "build_seconds", directory.get("build_seconds", 0.0)))
         except (ValueError, KeyError, TypeError) as exc:
             raise SnapshotIntegrityError(
                 f"snapshot index section is undecodable: "
@@ -566,11 +577,11 @@ def _load_mapped(path: Path, manifest: Dict[str, Any], verify: bool
     if manifest.get("has_index"):
         index = CommunityIndex(
             dbg,
-            ArrayNodeInvertedIndex(node_kw_ids, node_counts,
-                                   node_flat, resolve_vocab),
-            ArrayEdgeInvertedIndex(edge_kw_ids, edge_counts, edge_u,
-                                   edge_v, edge_w, radius,
-                                   resolve_vocab),
+            NodeInvertedIndex({}, PostingColumns(
+                node_kw_ids, node_counts, (node_flat,), resolve_vocab)),
+            EdgeInvertedIndex({}, radius, PostingColumns(
+                edge_kw_ids, edge_counts, (edge_u, edge_v, edge_w),
+                resolve_vocab)),
             radius, build_seconds)
     return dbg, index
 

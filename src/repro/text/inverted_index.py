@@ -14,6 +14,14 @@ Section VI: for each keyword ``w``,
 ``Rmax <= R`` answered on the projected graph (Algorithm 6) returns
 exactly the communities of the full graph.
 
+Both indexes keep their postings in one :class:`PostingStore`: a dict
+of keyword -> list over optional :class:`PostingColumns`, the flat
+read-only columns of a snapshot's mapped ``postings.bin``. The dict
+wins over the columns. A built index is all dict, a loaded snapshot's
+is all columns, and an incremental update
+(:func:`repro.text.maintenance.update_index`) shares its parent's
+columns and adds the keywords it recomputed to a copy of the dict.
+
 :class:`CommunityIndex` bundles both indexes plus build-time statistics
 (elapsed seconds, entry counts, approximate size in bytes) so the
 benchmark harness can report the same index numbers the paper quotes in
@@ -22,22 +30,162 @@ Section VII.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
+from repro.graph.csr import CompiledGraph
 from repro.graph.database_graph import DatabaseGraph
 from repro.graph.dijkstra import bounded_dijkstra
 
 Edge = Tuple[int, int, float]
 
 
-class NodeInvertedIndex:
-    """``invertedN``: keyword -> sorted node ids containing it."""
+class PostingColumns:
+    """A snapshot's posting directory over flat read-only columns.
 
-    def __init__(self, postings: Dict[str, List[int]]) -> None:
+    ``keyword_ids`` (vocabulary ids, ascending) and ``counts`` locate
+    each keyword's run in ``columns``: one column of node ids, or three
+    parallel ones (sources, targets, weights) for edge postings. A
+    run is decoded on first request to the plain Python a built index
+    holds (a list of ints, or of ``(int, int, float)`` tuples) and
+    memoized; every index sharing these columns shares the memo.
+
+    Keyword *names* resolve lazily through ``resolve_vocab`` (the
+    snapshot's sorted vocabulary, behind the same parse-once payload
+    as the lazy graph metadata), so opening the index costs no JSON
+    parse. Vocabulary ids are assigned in sorted-name order, so the
+    directory is name-sorted too.
+    """
+
+    def __init__(self, keyword_ids: List[int], counts: List[int],
+                 columns: Sequence, resolve_vocab: Callable[[], List[str]]
+                 ) -> None:
+        self._ids = keyword_ids
+        self._counts = counts
+        self._starts = list(itertools.accumulate(counts, initial=0))
+        self._columns = columns
+        self._resolve_vocab = resolve_vocab
+        self._pos: Optional[Dict[str, int]] = None
+        self._memo: Dict[str, list] = {}
+
+    @property
+    def total(self) -> int:
+        """Postings across all keywords (from the directory)."""
+        return self._starts[-1]
+
+    def names(self) -> List[str]:
+        """The keywords, name-sorted."""
+        return list(self._positions())
+
+    def _positions(self) -> Dict[str, int]:
+        """Keyword name -> directory slot, in directory order."""
+        if self._pos is None:
+            vocab = self._resolve_vocab()
+            self._pos = {vocab[i]: j for j, i in enumerate(self._ids)}
+        return self._pos
+
+    def __contains__(self, keyword: str) -> bool:
+        return keyword in self._positions()
+
+    def count(self, keyword: str) -> int:
+        """The length of ``keyword``'s run (0 when absent)."""
+        slot = self._positions().get(keyword)
+        return 0 if slot is None else self._counts[slot]
+
+    def get(self, keyword: str) -> Optional[list]:
+        """``keyword``'s run, decoded on first request; ``None`` when
+        absent."""
+        got = self._memo.get(keyword)
+        if got is None:
+            slot = self._positions().get(keyword)
+            if slot is None:
+                return None
+            start, stop = self._starts[slot], self._starts[slot + 1]
+            runs = [column[start:stop].tolist()
+                    for column in self._columns]
+            got = self._memo[keyword] = \
+                runs[0] if len(runs) == 1 else list(zip(*runs))
+        return got
+
+
+class PostingStore:
+    """Keyword -> posting list: a dict over optional mapped columns.
+
+    A keyword in the ``postings`` dict is read from there, which wins;
+    any other from ``columns`` (:class:`PostingColumns`, ``None`` for
+    a built index).
+    """
+
+    def __init__(self, postings: Dict[str, list],
+                 columns: Optional[PostingColumns] = None) -> None:
         self._postings = postings
+        self._columns = columns
+
+    def _get(self, keyword: str) -> list:
+        got = self._postings.get(keyword)
+        if got is None and self._columns is not None:
+            got = self._columns.get(keyword)
+        return [] if got is None else got
+
+    def __contains__(self, keyword: str) -> bool:
+        return keyword in self._postings or (
+            self._columns is not None and keyword in self._columns)
+
+    def keywords(self) -> List[str]:
+        """All indexed keywords, sorted."""
+        mapped = self._columns.names() \
+            if self._columns is not None else ()
+        return sorted(set(mapped).union(self._postings))
+
+    def entry_count(self) -> int:
+        """Total postings across all keywords."""
+        total = sum(len(v) for v in self._postings.values())
+        if self._columns is not None:
+            total += self._columns.total - sum(
+                self._columns.count(kw) for kw in self._postings)
+        return total
+
+    def with_postings(self, postings: Dict[str, list]
+                      ) -> "PostingStore":
+        """A copy whose dict also holds ``postings``, winning over
+        this store's; the columns stay shared."""
+        updated = copy.copy(self)
+        updated._postings = {**self._postings, **postings}
+        return updated
+
+
+def induced_edges(graph: CompiledGraph, seeds: Sequence[int],
+                  radius: float,
+                  search: Callable = bounded_dijkstra) -> List[Edge]:
+    """``invertedE[w]`` for one keyword with nodes ``seeds``: the
+    sorted edges whose endpoints both reach a seed within ``radius``.
+
+    ``search`` runs the bounded reverse Dijkstra; a caller passes its
+    own module's ``bounded_dijkstra`` so its searches count as its own
+    call site where a tracer replaces that name.
+    """
+    if not seeds:
+        return []
+    reached = set(search(graph.reverse, seeds, radius).distances())
+    indptr = graph.forward.indptr
+    targets = graph.forward.targets
+    weights = graph.forward.weights
+    edges: List[Edge] = []
+    for u in reached:
+        for idx in range(indptr[u], indptr[u + 1]):
+            v = int(targets[idx])
+            if v in reached:
+                edges.append((u, v, float(weights[idx])))
+    edges.sort()
+    return edges
+
+
+class NodeInvertedIndex(PostingStore):
+    """``invertedN``: keyword -> sorted node ids containing it."""
 
     @classmethod
     def build(cls, dbg: DatabaseGraph,
@@ -66,18 +214,7 @@ class NodeInvertedIndex:
 
     def nodes(self, keyword: str) -> List[int]:
         """Posting list for ``keyword`` (empty when absent)."""
-        return self._postings.get(keyword, [])
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword in self._postings
-
-    def keywords(self) -> List[str]:
-        """All indexed keywords, sorted."""
-        return sorted(self._postings)
-
-    def entry_count(self) -> int:
-        """Total postings across all keywords."""
-        return sum(len(v) for v in self._postings.values())
+        return self._get(keyword)
 
     def frequency(self, keyword: str, total_tuples: int) -> float:
         """Keyword frequency (the paper's KWF): postings / tuples."""
@@ -86,11 +223,16 @@ class NodeInvertedIndex:
         return len(self.nodes(keyword)) / total_tuples
 
 
-class EdgeInvertedIndex:
-    """``invertedE``: keyword -> edges with both endpoints within R."""
+class EdgeInvertedIndex(PostingStore):
+    """``invertedE``: keyword -> edges with both endpoints within R.
 
-    def __init__(self, postings: Dict[str, List[Edge]], radius: float) -> None:
-        self._postings = postings
+    Its keyword set may differ from the node index's when the index
+    was built over an explicit vocabulary.
+    """
+
+    def __init__(self, postings: Dict[str, List[Edge]], radius: float,
+                 columns: Optional[PostingColumns] = None) -> None:
+        super().__init__(postings, columns)
         self.radius = radius
 
     @classmethod
@@ -103,183 +245,13 @@ class EdgeInvertedIndex:
             raise QueryError(f"index radius must be >= 0, got {radius}")
         vocab = sorted({kw.casefold() for kw in keywords}) \
             if keywords is not None else node_index.keywords()
-        postings: Dict[str, List[Edge]] = {}
-        graph = dbg.graph
-        indptr = graph.forward.indptr
-        targets = graph.forward.targets
-        weights = graph.forward.weights
-        for kw in vocab:
-            seeds = node_index.nodes(kw)
-            if not seeds:
-                postings[kw] = []
-                continue
-            reached: Set[int] = set(
-                bounded_dijkstra(graph.reverse, seeds, radius).distances())
-            edges: List[Edge] = []
-            for u in reached:
-                for idx in range(indptr[u], indptr[u + 1]):
-                    v = int(targets[idx])
-                    if v in reached:
-                        edges.append((u, v, float(weights[idx])))
-            edges.sort()
-            postings[kw] = edges
-        return cls(postings, radius)
+        return cls({kw: induced_edges(dbg.graph, node_index.nodes(kw),
+                                      radius)
+                    for kw in vocab}, radius)
 
     def edges(self, keyword: str) -> List[Edge]:
         """Edge posting list for ``keyword`` (empty when absent)."""
-        return self._postings.get(keyword, [])
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword in self._postings
-
-    def keywords(self) -> List[str]:
-        """All indexed keywords, sorted (may differ from the node
-        index's set when the index was built over an explicit
-        vocabulary)."""
-        return sorted(self._postings)
-
-    def entry_count(self) -> int:
-        """Total edge postings across all keywords."""
-        return sum(len(v) for v in self._postings.values())
-
-
-class ArrayNodeInvertedIndex(NodeInvertedIndex):
-    """``invertedN`` served out of flat posting arrays, on demand.
-
-    The snapshot load path: instead of materializing every posting
-    list at load, this variant keeps the snapshot's flat node-posting
-    column (a read-only int64 view over the mapped ``postings.bin``)
-    plus the per-keyword ``(id, count)`` directory, and slices a
-    keyword's postings out of the column on first request — decoded to
-    a plain Python list (so callers see the exact types the dict-backed
-    index returns) and memoized.
-
-    Keyword *names* resolve lazily through ``resolve_vocab`` (the
-    snapshot's sorted vocabulary, usually behind the same parse-once
-    payload as the lazy graph metadata), so opening the index costs no
-    JSON parse at all. Vocab ids are assigned in sorted-name order,
-    hence an id-sorted directory is also name-sorted and
-    :meth:`keywords` needs no re-sort.
-    """
-
-    def __init__(self, keyword_ids: List[int], counts: List[int],
-                 flat, resolve_vocab) -> None:
-        # No super().__init__: the dict the base class wraps is
-        # replaced by the (directory, flat column) pair; every method
-        # touching ``_postings`` is overridden.
-        self._ids = keyword_ids
-        self._counts = counts
-        self._starts: List[int] = []
-        total = 0
-        for count in counts:
-            self._starts.append(total)
-            total += count
-        self._total = total
-        self._flat = flat
-        self._resolve_vocab = resolve_vocab
-        self._names: Optional[List[str]] = None
-        self._pos: Optional[Dict[str, int]] = None
-        self._memo: Dict[str, List[int]] = {}
-
-    def _positions(self) -> Dict[str, int]:
-        pos = self._pos
-        if pos is None:
-            vocab = self._resolve_vocab()
-            self._names = [vocab[i] for i in self._ids]
-            pos = self._pos = {
-                name: j for j, name in enumerate(self._names)}
-        return pos
-
-    def nodes(self, keyword: str) -> List[int]:
-        """Posting list for ``keyword``, sliced/decoded on demand."""
-        got = self._memo.get(keyword)
-        if got is None:
-            slot = self._positions().get(keyword)
-            if slot is None:
-                return []
-            start = self._starts[slot]
-            got = self._memo[keyword] = \
-                self._flat[start:start + self._counts[slot]].tolist()
-        return got
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword in self._positions()
-
-    def keywords(self) -> List[str]:
-        """All indexed keywords (already name-sorted; see above)."""
-        self._positions()
-        return list(self._names)
-
-    def entry_count(self) -> int:
-        """Total postings across all keywords (from the directory)."""
-        return self._total
-
-
-class ArrayEdgeInvertedIndex(EdgeInvertedIndex):
-    """``invertedE`` served out of flat ``u``/``v``/``w`` columns.
-
-    Mirror of :class:`ArrayNodeInvertedIndex` for the edge postings:
-    three parallel read-only views (sources, targets, weights) sliced
-    per keyword on first request and decoded to the same
-    ``(int, int, float)`` tuples the dict-backed index stores.
-    """
-
-    def __init__(self, keyword_ids: List[int], counts: List[int],
-                 flat_u, flat_v, flat_w, radius: float,
-                 resolve_vocab) -> None:
-        self.radius = radius
-        self._ids = keyword_ids
-        self._counts = counts
-        self._starts: List[int] = []
-        total = 0
-        for count in counts:
-            self._starts.append(total)
-            total += count
-        self._total = total
-        self._flat_u = flat_u
-        self._flat_v = flat_v
-        self._flat_w = flat_w
-        self._resolve_vocab = resolve_vocab
-        self._names: Optional[List[str]] = None
-        self._pos: Optional[Dict[str, int]] = None
-        self._memo: Dict[str, List[Edge]] = {}
-
-    def _positions(self) -> Dict[str, int]:
-        pos = self._pos
-        if pos is None:
-            vocab = self._resolve_vocab()
-            self._names = [vocab[i] for i in self._ids]
-            pos = self._pos = {
-                name: j for j, name in enumerate(self._names)}
-        return pos
-
-    def edges(self, keyword: str) -> List[Edge]:
-        """Edge posting list for ``keyword``, sliced/decoded on
-        demand."""
-        got = self._memo.get(keyword)
-        if got is None:
-            slot = self._positions().get(keyword)
-            if slot is None:
-                return []
-            start = self._starts[slot]
-            stop = start + self._counts[slot]
-            got = self._memo[keyword] = list(zip(
-                self._flat_u[start:stop].tolist(),
-                self._flat_v[start:stop].tolist(),
-                self._flat_w[start:stop].tolist()))
-        return got
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword in self._positions()
-
-    def keywords(self) -> List[str]:
-        """All indexed keywords (already name-sorted; see above)."""
-        self._positions()
-        return list(self._names)
-
-    def entry_count(self) -> int:
-        """Total edge postings across all keywords."""
-        return self._total
+        return self._get(keyword)
 
 
 class CommunityIndex:

@@ -22,6 +22,12 @@ Soundness argument (why local recomputation is safe):
   answers stay exact — the index just gets less tight until the next
   :func:`rebuild <repro.text.inverted_index.CommunityIndex.build>`.
 
+The update touches only the affected keywords. Their fresh postings
+go into copies of the parent's posting dicts
+(:meth:`~repro.text.inverted_index.PostingStore.with_postings`); every
+other keyword, in either map, is read where the parent reads it, so a
+loaded snapshot's mapped posting columns stay shared and undecoded.
+
 The equivalence (updated index answers ≡ fresh-rebuild answers) is
 property-tested in ``tests/property/test_maintenance_props.py``.
 
@@ -45,11 +51,7 @@ from repro.exceptions import GraphError
 from repro.graph.csr import CompiledGraph
 from repro.graph.database_graph import DatabaseGraph, Provenance
 from repro.graph.dijkstra import bounded_dijkstra
-from repro.text.inverted_index import (
-    CommunityIndex,
-    EdgeInvertedIndex,
-    NodeInvertedIndex,
-)
+from repro.text.inverted_index import CommunityIndex, induced_edges
 
 Edge = Tuple[int, int, float]
 
@@ -131,8 +133,8 @@ def extend_database_graph(dbg: DatabaseGraph, delta: GraphDelta,
 
 
 def affected_keywords(new_dbg: DatabaseGraph, delta: GraphDelta,
-                      changed_heads: Iterable[int], radius: float,
-                      base_node_count: int) -> Set[str]:
+                      changed_heads: Iterable[int], radius: float
+                      ) -> Set[str]:
     """Keywords whose postings may gain entries from the delta."""
     affected: Set[str] = set()
     for kws, _, _ in delta.new_nodes:
@@ -142,7 +144,6 @@ def affected_keywords(new_dbg: DatabaseGraph, delta: GraphDelta,
         reach = bounded_dijkstra(new_dbg.graph.forward, heads, radius)
         for node in reach:
             affected |= new_dbg.keywords_of(node)
-    del base_node_count  # kept for signature clarity/extension
     return affected
 
 
@@ -151,52 +152,29 @@ def update_index(index: CommunityIndex, new_dbg: DatabaseGraph,
                  ) -> CommunityIndex:
     """Produce an updated :class:`CommunityIndex` for the grown graph.
 
-    Affected keywords are recomputed exactly; all others keep their
-    previous (never under-complete) postings. The returned index wraps
-    ``new_dbg``; ``build_seconds`` accumulates the incremental cost.
+    Affected keywords are recomputed exactly and added to copies of
+    the parent's posting dicts; every other keyword keeps its previous
+    (never under-complete) postings, read from wherever the parent
+    reads them (mapped snapshot columns stay shared, not copied). The
+    returned index wraps ``new_dbg``; ``build_seconds`` accumulates
+    the incremental cost.
     """
     start = time.perf_counter()
     radius = index.radius
-    base_n = index.dbg.n
-    affected = affected_keywords(new_dbg, delta, changed_heads,
-                                 radius, base_n)
-
-    node_postings: Dict[str, List[int]] = {
-        kw: list(index.node_index.nodes(kw))
-        for kw in index.node_index.keywords()
-    }
-    edge_postings: Dict[str, List[Edge]] = {
-        kw: list(index.edge_index.edges(kw))
-        for kw in index.node_index.keywords()
-    }
-
-    # exact recompute for each affected keyword
-    graph = new_dbg.graph
-    indptr = graph.forward.indptr
-    targets = graph.forward.targets
-    weights = graph.forward.weights
+    affected = affected_keywords(new_dbg, delta, changed_heads, radius)
+    node_postings: Dict[str, List[int]] = {}
+    edge_postings: Dict[str, List[Edge]] = {}
     for kw in sorted(affected):
-        seeds = new_dbg.nodes_with_keyword(kw)
-        node_postings[kw] = sorted(seeds)
-        if not seeds:
-            edge_postings[kw] = []
-            continue
-        reached = set(
-            bounded_dijkstra(graph.reverse, seeds, radius).distances())
-        edges: List[Edge] = []
-        for u in reached:
-            for idx in range(indptr[u], indptr[u + 1]):
-                v = int(targets[idx])
-                if v in reached:
-                    edges.append((u, v, float(weights[idx])))
-        edges.sort()
-        edge_postings[kw] = edges
-
+        seeds = node_postings[kw] = new_dbg.nodes_with_keyword(kw)
+        # This module's ``bounded_dijkstra`` runs the search, so the
+        # recompute counts as the maintenance call site when traced.
+        edge_postings[kw] = induced_edges(new_dbg.graph, seeds, radius,
+                                          bounded_dijkstra)
     elapsed = time.perf_counter() - start
     return CommunityIndex(
         new_dbg,
-        NodeInvertedIndex(node_postings),
-        EdgeInvertedIndex(edge_postings, radius),
+        index.node_index.with_postings(node_postings),
+        index.edge_index.with_postings(edge_postings),
         radius,
         index.build_seconds + elapsed,
         generation=index.generation + 1,

@@ -36,6 +36,7 @@ Acceptance coverage for the router:
 import http.client
 import json
 import re
+import socket
 import threading
 import time
 
@@ -365,6 +366,52 @@ def test_stalled_head_is_dropped(fig4_fleet, front, monkeypatch):
     assert status.startswith("HTTP/1.1 400 ")
     assert "Connection: close" in headers
     assert json.loads(body)["status"] == 400
+    conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                      timeout=10.0)
+    try:
+        for pause in (0.0, 1.0):
+            time.sleep(pause)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_trickled_request_is_cut_off(fig4_fleet, front, monkeypatch):
+    """A head that keeps trickling in, one byte within every read's
+    timeout, is still cut off once the request is older than the
+    timeout: the deadline covers the request, not each read. An idle
+    keep-alive connection is still not timed out."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    monkeypatch.setattr(aio if front == "router" else service_server,
+                        "BODY_TIMEOUT", 0.5)
+    trickle = iter(b"Host: test\r\n" * 100)
+    reply = b""
+    start = time.monotonic()
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=0.3) as sock:
+        sock.sendall(b"POST /query HTTP/1.1\r\n")
+        try:
+            while time.monotonic() - start < 2.0:
+                try:
+                    chunk = sock.recv(65536)
+                except socket.timeout:
+                    sock.sendall(bytes([next(trickle)]))
+                    continue
+                if not chunk:
+                    break
+                reply += chunk
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+    assert time.monotonic() - start < 2.0
+    if reply:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["status"] == 400
     conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                       timeout=10.0)
     try:

@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graph.database_graph import DatabaseGraph
 from repro.graph.digraph import DiGraph
+from repro.snapshot import load_snapshot, write_snapshot
 from repro.text.inverted_index import CommunityIndex
 from repro.text.maintenance import (
     GraphDelta,
@@ -78,8 +79,7 @@ class TestAffectedKeywords:
         dbg, _ = base
         delta = GraphDelta(new_nodes=[({"zz"}, "n3", None)])
         new_dbg, heads = extend_database_graph(dbg, delta)
-        assert "zz" in affected_keywords(new_dbg, delta, heads, 4.0,
-                                         dbg.n)
+        assert "zz" in affected_keywords(new_dbg, delta, heads, 4.0)
 
     def test_reachable_keywords_affected(self, base):
         dbg, _ = base
@@ -88,7 +88,7 @@ class TestAffectedKeywords:
         delta = GraphDelta(new_nodes=[(set(), "n3", None)],
                            new_edges=[(3, 1, 1.0)])
         new_dbg, heads = extend_database_graph(dbg, delta)
-        affected = affected_keywords(new_dbg, delta, heads, 4.0, dbg.n)
+        affected = affected_keywords(new_dbg, delta, heads, 4.0)
         assert affected == {"a", "b"}
 
     def test_far_keywords_unaffected(self, base):
@@ -98,7 +98,7 @@ class TestAffectedKeywords:
             new_nodes=[({"zz"}, "n3", None), (set(), "n4", None)],
             new_edges=[(4, 3, 1.0)])
         new_dbg, heads = extend_database_graph(dbg, delta)
-        affected = affected_keywords(new_dbg, delta, heads, 4.0, dbg.n)
+        affected = affected_keywords(new_dbg, delta, heads, 4.0)
         assert affected == {"zz"}
 
 
@@ -129,3 +129,50 @@ class TestUpdateIndex:
         results = search.all_communities(["a", "b", "c"], 4.0)
         assert results
         assert any(3 in c.core for c in results)
+
+
+class TestOnePostingStore:
+    """Built, loaded and delta-maintained indexes share one posting
+    store: a delta adds its recomputed keywords to a copy of the
+    parent's dict and keeps reading the rest where the parent did."""
+
+    def test_delta_keeps_edge_only_keywords(self, fig4):
+        vocab = ["a", "b", "c", "zzabsent"]
+        index = CommunityIndex.build(fig4, 5.0, keywords=vocab)
+        assert index.edge_index.keywords() == vocab
+        delta = GraphDelta(new_nodes=[({"newword"}, "n13", None)])
+        new_dbg, updated = apply_delta(index, delta)
+        assert updated.edge_index.keywords() \
+            == ["a", "b", "c", "newword", "zzabsent"]
+        assert updated.edge_index.edges("zzabsent") == []
+        rebuilt = CommunityIndex.build(new_dbg, 5.0, keywords=vocab)
+        assert "zzabsent" in rebuilt.edge_index
+
+    def test_loaded_and_built_indexes_update_alike(self, fig4,
+                                                   tmp_path):
+        built = CommunityIndex.build(fig4, 5.0)
+        write_snapshot(tmp_path / "s", fig4, built)
+        loaded = load_snapshot(tmp_path / "s").index
+        # Node 13 carries "newword" and links into node 2 (keyword c),
+        # which reaches nothing: a and b stay unaffected.
+        delta = GraphDelta(new_nodes=[({"newword"}, "n13", None)],
+                           new_edges=[(13, 2, 1.0), (2, 13, 1.0)])
+        new_dbg, heads = extend_database_graph(loaded.dbg, delta)
+        recomputed = affected_keywords(new_dbg, delta, heads, 5.0)
+        assert recomputed == {"c", "newword"}
+        from_loaded = update_index(loaded, new_dbg, delta, heads)
+        for store, parent in (
+                (from_loaded.node_index, loaded.node_index),
+                (from_loaded.edge_index, loaded.edge_index)):
+            assert set(store._postings) == recomputed
+            assert store._columns is parent._columns
+        _, from_built = apply_delta(built, delta)
+        for ours, theirs in (
+                (from_loaded.node_index, from_built.node_index),
+                (from_loaded.edge_index, from_built.edge_index)):
+            assert ours.keywords() == theirs.keywords()
+            assert ours.entry_count() == theirs.entry_count()
+        for kw in from_built.node_index.keywords():
+            assert from_loaded.nodes(kw) == from_built.nodes(kw)
+        for kw in from_built.edge_index.keywords():
+            assert from_loaded.edges(kw) == from_built.edges(kw)

@@ -149,6 +149,38 @@ class TestFormat:
         manifest_path.write_text(json.dumps(manifest))
         assert load_snapshot(tmp_path / "s").id == snap.id
 
+    def test_two_builds_publish_one_id(self, fig4, tmp_path):
+        """The id digests content, not the wall-clock build time: two
+        independent builds of the same data publish one id, and each
+        manifest keeps its own build time."""
+        builds = [CommunityIndex.build(fig4, FIG4_RMAX)
+                  for _ in range(2)]
+        builds[1].build_seconds += 1.0   # a slower second build
+        snaps = [write_snapshot(tmp_path / str(i), fig4, index)
+                 for i, index in enumerate(builds)]
+        assert snaps[0].id == snaps[1].id
+        for i, index in enumerate(builds):
+            assert load_snapshot(tmp_path / str(i)).index.build_seconds \
+                == index.build_seconds
+
+    def test_build_time_in_an_older_index_section_loads(
+            self, fig4, fig4_index, tmp_path):
+        """Earlier releases kept the build time in ``index.json``;
+        such a snapshot still loads, with that build time."""
+        write_snapshot(tmp_path / "s", fig4, fig4_index)
+        index_path = tmp_path / "s" / "index.json"
+        directory = json.loads(index_path.read_text())
+        directory["build_seconds"] = 12.5
+        data = json.dumps(directory).encode("utf-8")
+        index_path.write_bytes(data)
+        manifest_path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["build_seconds"]
+        manifest["sections"]["index"].update(
+            sha256=hashlib.sha256(data).hexdigest(), bytes=len(data))
+        manifest_path.write_text(json.dumps(manifest))
+        assert load_snapshot(tmp_path / "s").index.build_seconds == 12.5
+
 
 class TestCorruption:
     """The typed error taxonomy, one class per failure mode."""

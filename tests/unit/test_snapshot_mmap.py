@@ -22,11 +22,7 @@ from repro.engine.spec import QuerySpec
 from repro.exceptions import SnapshotFormatError, SnapshotIntegrityError
 from repro.graph.database_graph import LazyDatabaseGraph
 from repro.snapshot import MANIFEST_NAME, load_snapshot, write_snapshot
-from repro.text.inverted_index import (
-    ArrayEdgeInvertedIndex,
-    ArrayNodeInvertedIndex,
-    CommunityIndex,
-)
+from repro.text.inverted_index import CommunityIndex
 
 
 @pytest.fixture()
@@ -103,10 +99,10 @@ class TestModes:
     def test_mmap_uses_array_backed_classes(self, snap_dir):
         loaded = load_snapshot(snap_dir)
         assert isinstance(loaded.dbg, LazyDatabaseGraph)
-        assert isinstance(loaded.index.node_index,
-                          ArrayNodeInvertedIndex)
-        assert isinstance(loaded.index.edge_index,
-                          ArrayEdgeInvertedIndex)
+        assert not loaded.index.node_index._postings \
+            and not loaded.index.node_index._columns._memo
+        assert not loaded.index.edge_index._postings \
+            and not loaded.index.edge_index._columns._memo
 
 
 class TestReadOnlyViews:

@@ -176,7 +176,7 @@ class TestPruneProtection:
         base = store.load("latest", verify=False)
         # publish enough newer snapshots to push base past keep=1
         dbg = figure4_graph()
-        index = CommunityIndex.build(dbg, FIG4_RMAX)
+        index = CommunityIndex.build(dbg, FIG4_RMAX + 1.0)
         newer = [store.publish(dbg, index, provenance={"gen": i})
                  for i in range(2)]
         removed = store.prune(keep=1, wal=str(wal.path))
@@ -188,7 +188,7 @@ class TestPruneProtection:
     def test_prune_without_wal_still_drops_old(self, store, wal):
         base = store.load("latest", verify=False)
         dbg = figure4_graph()
-        index = CommunityIndex.build(dbg, FIG4_RMAX)
+        index = CommunityIndex.build(dbg, FIG4_RMAX + 1.0)
         for i in range(2):
             store.publish(dbg, index, provenance={"gen": i})
         removed = store.prune(keep=1)
