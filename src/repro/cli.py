@@ -282,9 +282,6 @@ def cmd_serve_router(args) -> int:
         host=args.host, port=args.port,
         shard_timeout=args.shard_timeout,
         shard_retries=args.retries)
-    # The router binds inside its own event loop; start it on the
-    # background thread so the port is known, then block.
-    router.start()
     if args.port_file:
         with open(args.port_file, "w") as handle:
             handle.write(f"{router.host} {router.port}\n")
@@ -294,7 +291,7 @@ def cmd_serve_router(args) -> int:
           f"{manifest.generation}) on {router.url}")
     signal.signal(signal.SIGTERM, _raise_sigterm)
     try:
-        signal.pause()
+        router.serve_forever()
     except (KeyboardInterrupt, SystemExit):
         print("shutting down", file=sys.stderr)
     finally:
@@ -763,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "replica set of sibling URLs serving "
                              "the same shard snapshot, e.g. "
                              "http://a:8420,http://b:8420")
-    # Accepted and ignored: the asyncio router is the only front end,
-    # and existing launch scripts still pass the flag.
+    # Accepted and ignored: the router has one front end, and
+    # existing launch scripts still pass the flag.
     router.add_argument("--async", action="store_true",
                         help=argparse.SUPPRESS)
     router.add_argument("--host", default="127.0.0.1")

@@ -1,12 +1,12 @@
 """The serving layer: the engine behind a concurrent HTTP/JSON API.
 
-Everything here is standard library only — ``http.server``,
+Everything here is standard library only — ``socketserver``,
 ``socket``, ``queue``, ``threading`` — so serving costs no new
 dependencies:
 
 * :mod:`repro.service.server` — :class:`CommunityService`, the
-  threaded HTTP server (``/query``, ``/sessions``,
-  ``/sessions/{id}/next``, ``/metrics``, ``/healthz``);
+  HTTP server (``/query``, ``/sessions``, ``/sessions/{id}/next``,
+  ``/metrics``, ``/healthz``);
 * :mod:`repro.service.sessions` — :class:`SessionManager`, TTL- and
   generation-checked leases over interactive PDk streams;
 * :mod:`repro.service.admission` — :class:`AdmissionController`,
@@ -22,8 +22,9 @@ dependencies:
   :class:`ServiceSession`, the matching dependency-free client on a
   blocking socket;
 * :mod:`repro.service.wire` — the HTTP/1.1 message format,
-  ``ClientCore`` (both clients) and the route table and response
-  writer (both servers: this one and the shard router);
+  ``ClientCore`` (both clients), and the transport, route table and
+  response writer of both servers (this one and the shard router): a
+  thread per connection, one request reader;
 * :mod:`repro.service.errors` — the HTTP-mapped error taxonomy.
 
 Start one from the shell with ``python -m repro serve ...``.

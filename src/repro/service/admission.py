@@ -1,8 +1,8 @@
 """Admission control: a bounded worker pool that sheds, not queues.
 
 A community query is CPU-bound (Dijkstra + Lawler enumeration), so
-letting ``ThreadingHTTPServer`` run one query per connection thread
-would melt under load — every request admitted, none finishing. The
+letting the transport (:class:`~repro.service.wire.Transport`) run
+one query per connection thread would melt under load — every request admitted, none finishing. The
 :class:`AdmissionController` bounds both dimensions:
 
 * **workers** — at most this many queries execute concurrently;

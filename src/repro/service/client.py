@@ -79,13 +79,12 @@ from repro.service.wire import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_BACKOFF_CAP,
     DEFAULT_TIMEOUT,
-    HEAD_END,
-    MAX_HEAD_BYTES,
     POOL_CAP,
     STALE_ERRORS,
     TORN_ERRORS,
     ClientCore,
     StaleConnection,
+    read_head,
 )
 
 __all__ = [
@@ -239,12 +238,8 @@ class ServiceClient(ClientCore):
             head = conn.rfile.read(1)
         except STALE_ERRORS as error:
             raise StaleConnection(str(error)) from None
-        while not head.endswith(HEAD_END):
-            line = conn.rfile.readline(MAX_HEAD_BYTES)
-            head += line
-            if not line.endswith(b"\n") or len(head) > MAX_HEAD_BYTES:
-                break            # end of stream or overlong: rejected
-        status, headers, length = self._response_head(head)
+        status, headers, length = self._response_head(
+            read_head(conn.rfile, head))
         body = conn.rfile.read(length)
         if length is not None and len(body) < length:
             raise EOFError("response body cut short")

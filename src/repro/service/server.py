@@ -1,8 +1,10 @@
 """The community-query service: threaded HTTP/JSON over one engine.
 
 :class:`CommunityService` puts a network front on
-:class:`~repro.engine.QueryEngine` using only the standard library
-(``http.server.ThreadingHTTPServer``). Endpoints:
+:class:`~repro.engine.QueryEngine` using only the standard library:
+the transport it shares with the shard router
+(:class:`~repro.service.wire.Transport`, a thread per connection).
+Endpoints:
 
 * ``POST /query`` — one-shot COMM-all / COMM-k; body mirrors
   :class:`~repro.engine.QuerySpec` (``keywords``, ``rmax``, ``k`` or
@@ -52,20 +54,17 @@ Routing and handling live on :meth:`CommunityService.handle`, which is
 plain ``(method, path, body) -> (status, template, payload, type)`` —
 unit tests exercise it without a socket; the integration suite drives
 the real server through :class:`~repro.service.client.ServiceClient`.
-The route table, the error mapping and the response bytes are the
-front door this service shares with the shard router
-(:mod:`repro.service.wire`).
+The transport that reads requests and writes responses, the route
+table and the error mapping are the front door this service shares
+with the shard router (:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
 
-import io
 import json
-import socket
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -93,7 +92,6 @@ from repro.service.errors import (
     Conflict,
     NotFound,
     error_reply,
-    for_status,
 )
 from repro.service.http import (
     OCTET_CONTENT_TYPE,
@@ -117,18 +115,15 @@ from repro.service.sessions import (
     SessionManager,
 )
 from repro.service.wire import (
-    BODY_CHUNK,
-    BODY_TIMEOUT,
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
-    REASONS,
     UNMATCHED,
+    FrontEnd,
     Response,
     Route,
     RouteTable,
-    content_length,
-    reject,
-    response,
+    ServiceHandler,  # noqa: F401 — perfbench's traced run wraps it
+    Transport,
 )
 
 #: Seconds :meth:`CommunityService.shutdown` waits for in-flight and
@@ -250,136 +245,12 @@ def _served_from_cache(context: QueryContext) -> bool:
             and context.counter("result_cache_extensions") == 0)
 
 
-class _RequestReader(socket.SocketIO):
-    """A connection's raw reader under one request deadline: while
-    ``deadline`` (a :func:`time.monotonic` instant) is set, each read
-    waits only for what is left of it, so a request that trickles in
-    cannot re-arm its timeout byte by byte."""
-
-    deadline: Optional[float] = None
-
-    def readinto(self, buffer) -> Optional[int]:
-        """One socket read, within what is left of the deadline."""
-        if self.deadline is not None:
-            left = self.deadline - time.monotonic()
-            if left <= 0:
-                raise socket.timeout("request stalled")
-            self._sock.settimeout(left)
-        return super().readinto(buffer)
-
-
-class ServiceHandler(BaseHTTPRequestHandler):
-    """Per-connection glue: read body, delegate, write response.
-
-    All routing and semantics live on the owning
-    :class:`CommunityService` (``self.server.service``); this class
-    only speaks HTTP.
-    """
-
-    protocol_version = "HTTP/1.1"
-    #: ``TCP_NODELAY`` on every accepted connection: a response larger
-    #: than one segment must not hold its last segment back for the
-    #: client's delayed ACK of the others, about 40 ms on a busy
-    #: keep-alive connection.
-    disable_nagle_algorithm = True
-
-    def do_GET(self) -> None:            # noqa: N802 — http.server API
-        """GET, POST, DELETE and PUT alike: the route table decides."""
-        self._dispatch(self.command)
-
-    do_POST = do_DELETE = do_PUT = do_GET   # noqa: N815
-
-    def setup(self) -> None:
-        """The stdlib's setup, with requests read through a
-        :class:`_RequestReader`."""
-        super().setup()
-        self.rfile.close()
-        self._reader = _RequestReader(self.connection, "rb")
-        self.rfile = io.BufferedReader(self._reader)
-
-    def handle_one_request(self) -> None:
-        """Wait untimed for a request's first byte (an idle keep-alive
-        connection has no deadline), then give its head and body
-        ``BODY_TIMEOUT`` in all; :meth:`_read_body` lifts the deadline
-        before the request is handled."""
-        self.rfile.peek(1)
-        self._reader.deadline = time.monotonic() + BODY_TIMEOUT
-        super().handle_one_request()
-
-    def parse_request(self) -> bool:
-        """The stdlib's head parser, with a header block that stalls
-        answered as a typed 400 (the connection then closes)."""
-        try:
-            return super().parse_request()
-        except socket.timeout:
-            self.send_error(400, "request head stalled")
-            return False
-
-    def send_error(self, code: int, message: Optional[str] = None,
-                   explain: Optional[str] = None) -> None:
-        """Rejections before routing (a malformed request line is 400,
-        an overlong head 431, an unreadable body 400) as typed JSON
-        errors, counted by :func:`~repro.service.wire.reject`; the
-        connection closes."""
-        text = message or REASONS.get(code, "")
-        if explain:
-            text = f"{text}: {explain}"
-        metrics = self.server.service.metrics  # type: ignore[attr-defined]
-        self._respond(*reject(for_status(code, text), metrics),
-                      JSON_CONTENT_TYPE, close=True)
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        service: "CommunityService" = self.server.service  # type: ignore[attr-defined]
-        try:
-            body = self._read_body()
-        except BadRequest as error:
-            self.send_error(error.status, str(error))
-            return
-        status, _, payload, content_type = service.handle(
-            method, self.path, body)
-        self._respond(status, payload, content_type)
-
-    def _read_body(self) -> bytes:
-        """The request body, read as it arrives in pieces of at most
-        ``BODY_CHUNK`` bytes, within the deadline
-        :meth:`handle_one_request` set, which is lifted here. A
-        malformed ``Content-Length`` or a body that ends or stalls
-        before it raises :class:`BadRequest`; the connection then
-        closes."""
-        length = content_length(self.headers.get("Content-Length"))
-        chunks = []
-        try:
-            while length:
-                chunk = self.rfile.read(min(length, BODY_CHUNK))
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                length -= len(chunk)
-        except socket.timeout:
-            pass
-        finally:
-            self._reader.deadline = None
-            self.connection.settimeout(None)
-        if length:
-            raise BadRequest(
-                "request body ends before its Content-Length")
-        return b"".join(chunks)
-
-    def _respond(self, status: int, payload: Union[str, bytes],
-                 content_type: str, close: bool = False) -> None:
-        """Write one response; ``close`` (or a client that asked for
-        it) hangs up after it."""
-        self.close_connection = close or self.close_connection
-        self.wfile.write(response(status, payload, content_type,
-                                  self.close_connection))
-
-
-class CommunityService:
+class CommunityService(FrontEnd):
     """One engine served over HTTP, with admission control.
 
     ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port` / :attr:`url`). The service is a context manager::
+    :attr:`port` / :attr:`url`); the socket is bound at construction.
+    The service is a context manager::
 
         with CommunityService(engine).start() as service:
             client = ServiceClient(service.url)
@@ -471,45 +342,11 @@ class CommunityService:
                   lambda _, sid, name: transfer().section_of(sid, name),
                   OCTET_CONTENT_TYPE),
         ])
-        self._httpd = ThreadingHTTPServer((host, port), ServiceHandler)
-        self._httpd.daemon_threads = True                 # type: ignore[attr-defined]
-        self._httpd.service = self                        # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
+        self._http = Transport(host, port, self.handle, self.metrics)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bound interface."""
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound (possibly ephemeral) port."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should target."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "CommunityService":
-        """Serve on a background thread; returns ``self`` (chainable)."""
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, daemon=True,
-                name="repro-service-accept")
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._serving = True
-        self._httpd.serve_forever()
-
     def shutdown(self, drain_seconds: Optional[float] = None) -> None:
         """Graceful stop: drain in-flight work, then tear down.
 
@@ -522,32 +359,16 @@ class CommunityService:
         budget.
 
         Safe on a service that never served a socket (tests drive
-        :meth:`handle` directly): ``HTTPServer.shutdown`` blocks
-        forever unless ``serve_forever`` is running, so it is only
-        called when serving actually started.
+        :meth:`handle` directly).
         """
         if drain_seconds is None:
             drain_seconds = self.drain_seconds
         drained = self.admission.drain(drain_seconds)
-        if self._serving:
-            self._httpd.shutdown()
-            self._serving = False
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._http.stop()
         self.admission.shutdown()
         #: Whether the last shutdown finished all admitted work inside
         #: the drain budget (callers/ops scripts can assert on it).
         self.drained_clean = drained
-
-    def __enter__(self) -> "CommunityService":
-        """Context-manager entry (the server need not be started)."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: always shut down."""
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # routing

@@ -5,8 +5,9 @@ The service speaks one small dialect of HTTP/1.1: ``Content-Length``
 framed messages on kept-alive connections. This module holds that
 format once:
 
-* :func:`frame` writes a message, :func:`parse_head` reads a message
-  head, and :func:`content_length` reads a body size.
+* :func:`frame` writes a message, :func:`read_head` and
+  :func:`parse_head` read a message head, and :func:`content_length`
+  reads a body size.
 * :class:`ClientCore` is everything an HTTP client of the service
   decides without a socket: the base-URL split and the counters,
   request framing, response-head parsing, 2xx decoding, the status →
@@ -22,6 +23,12 @@ format once:
   reply's bytes; :func:`~repro.service.errors.error_reply` maps an
   exception to its status and body, and :func:`reject` counts a
   request refused before routing.
+* The one server transport: :class:`Transport` holds a thread per
+  client connection, whose :class:`ServiceHandler` reads each
+  kept-alive request under one deadline, refuses a bad head or body
+  and answers the rest through its server's ``handle(method, path,
+  body)``; :class:`FrontEnd` is the lifecycle both servers build on
+  it (bind at construction, serve, shut down).
 
 Two thin client transports subclass the core and keep only their
 connect, one physical round trip and the sleep between retries:
@@ -29,17 +36,22 @@ connect, one physical round trip and the sleep between retries:
 :class:`~repro.shard.aio.AsyncShardClient` on an asyncio stream. Both
 send and parse the same bytes, so a reply that one client turns into
 an answer or an error, the other turns into the same one. Likewise
-the two servers (``http.server`` threads, one asyncio loop) keep only
-their transports.
+both servers, :class:`~repro.service.server.CommunityService` and
+:class:`~repro.shard.aio.AsyncRouterService`, read and answer every
+request through the one transport, so one request gets one answer
+from either.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import socket
+import socketserver
 import ssl
 import threading
+import time
 import urllib.parse
 from email.utils import formatdate
 from http import HTTPStatus
@@ -49,6 +61,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
 from repro.service.errors import (
     RETRYABLE_STATUSES,
     BadRequest,
+    HeadTooLarge,
     NotFound,
     ServiceError,
     ServiceUnreachable,
@@ -74,7 +87,8 @@ POOL_CAP = 8
 #: The blank line that ends every message head.
 HEAD_END = b"\r\n\r\n"
 
-#: Longest response head either client reads.
+#: Longest message head read: a longer request head is a 431, a
+#: longer response head a malformed response.
 MAX_HEAD_BYTES = 2 ** 16
 
 #: Reason phrases for response status lines.
@@ -145,20 +159,42 @@ def frame(start_line: str, headers: Dict[str, Any],
     return "\r\n".join(lines).encode("latin-1") + body
 
 
+def read_head(rfile: Any, head: bytes = b"") -> bytes:
+    """A message head read line by line off ``rfile`` after its first
+    bytes ``head``, through the blank line that ends it.
+
+    Lines end in CRLF or a bare LF (RFC 9112 §2.2). The head comes
+    back cut short, without its blank line, at the end of the stream,
+    and once it is longer than :data:`MAX_HEAD_BYTES`; the caller
+    refuses either.
+    """
+    while True:
+        line = rfile.readline(MAX_HEAD_BYTES + 1 - len(head))
+        head += line
+        if line in (b"\r\n", b"\n") or not line.endswith(b"\n") \
+                or len(head) > MAX_HEAD_BYTES:
+            return head
+
+
 def parse_head(head: bytes) -> Tuple[List[str], Dict[str, str]]:
     """A message head's start-line fields and its headers.
 
-    ``head`` runs up to :data:`HEAD_END`. The start line splits into
-    at most three fields; header names are title-cased
-    (``content-length`` reads as ``Content-Length``).
+    ``head`` runs up to its blank line, its lines ending in CRLF or a
+    bare LF. The start line splits into at most three fields; header
+    names are title-cased (``content-length`` reads as
+    ``Content-Length``), and a header sent more than once reads as its
+    values joined by ``", "``, as a list-valued one does, so a
+    repeated ``Content-Length`` keeps every value it came with.
     """
-    start, *lines = head.decode("latin-1").split("\r\n")
+    start, *lines = head.decode("latin-1").split("\n")
     headers: Dict[str, str] = {}
     for line in lines:
         name, _, value = line.partition(":")
+        name, value = name.strip().title(), value.strip()
         if name:
-            headers[name.strip().title()] = value.strip()
-    return start.split(None, 2), headers
+            headers[name] = f"{headers[name]}, {value}" \
+                if name in headers else value
+    return start.rstrip("\r").split(None, 2), headers
 
 
 def _decimal(text: str) -> bool:
@@ -169,17 +205,21 @@ def _decimal(text: str) -> bool:
 def content_length(value: Optional[str]) -> int:
     """A request's body size from its ``Content-Length`` header.
 
-    No header (or an empty one) means no body. Any other value but a
-    decimal count raises :class:`BadRequest`: the body's framing is
-    then unknown, so the front end answers 400 without reading it and
-    closes the connection.
+    No header (or an empty one) means no body, and repeats of one
+    count (``42, 42``) read as that count. Conflicting counts, or any
+    other value but a decimal count, raise :class:`BadRequest`: the
+    body's framing is then unknown, so the front end answers 400
+    without reading it and closes the connection (RFC 9112 §6.3).
     """
     if not value:
         return 0
-    value = value.strip()
-    if not _decimal(value):
+    counts = {count.strip() for count in value.split(",")}
+    if len(counts) > 1:
+        raise BadRequest(f"conflicting Content-Length values: {value!r}")
+    count = counts.pop()
+    if not _decimal(count):
         raise BadRequest(f"invalid Content-Length: {value!r}")
-    return int(value)
+    return int(count)
 
 
 class Route(NamedTuple):
@@ -249,6 +289,243 @@ def reject(error: ServiceError, metrics: Any) -> Tuple[int, str]:
     status, payload = error_reply(error)
     metrics.observe_request(UNMATCHED, status, 0.0)
     return status, payload
+
+
+class _RequestReader(socket.SocketIO):
+    """A connection's raw reader under one request deadline: while
+    ``deadline`` (a :func:`time.monotonic` instant) is set, each read
+    waits only for what is left of it, so a request that trickles in
+    cannot re-arm its timeout byte by byte. A read past the deadline
+    is a :class:`BadRequest`."""
+
+    deadline: Optional[float] = None
+
+    def readinto(self, buffer) -> Optional[int]:
+        """One socket read, within what is left of the deadline."""
+        try:
+            if self.deadline is not None:
+                left = self.deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout
+                self._sock.settimeout(left)
+            return super().readinto(buffer)
+        except socket.timeout:
+            raise BadRequest("request stalled before its end") from None
+
+
+class ServiceHandler(socketserver.BaseRequestHandler):
+    """One client connection of either server: its kept-alive
+    requests, one at a time (the rules: DESIGN.md §13).
+
+    Waits untimed for a request's first byte (an idle keep-alive
+    connection has no deadline), then gives its head and body
+    :data:`BODY_TIMEOUT` in all. A head over :data:`MAX_HEAD_BYTES`
+    is a 431; a malformed request line, a ``Content-Length`` other
+    than one decimal count (repeated or not), and a head or body that
+    stalls or ends early are a 400; any ``Transfer-Encoding`` is a
+    501, read no further, since every client here frames with
+    ``Content-Length``. Each is refused through :func:`reject`, and
+    the connection closes. Any other request is answered by the
+    server's ``handle(method, path, body)``, after a ``100 Continue``
+    if it expects one, on a connection that stays open unless the
+    request said ``Connection: close`` or is HTTP/1.0 without
+    ``Connection: keep-alive``. Head lines may end in a bare LF.
+    """
+
+    #: The request target of the request being served.
+    path = ""
+
+    def setup(self) -> None:
+        """``TCP_NODELAY`` on the connection (a response larger than
+        one segment must not hold its last segment back for the
+        client's delayed ACK, about 40 ms), and reads through a
+        :class:`_RequestReader`."""
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY,
+                                True)
+        self._reader = _RequestReader(self.request, "rb")
+        self.rfile = io.BufferedReader(self._reader)
+        self.close_connection = False
+
+    def handle(self) -> None:
+        """Answer requests until one closes the connection or the
+        client goes away."""
+        try:
+            while not self.close_connection:
+                head = self.rfile.read(1)
+                if not head:
+                    return
+                self._reader.deadline = time.monotonic() + BODY_TIMEOUT
+                try:
+                    self._dispatch(self._read_head(head))
+                except ServiceError as error:
+                    self._respond(*reject(error, self.server.metrics),
+                                  JSON_CONTENT_TYPE, close=True)
+        except OSError:
+            pass                                # the client went away
+
+    def finish(self) -> None:
+        """Release the reader; the server closes the socket."""
+        self.rfile.close()
+
+    def _read_head(self, head: bytes) -> str:
+        """The method of the request whose head begins with ``head``;
+        sets :attr:`path`, ``headers`` and ``close_connection``."""
+        head = read_head(self.rfile, head)
+        if len(head) > MAX_HEAD_BYTES:
+            raise HeadTooLarge(f"request head exceeds {MAX_HEAD_BYTES} "
+                               f"bytes")
+        if not head.endswith(b"\n"):
+            raise ConnectionAbortedError("request head cut short")
+        fields, self.headers = parse_head(head)
+        if len(fields) != 3 or not fields[2].startswith("HTTP/"):
+            raise BadRequest(
+                f"malformed request line {' '.join(fields)[:64]!r}")
+        method, self.path, version = fields
+        tokens = {token.strip() for token in
+                  self.headers.get("Connection", "").lower().split(",")}
+        self.close_connection = "close" in tokens or (
+            version == "HTTP/1.0" and "keep-alive" not in tokens)
+        if "Transfer-Encoding" in self.headers:
+            raise for_status(501, "Transfer-Encoding is not supported: "
+                                  "frame the body with Content-Length")
+        return method
+
+    def _dispatch(self, method: str) -> None:
+        """Read the request's body, answer it through the server's
+        ``handle`` and write the response."""
+        status, _, payload, content_type = self.server.handle(
+            method, self.path, self._read_body())
+        self._respond(status, payload, content_type)
+
+    def _read_body(self) -> bytes:
+        """The request body, read as it arrives in pieces of at most
+        :data:`BODY_CHUNK` bytes within the request's deadline, which
+        is lifted here."""
+        length = content_length(self.headers.get("Content-Length"))
+        if self.headers.get("Expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        chunks = []
+        while length:
+            chunk = self.rfile.read(min(length, BODY_CHUNK))
+            if not chunk:
+                raise BadRequest(
+                    "request body ends before its Content-Length")
+            chunks.append(chunk)
+            length -= len(chunk)
+        self._reader.deadline = None
+        self.request.settimeout(None)
+        return b"".join(chunks)
+
+    def _respond(self, status: int, payload: Union[str, bytes],
+                 content_type: str, close: bool = False) -> None:
+        """Write one response; ``close`` (or a request that asked for
+        it) hangs up after it."""
+        self.close_connection = close or self.close_connection
+        self.request.sendall(response(status, payload, content_type,
+                                      self.close_connection))
+
+
+class Transport(socketserver.ThreadingTCPServer):
+    """The HTTP/1.1 transport of both servers: one
+    :class:`ServiceHandler` thread per client connection, answering
+    through ``handle(method, path, body) -> Response`` (which never
+    raises) and counting refusals in ``metrics``.
+
+    Threads, not an event loop: the service's handlers block on
+    admission and pool futures. Binds at construction; a taken
+    address is a :class:`ServiceError`.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    #: Connects the kernel queues while the accept thread is busy.
+    request_queue_size = 128
+
+    def __init__(self, host: str, port: int,
+                 handle: Callable[[str, str, bytes], Response],
+                 metrics: Any) -> None:
+        self.handle = handle
+        self.metrics = metrics
+        self._serving = False
+        self._thread: Optional[threading.Thread] = None
+        try:
+            super().__init__((host, port), ServiceHandler)
+        except OSError as error:
+            raise ServiceError(
+                f"cannot bind {host}:{port}: {error}") from None
+
+    def start(self) -> None:
+        """Serve on a background thread."""
+        if self._thread is None:
+            self._serving = True
+            self._thread = threading.Thread(
+                target=self.serve_forever, daemon=True,
+                name="repro-http-accept")
+            self._thread.start()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve on the calling thread until :meth:`stop`."""
+        self._serving = True
+        super().serve_forever(poll_interval)
+
+    def stop(self) -> None:
+        """Stop accepting and close the listening socket. Safe on a
+        transport that never served: ``shutdown`` alone would wait
+        for a ``serve_forever`` that never runs."""
+        if self._serving:
+            self.shutdown()
+            self._serving = False
+        self.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+
+class FrontEnd:
+    """The lifecycle both servers share over their :class:`Transport`
+    (``_http``, bound at construction, so :attr:`port` is known at
+    once); each server's ``shutdown`` stops it. A front end is a
+    context manager that shuts down on exit::
+
+        with CommunityService(engine).start() as service:
+            client = ServiceClient(service.url)
+            ...
+    """
+
+    _http: Transport
+
+    @property
+    def host(self) -> str:
+        """The bound interface."""
+        return self._http.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """The bound (possibly ephemeral) port."""
+        return self._http.server_address[1]
+
+    @property
+    def url(self) -> str:
+        """Base URL clients should target."""
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> Any:
+        """Serve on a background thread; returns ``self``
+        (chainable)."""
+        self._http.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until :meth:`shutdown`."""
+        self._http.serve_forever()
+
+    def __enter__(self) -> Any:
+        """Context-manager entry (the server need not be started)."""
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Context-manager exit: always shut down."""
+        self.shutdown()
 
 
 class ClientCore:

@@ -1,4 +1,4 @@
-"""The scatter-gather router front end, on one asyncio event loop.
+"""The scatter-gather router: legs to the shards on one event loop.
 
 Transport half of the router; all routing *policy* lives in
 :class:`~repro.shard.routing.RouterCore`:
@@ -13,13 +13,14 @@ Transport half of the router; all routing *policy* lives in
 * :class:`AsyncReplicaSet` — one shard's interchangeable backends
   behind a sticky active cursor, failing a leg over to a sibling box
   before the router gives the shard up.
-* :class:`AsyncRouterService` — an ``asyncio.start_server`` front
-  end that reads requests and answers them through the front door it
-  shares with the single-box service (:mod:`repro.service.wire`: one
-  route matcher, one error mapping, one response writer). A query is
-  one ``asyncio.gather`` of one leg per eligible shard, so its
-  concurrency is bounded by the fleet, not a thread pool, and its
-  latency by the slowest leg:
+* :class:`AsyncRouterService` — reads requests and answers them
+  through the front door it shares with the single-box service
+  (:mod:`repro.service.wire`: one transport with a thread per client
+  connection, one route matcher, one error mapping, one response
+  writer); each request's handling runs on the router's event loop,
+  which runs nothing but the legs. A query is one ``asyncio.gather``
+  of one leg per eligible shard, so its concurrency is bounded by the
+  fleet, not a thread pool, and its latency by the slowest leg:
   each shard enumerates only the communities it owns, so one round
   of ``k`` per shard is the whole merge (:mod:`repro.shard.merge`).
   The admin plane (``/admin/reload``, including the cross-box
@@ -61,6 +62,7 @@ load balancer.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import threading
 import time
@@ -71,9 +73,8 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, \
 from repro import faults
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.errors import BadRequest, HeadTooLarge, error_reply
+from repro.service.errors import ShuttingDown, error_reply
 from repro.service.wire import (
-    BODY_TIMEOUT,
     HEAD_END,
     JSON_CONTENT_TYPE,
     MAX_HEAD_BYTES,
@@ -82,15 +83,14 @@ from repro.service.wire import (
     TORN_ERRORS,
     UNMATCHED,
     ClientCore,
+    FrontEnd,
     MalformedResponse,
     Response,
     Route,
     RouteTable,
     StaleConnection,
-    content_length,
-    parse_head,
+    Transport,
     reject,
-    response,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.routing import (
@@ -317,16 +317,18 @@ class AsyncReplicaSet:
                 f"{'|'.join(self.urls)!r})")
 
 
-class AsyncRouterService:
-    """Event-loop scatter-gather front end over a shard fleet.
+class AsyncRouterService(FrontEnd):
+    """Scatter-gather front end over a shard fleet.
 
     Each ``shard_urls`` entry names one shard's replica set — a
     single URL, or comma-separated sibling URLs that serve the same
     shard snapshot (``"http://a:8420,http://b:8420"``); entry ``i``
     serves shard ``i``. ``root`` is the partition root the manifest
     was loaded from; ``/admin/reload`` re-reads it and resolves
-    per-shard stores against it. :meth:`start` runs the event loop
-    on a background thread and returns once the socket is bound.
+    per-shard stores against it. The socket is bound and the event
+    loop started on a background thread at construction; requests
+    arrive on the transport's connection threads, and :meth:`handle`
+    runs each on the loop.
 
     The data plane (``/query``, ``/batch``, ``/healthz``) is fully
     async over :class:`AsyncReplicaSet` fan-outs. The admin plane
@@ -368,15 +370,17 @@ class AsyncRouterService:
                            retries=shard_retries,
                            retry_seed=retry_seed) for url in urls]
             for urls in groups]
-        self._host_arg = host
-        self._port_arg = port
-        self._bound: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._conn_tasks: "set[asyncio.Task]" = set()
+        self._http = Transport(host, port, self.handle,
+                               self.core.metrics)
+        self._loop = asyncio.new_event_loop()
+        self._loop_thread = threading.Thread(
+            target=self._loop.run_forever, daemon=True,
+            name="repro-router-legs")
+        self._loop_thread.start()
+        #: Set by :meth:`shutdown`, under ``_closing_lock``; a request
+        #: handed to the loop after it is answered 503 instead.
+        self._closing = False
+        self._closing_lock = threading.Lock()
         #: Every endpoint; :meth:`handle_async` awaits what its
         #: handlers return.
         self.routes = RouteTable([
@@ -395,202 +399,54 @@ class AsyncRouterService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bound interface."""
-        if self._bound is None:
-            raise ServiceError("async router is not serving yet")
-        return self._bound[0]
-
-    @property
-    def port(self) -> int:
-        """The bound (possibly ephemeral) port."""
-        if self._bound is None:
-            raise ServiceError("async router is not serving yet")
-        return self._bound[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should target."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "AsyncRouterService":
-        """Serve the event loop on a background thread."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run_loop, daemon=True,
-                name="repro-router-aio")
-            self._thread.start()
-            if not self._ready.wait(timeout=10.0):
-                raise ServiceError(
-                    "async router failed to start within 10s")
-            if self._startup_error is not None:
-                raise self._startup_error
-        return self
-
-    def _run_loop(self) -> None:
-        """Own one event loop for the server's whole lifetime."""
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _main(self) -> None:
-        """Bind, publish readiness, serve until told to stop."""
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._serve_connection, self._host_arg,
-                self._port_arg, limit=MAX_HEAD_BYTES)
-        except OSError as error:
-            self._startup_error = ServiceError(
-                f"cannot bind async router on "
-                f"{self._host_arg}:{self._port_arg}: {error}")
-            self._ready.set()
-            return
-        name = server.sockets[0].getsockname()
-        self._bound = (name[0], name[1])
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            # Idle keep-alive connections park a task in readline;
-            # cancel them so the loop drains instead of destroying
-            # pending tasks at close.
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks,
-                                     return_exceptions=True)
-            for replicas in self.replica_sets:
-                await replicas.aclose()
-
     def shutdown(self) -> None:
-        """Stop serving, join the loop thread, release clients."""
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass                         # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._loop = None
+        """Stop serving; requests still on the loop are cancelled and
+        answered 503, then the loop stops and the clients close."""
+        self._http.stop()
+        with self._closing_lock:
+            if self._closing:
+                return
+            self._closing = True
+            closing = asyncio.run_coroutine_threadsafe(self._close(),
+                                                       self._loop)
+        closing.result(timeout=10.0)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._loop_thread.join(timeout=10.0)
+        self._loop.close()
         for clients in self._admin_fleet:
             for client in clients:
                 client.close()
 
-    def __enter__(self) -> "AsyncRouterService":
-        """Context-manager entry (the server need not be started)."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: always shut down."""
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # the asyncio HTTP/1.1 front end
-    # ------------------------------------------------------------------
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter
-                                ) -> None:
-        """One client connection: keep-alive request loop."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ServiceError as error:
-                    await self._respond(
-                        writer, *reject(error, self.core.metrics),
-                        JSON_CONTENT_TYPE, close=True)
-                    break
-                if request is None:
-                    break
-                method, path, req_headers, body = request
-                status, _, payload, content_type = \
-                    await self.handle_async(method, path, body)
-                close = (req_headers.get("Connection", "")
-                         .lower() == "close")
-                await self._respond(writer, status, payload,
-                                    content_type, close)
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.CancelledError):
-            pass                  # client went away / shutdown
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 — transport teardown
-                # must never surface through the accept loop.
-                pass
-
-    @staticmethod
-    async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: Union[str, bytes], content_type: str,
-                       close: bool) -> None:
-        """Write one response in a single send."""
-        writer.write(response(status, payload, content_type, close))
-        await writer.drain()
-
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader
-                            ) -> Optional[Tuple[str, str,
-                                                Dict[str, str],
-                                                bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF.
-
-        Waits untimed for the request's first byte (an idle keep-alive
-        connection has no deadline), then gives its head and body
-        ``BODY_TIMEOUT`` in all. Raises :class:`HeadTooLarge` when the
-        head outgrows the stream's limit, and :class:`BadRequest` for
-        a malformed request line or ``Content-Length`` (the body left
-        unread) or a request that ends or stalls before its
-        ``Content-Length``."""
-        first = await reader.read(1)
-        if not first:
-            return None
-        # A request still short at the deadline fails the read through
-        # the reader's own error channel: unlike wait_for, no task per
-        # request.
-        stalled = asyncio.get_running_loop().call_later(
-            BODY_TIMEOUT, reader.set_exception,
-            BadRequest("request stalled before its end"))
-        try:
-            try:
-                head = first + await reader.readuntil(HEAD_END)
-            except asyncio.IncompleteReadError:
-                return None
-            except asyncio.LimitOverrunError:
-                raise HeadTooLarge(f"request head exceeds "
-                                   f"{MAX_HEAD_BYTES} bytes") from None
-            fields, headers = parse_head(head)
-            if len(fields) != 3 or not fields[2].startswith("HTTP/"):
-                raise BadRequest(
-                    f"malformed request line {' '.join(fields)[:64]!r}")
-            length = content_length(headers.get("Content-Length"))
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise BadRequest("request body ends before its "
-                                 "Content-Length") from None
-        finally:
-            stalled.cancel()
-        return fields[0].upper(), fields[1], headers, body
+    async def _close(self) -> None:
+        """Cancel every request still running, and release the shard
+        clients' connections."""
+        running = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in running:
+            task.cancel()
+        await asyncio.gather(*running, return_exceptions=True)
+        for replicas in self.replica_sets:
+            await replicas.aclose()
 
     # ------------------------------------------------------------------
     # request handling (the front door CommunityService.handle uses)
     # ------------------------------------------------------------------
+    def handle(self, method: str, path: str, body: bytes) -> Response:
+        """Serve one request from a connection thread: it runs on the
+        event loop (:meth:`handle_async`); one that :meth:`shutdown`
+        cancels, or that comes after it, is a 503. Never raises."""
+        with self._closing_lock:
+            future = None if self._closing else \
+                asyncio.run_coroutine_threadsafe(
+                    self.handle_async(method, path, body), self._loop)
+        try:
+            if future is not None:
+                return future.result()
+        except concurrent.futures.CancelledError:
+            pass
+        status, payload = reject(
+            ShuttingDown("the router is shutting down"), self.core.metrics)
+        return status, UNMATCHED, payload, JSON_CONTENT_TYPE
+
     async def handle_async(self, method: str, path: str,
                            body: bytes) -> Response:
         """Serve one request; never raises."""

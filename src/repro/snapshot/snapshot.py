@@ -203,7 +203,10 @@ def _index_sections(index: CommunityIndex,
     Keyword membership is stored separately per inverted index — a
     keyword may appear in only one of the two maps (e.g. an explicit
     build vocabulary containing a word absent from the graph), and an
-    *empty* posting list is distinct from an absent keyword.
+    *empty* posting list is distinct from an absent keyword. A
+    keyword whose postings still sit in mapped columns (a loaded
+    snapshot's, or its delta-updated copy's untouched keywords) is
+    written as slices of those columns, never decoded into Python.
     """
     vocab_ids = {kw: i for i, kw in enumerate(vocab)}
     node_kws = index.node_index.keywords()
@@ -211,7 +214,8 @@ def _index_sections(index: CommunityIndex,
     parts: List[bytes] = []
     node_counts: List[int] = []
     for kw in node_kws:
-        nodes = index.node_index.nodes(kw)
+        run = index.node_index.run(kw)
+        nodes = run[0] if run is not None else index.node_index.nodes(kw)
         node_counts.append(len(nodes))
         parts.append(np.asarray(nodes, dtype=_INT).tobytes())
     edge_counts: List[int] = []
@@ -219,17 +223,17 @@ def _index_sections(index: CommunityIndex,
     edge_v: List[bytes] = []
     edge_w: List[bytes] = []
     for kw in edge_kws:
-        edges = index.edge_index.edges(kw)
-        edge_counts.append(len(edges))
-        us = np.fromiter((e[0] for e in edges), dtype=_INT,
-                         count=len(edges))
-        vs = np.fromiter((e[1] for e in edges), dtype=_INT,
-                         count=len(edges))
-        ws = np.fromiter((e[2] for e in edges), dtype=_FLOAT,
-                         count=len(edges))
-        edge_u.append(us.tobytes())
-        edge_v.append(vs.tobytes())
-        edge_w.append(ws.tobytes())
+        run = index.edge_index.run(kw)
+        if run is None:
+            edges = index.edge_index.edges(kw)
+            run = [np.fromiter((e[i] for e in edges), dtype=dtype,
+                               count=len(edges))
+                   for i, dtype in enumerate((_INT, _INT, _FLOAT))]
+        us, vs, ws = run
+        edge_counts.append(len(us))
+        edge_u.append(np.asarray(us, dtype=_INT).tobytes())
+        edge_v.append(np.asarray(vs, dtype=_INT).tobytes())
+        edge_w.append(np.asarray(ws, dtype=_FLOAT).tobytes())
     directory = _json_bytes({
         "radius": index.radius,
         "node_keywords": [vocab_ids[kw] for kw in node_kws],

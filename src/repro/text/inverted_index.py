@@ -96,17 +96,24 @@ class PostingColumns:
         slot = self._positions().get(keyword)
         return 0 if slot is None else self._counts[slot]
 
+    def run(self, keyword: str) -> Optional[list]:
+        """``keyword``'s run as one slice of each column, decoding
+        nothing; ``None`` when absent."""
+        slot = self._positions().get(keyword)
+        if slot is None:
+            return None
+        start, stop = self._starts[slot], self._starts[slot + 1]
+        return [column[start:stop] for column in self._columns]
+
     def get(self, keyword: str) -> Optional[list]:
         """``keyword``'s run, decoded on first request; ``None`` when
         absent."""
         got = self._memo.get(keyword)
         if got is None:
-            slot = self._positions().get(keyword)
-            if slot is None:
+            runs = self.run(keyword)
+            if runs is None:
                 return None
-            start, stop = self._starts[slot], self._starts[slot + 1]
-            runs = [column[start:stop].tolist()
-                    for column in self._columns]
+            runs = [run.tolist() for run in runs]
             got = self._memo[keyword] = \
                 runs[0] if len(runs) == 1 else list(zip(*runs))
         return got
@@ -134,6 +141,14 @@ class PostingStore:
     def __contains__(self, keyword: str) -> bool:
         return keyword in self._postings or (
             self._columns is not None and keyword in self._columns)
+
+    def run(self, keyword: str) -> Optional[list]:
+        """``keyword``'s postings as slices of the mapped columns
+        (:meth:`PostingColumns.run`), when they hold them and the dict
+        does not override them; ``None`` otherwise."""
+        if keyword in self._postings or self._columns is None:
+            return None
+        return self._columns.run(keyword)
 
     def keywords(self) -> List[str]:
         """All indexed keywords, sorted."""

@@ -29,6 +29,13 @@ Acceptance coverage for the router:
   line and a closed connection, each rejection is counted under the
   ``{unmatched}`` label, and unknown paths add that one ``path``
   metric label, not one each;
+* **one transport** — the same raw bytes get the same answer from
+  both: ``Transfer-Encoding`` is one 501 and a close (a chunked
+  body is never answered as a request), conflicting
+  ``Content-Length`` values a 400 and a close, a bare-LF head the
+  answer of its CRLF twin, HTTP/1.0 a close unless kept alive, an
+  unknown method the route table's 404 on an open connection, and
+  ``Expect: 100-continue`` a ``100 Continue`` before the body;
 * **one request parser** — a query field the service refuses is a
   400 from the router too, on ``/query`` and in a ``/batch`` entry.
 """
@@ -57,9 +64,9 @@ from repro.service import (
     NotFound,
     ServiceClient,
 )
-from repro.service import server as service_server
+from repro.service import wire
 from repro.service.wire import UNMATCHED
-from repro.shard import aio, partition_snapshot
+from repro.shard import partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot import read_manifest
 from repro.snapshot.store import SnapshotStore
@@ -326,8 +333,7 @@ def test_stalled_body_is_a_typed_400(fig4_fleet, front, monkeypatch):
     not timed out."""
     router, single = fig4_fleet
     server = router if front == "router" else single
-    monkeypatch.setattr(aio if front == "router" else service_server,
-                        "BODY_TIMEOUT", 0.5)
+    monkeypatch.setattr(wire, "BODY_TIMEOUT", 0.5)
     start = time.monotonic()
     # raw_exchange holds the connection open and reads for 2 s.
     status, headers, body = raw_exchange(
@@ -357,8 +363,7 @@ def test_stalled_head_is_dropped(fig4_fleet, front, monkeypatch):
     byte; an idle keep-alive connection is still not timed out."""
     router, single = fig4_fleet
     server = router if front == "router" else single
-    monkeypatch.setattr(aio if front == "router" else service_server,
-                        "BODY_TIMEOUT", 0.5)
+    monkeypatch.setattr(wire, "BODY_TIMEOUT", 0.5)
     start = time.monotonic()
     status, headers, body = raw_exchange(
         server.port, b"POST /query HTTP/1.1\r\nHost: test\r\n")
@@ -387,8 +392,7 @@ def test_trickled_request_is_cut_off(fig4_fleet, front, monkeypatch):
     keep-alive connection is still not timed out."""
     router, single = fig4_fleet
     server = router if front == "router" else single
-    monkeypatch.setattr(aio if front == "router" else service_server,
-                        "BODY_TIMEOUT", 0.5)
+    monkeypatch.setattr(wire, "BODY_TIMEOUT", 0.5)
     trickle = iter(b"Host: test\r\n" * 100)
     reply = b""
     start = time.monotonic()
@@ -423,6 +427,131 @@ def test_trickled_request_is_cut_off(fig4_fleet, front, monkeypatch):
             assert reply.status == 200
     finally:
         conn.close()
+
+
+def _replies(port, request, quiet=1.0):
+    """Send the raw ``request`` bytes and read until the server hangs
+    up or stays quiet for ``quiet`` seconds. Returns the status line
+    of every response, in order, and whether the server hung up."""
+    data = b""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=quiet) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return _status_lines(data), True
+                data += chunk
+        except socket.timeout:
+            return _status_lines(data), False
+        except ConnectionResetError:
+            return _status_lines(data), True
+
+
+def _status_lines(data):
+    """The status line of each response in ``data``, in order."""
+    statuses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status, *headers = head.decode("latin-1").split("\r\n")
+        statuses.append(status)
+        data = data[sum(int(line.partition(":")[2]) for line in headers
+                        if line.lower().startswith("content-length:")):]
+    return statuses
+
+
+def _query_request(*headers):
+    """A fig4 ``POST /query`` carrying ``headers`` and its JSON body;
+    ``{n}`` in a header stands for the body's length."""
+    body = json.dumps(FIG4_BODIES[1]).encode("utf-8")
+    head = b"".join(line.replace(b"{n}", str(len(body)).encode()) + b"\r\n"
+                    for line in headers)
+    return b"POST /query HTTP/1.1\r\nHost: t\r\n" + head + b"\r\n" + body
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_transfer_encoding_is_refused(fig4_fleet, front):
+    """A chunked request is a 501 and a close: its body, a request of
+    its own, is never answered."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    statuses, closed = _replies(
+        server.port, b"POST /query HTTP/1.1\r\nHost: t\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert statuses == ["HTTP/1.1 501 Not Implemented"]
+    assert closed
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_conflicting_content_length_is_a_typed_400(fig4_fleet, front):
+    """Two different ``Content-Length`` values frame the body two ways:
+    a 400 and a close. Repeats of one value are that value."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    status, headers, body = raw_exchange(server.port, _query_request(
+        b"Content-Length: {n}", b"Content-Length: 2"))
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "Connection: close" in headers
+    assert json.loads(body)["status"] == 400
+    assert _replies(server.port, _query_request(
+        b"Content-Length: {n}", b"Content-Length: {n}")) \
+        == (["HTTP/1.1 200 OK"], False)
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_bare_lf_head_is_read_like_crlf(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    for end in (b"\r\n", b"\n"):
+        assert _replies(server.port, end.join(
+            [b"GET /healthz HTTP/1.1", b"Host: t", b"", b""])) \
+            == (["HTTP/1.1 200 OK"], False)
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_http10_is_closed_unless_kept_alive(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    request = b"GET /healthz HTTP/1.0\r\nHost: t\r\n"
+    assert _replies(server.port, request + b"\r\n") \
+        == (["HTTP/1.1 200 OK"], True)
+    assert _replies(server.port,
+                    request + b"Connection: keep-alive\r\n\r\n") \
+        == (["HTTP/1.1 200 OK"], False)
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_unknown_method_is_the_route_tables_404(fig4_fleet, front):
+    """``PATCH`` is refused like an unknown path: a 404 counted under
+    ``{unmatched}``, and the connection stays open."""
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    client = ServiceClient(server.url, timeout=30.0)
+    series = f'repro_requests_total{{path="{UNMATCHED}",status="404"}}'
+    before = _metric(client.metrics(), series)
+    assert _replies(server.port, b"PATCH /query HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 2\r\n\r\n{}") \
+        == (["HTTP/1.1 404 Not Found"], False)
+    assert _metric(client.metrics(), series) == before + 1
+    client.close()
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_expect_continue_is_answered_before_the_body(fig4_fleet, front):
+    router, single = fig4_fleet
+    server = router if front == "router" else single
+    head, _, body = _query_request(
+        b"Content-Length: {n}", b"Expect: 100-continue") \
+        .partition(b"\r\n\r\n")
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=2.0) as sock:
+        sock.sendall(head + b"\r\n\r\n")
+        assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        with sock.makefile("rb") as replies:
+            assert replies.readline() == b"HTTP/1.1 200 OK\r\n"
 
 
 def _path_labels(metrics):

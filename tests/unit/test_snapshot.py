@@ -3,7 +3,9 @@
 Covers the PR's acceptance properties at the unit level:
 
 * a snapshot round-trips bit-identically — rewriting the same content
-  reproduces the same per-section checksums and the same id;
+  reproduces the same per-section checksums and the same id, and
+  rewriting a loaded snapshot copies its mapped postings without
+  decoding them;
 * every flipped byte is rejected at load/verify time with the typed
   error taxonomy, and so is a gzip-flagged manifest from an earlier
   release;
@@ -19,6 +21,7 @@ import json
 
 import pytest
 
+from repro.bench.workloads import load_dataset, publish_snapshot
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX
 from repro.engine import QueryEngine
 from repro.exceptions import (
@@ -162,6 +165,23 @@ class TestFormat:
         for i, index in enumerate(builds):
             assert load_snapshot(tmp_path / str(i)).index.build_seconds \
                 == index.build_seconds
+
+    def test_rewriting_a_loaded_snapshot_decodes_no_postings(
+            self, tmp_path):
+        """A loaded snapshot written again publishes the same id, its
+        postings copied as slices of the mapped columns: neither index
+        decodes a keyword into Python."""
+        snap = publish_snapshot(tmp_path / "store",
+                                load_dataset("dblp", "tiny"))
+        loaded = load_snapshot(snap.path)
+        again = write_snapshot(tmp_path / "again", loaded.dbg,
+                               loaded.index, provenance=loaded.provenance)
+        assert again.id == snap.id
+        assert {k: v["sha256"] for k, v in again.manifest["sections"]
+                .items()} == {k: v["sha256"] for k, v in
+                              snap.manifest["sections"].items()}
+        assert not loaded.index.node_index._columns._memo
+        assert not loaded.index.edge_index._columns._memo
 
     def test_build_time_in_an_older_index_section_loads(
             self, fig4, fig4_index, tmp_path):
