@@ -36,6 +36,7 @@ from typing import Tuple
 
 from repro.core.search import CommunitySearch
 from repro.engine.context import QueryContext
+from repro.engine.engine import QueryEngine
 from repro.engine.spec import QuerySpec
 from repro.exceptions import ReproError
 from repro.graph.database_graph import DatabaseGraph
@@ -144,11 +145,10 @@ def cmd_serve(args) -> int:
     from repro.service import CommunityService
 
     engine_close = None
-    result_cache_bytes = int(
-        getattr(args, "result_cache_mb", 64) * 1024 * 1024)
+    result_cache_bytes = int(args.result_cache_mb * 1024 * 1024)
     wal = None
-    if getattr(args, "wal", None):
-        if not getattr(args, "snapshot", None):
+    if args.wal:
+        if not args.snapshot:
             raise ReproError(
                 "--wal needs --snapshot: WAL replay folds deltas "
                 "onto a published snapshot, not an in-process build")
@@ -158,7 +158,7 @@ def cmd_serve(args) -> int:
         print(f"WAL {wal.path} open (fsync={wal.fsync_policy}, "
               f"lsn={wal.lsn}, {wal.pending_count} pending deltas)",
               file=sys.stderr)
-    if getattr(args, "snapshot", None):
+    if args.snapshot:
         from repro.snapshot.store import locate_snapshot
 
         path = locate_snapshot(args.snapshot)
@@ -178,8 +178,6 @@ def cmd_serve(args) -> int:
             print(f"started {args.workers} worker processes",
                   file=sys.stderr)
         else:
-            from repro.engine.engine import QueryEngine
-
             engine = QueryEngine.from_snapshot(
                 path, result_cache_bytes=result_cache_bytes,
                 wal_path=wal)
@@ -192,25 +190,22 @@ def cmd_serve(args) -> int:
         print(f"loaded snapshot {loaded_id} from {path}",
               file=sys.stderr)
     else:
-        dbg, search = _resolve_search(args)
+        dbg = _load_dataset(args.dataset)
+        engine = QueryEngine(dbg, result_cache_bytes=result_cache_bytes)
         print(f"building index at R={args.radius:g} ...",
               file=sys.stderr)
-        search.build_index(radius=args.radius)
-        engine = search.engine
-        from repro.engine.results import ResultCache
-
-        engine.results = ResultCache(result_cache_bytes)
+        engine.build_index(args.radius)
     service = CommunityService(
         engine, host=args.host, port=args.port,
         workers=args.workers, queue_depth=args.queue_depth,
         session_ttl=args.session_ttl, max_sessions=args.max_sessions,
         default_deadline=args.deadline,
-        snapshot_source=getattr(args, "snapshot", None),
+        snapshot_source=args.snapshot,
         drain_seconds=args.drain_seconds,
-        warm_top=getattr(args, "warm_top", 8),
+        warm_top=args.warm_top,
         wal=wal)
     compactor = None
-    if wal is not None and getattr(args, "compact_interval", 0) > 0:
+    if wal is not None and args.compact_interval > 0:
         from repro.service.http import snapshot_store_of
         from repro.snapshot.store import SnapshotStore
         from repro.wal import Compactor
@@ -548,7 +543,7 @@ def cmd_snapshot_prune(args) -> int:
     from repro.snapshot.store import SnapshotStore
 
     removed = SnapshotStore(args.store).prune(
-        keep=args.keep, wal=getattr(args, "wal", None))
+        keep=args.keep, wal=args.wal)
     for snapshot_id in removed:
         print(f"removed {snapshot_id}")
     print(f"{len(removed)} snapshot(s) pruned")

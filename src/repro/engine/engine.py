@@ -28,7 +28,10 @@ valid).
 Queries capture ``(graph, index, generation, owned)`` once at entry,
 so a concurrent :meth:`~QueryEngine.swap_snapshot` never mixes
 artifacts mid-query — in-flight queries finish on the graph they
-started on.
+started on. Every materialized answer takes one path: capture, look
+the spec up in the result cache on that capture, compute a miss
+(:meth:`~QueryEngine._miss`, the one step a pool engine overrides)
+and install it under the captured generation.
 
 An engine serving one shard of a partitioned snapshot holds the
 shard's *owned* node set (the snapshot's ``owned`` section). Every
@@ -84,7 +87,7 @@ from repro.engine.results import (
     result_key,
 )
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError, SnapshotFormatError
+from repro.exceptions import QueryError, SnapshotFormatError, WorkerError
 from repro.graph.database_graph import DatabaseGraph
 from repro.snapshot.snapshot import Snapshot
 from repro.snapshot.snapshot import load_snapshot as _load_snapshot
@@ -123,6 +126,15 @@ Captured = Tuple[DatabaseGraph, Optional[CommunityIndex], str,
 class QueryEngine:
     """Executes :class:`~repro.engine.spec.QuerySpec` s on one graph."""
 
+    #: Whether a result-cache lookup may resume a cached frontier to
+    #: serve a larger ``k``. A pool's parent enumerates nothing, so it
+    #: sends such a ``k`` to a worker instead.
+    _resumes_frontier = True
+
+    #: The worker pool queries run on; an in-process engine has none
+    #: (see :class:`~repro.parallel.ParallelQueryEngine`).
+    pool: Optional[Any] = None
+
     def __init__(self, dbg: DatabaseGraph,
                  index: Optional[CommunityIndex] = None,
                  registry: Optional[AlgorithmRegistry] = None,
@@ -141,9 +153,7 @@ class QueryEngine:
                             else result_cache_bytes))
         self._lock = threading.Lock()
         self._epoch = 0
-        self._generation = "g0"
         self._index = index
-        self._snapshot_id: Optional[str] = None
         self._snapshot_loaded_at: Optional[float] = None
         self._base_snapshot_id: Optional[str] = None
         self._partition: Optional[Dict[str, Any]] = None
@@ -217,7 +227,7 @@ class QueryEngine:
         engine actually changed artifacts.
         """
         with self._lock:
-            if self._generation == snapshot.id:
+            if self._generation_locked() == snapshot.id:
                 self._snapshot_loaded_at = time.time()
                 return False
             self._adopt(snapshot)
@@ -253,8 +263,6 @@ class QueryEngine:
         self.check_adoptable(snapshot)
         self.dbg = snapshot.dbg
         self._index = snapshot.index
-        self._generation = snapshot.id
-        self._snapshot_id = snapshot.id
         self._base_snapshot_id = snapshot.id
         self._partition = snapshot.provenance.get("partition")
         self._owned = (frozenset(snapshot.owned.tolist())
@@ -272,7 +280,15 @@ class QueryEngine:
         snapshot *or* has diverged from it (an in-memory
         ``build_index``/``apply_delta`` after the load).
         """
-        return self._snapshot_id
+        with self._lock:
+            return None if self._deltas_applied else self._base_snapshot_id
+
+    def _generation_locked(self) -> str:
+        """The base snapshot id while no delta has been applied, else
+        ``g<epoch>``; caller holds the lock."""
+        if self._deltas_applied or self._base_snapshot_id is None:
+            return f"g{self._epoch}"
+        return self._base_snapshot_id
 
     @property
     def snapshot_loaded_at(self) -> Optional[float]:
@@ -292,6 +308,11 @@ class QueryEngine:
         (a shard's owned set); ``None`` when every node may."""
         return self._owned
 
+    def worker_stats(self) -> List[Dict[str, Any]]:
+        """Identity and counters per pool worker (see ``/metrics``);
+        an in-process engine has none."""
+        return []
+
     # ------------------------------------------------------------------
     # index lifecycle — every change advances the generation
     # ------------------------------------------------------------------
@@ -306,8 +327,6 @@ class QueryEngine:
         with self._lock:
             self._index = index
             self._epoch += 1
-            self._generation = f"g{self._epoch}"
-            self._snapshot_id = None
             self._base_snapshot_id = None
             self._deltas_applied = 0
             self._applied_lsn = 0
@@ -323,7 +342,8 @@ class QueryEngine:
         serving an unmodified snapshot. Tags every cache entry and
         every open session.
         """
-        return self._generation
+        with self._lock:
+            return self._generation_locked()
 
     @property
     def generation_epoch(self) -> int:
@@ -373,8 +393,6 @@ class QueryEngine:
             self.dbg = new_dbg
             self._index = new_index
             self._epoch += 1
-            self._generation = f"g{self._epoch}"
-            self._snapshot_id = None
             self._deltas_applied += 1
             self._applied_lsn = lsn if lsn is not None else 0
             self._logged = self._logged and lsn is not None
@@ -428,18 +446,18 @@ class QueryEngine:
         """``(generation, state_id)``, read together under the lock."""
         with self._lock:
             if not self._deltas_applied:
-                state = self._snapshot_id
+                state = self._base_snapshot_id
             elif self._logged and self._base_snapshot_id is not None:
                 state = f"{self._base_snapshot_id}+{self._applied_lsn}"
             else:
                 state = None
-            return self._generation, state
+            return self._generation_locked(), state
 
     def _capture(self) -> Captured:
         """One consistent ``(graph, index, generation, owned)``
         observation."""
         with self._lock:
-            return self.dbg, self._index, self._generation, \
+            return self.dbg, self._index, self._generation_locked(), \
                 self._owned
 
     # ------------------------------------------------------------------
@@ -501,10 +519,15 @@ class QueryEngine:
         if spec.mode != "all":
             raise QueryError(
                 f"iter_all needs an 'all' spec, got {spec.mode!r}")
-        ctx = ensure_context(context)
+        return self._iter_all(spec, ensure_context(context),
+                              self._capture())
+
+    def _iter_all(self, spec: QuerySpec, ctx: QueryContext,
+                  captured: Captured) -> Iterator[Community]:
+        """:meth:`iter_all` on the ``captured`` state."""
         backend = self.registry.get(spec.algorithm)
         graph, node_lists, projection, origin = \
-            self._query_graph(spec, ctx)
+            self._query_graph(spec, ctx, captured)
         results = iter(backend.run_all(
             graph, spec.keywords, spec.rmax, node_lists=node_lists,
             aggregate=spec.aggregate,
@@ -540,19 +563,10 @@ class QueryEngine:
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
         """Materialized COMM-all, result-cached per generation."""
-        ctx = ensure_context(context)
-        if not self._result_cacheable(spec):
-            return list(self.iter_all(spec, ctx))
-        _, _, generation, _ = self._capture()
-        key = result_key(spec.keywords, spec.rmax, spec.algorithm,
-                         spec.aggregate, "all")
-        served = self.results.fetch(key, generation, None, ctx)
-        if served is not None:
-            return served
-        results = list(self.iter_all(spec, ctx))
-        self.results.install(ResultEntry(
-            key, generation, prefix=results, complete=True))
-        return results
+        if spec.mode != "all":
+            raise QueryError(
+                f"run_all needs an 'all' spec, got {spec.mode!r}")
+        return self.execute(spec, context)
 
     def top_k(self, spec: QuerySpec,
               context: Optional[QueryContext] = None
@@ -560,76 +574,37 @@ class QueryEngine:
         """COMM-k through the registered backend.
 
         Result-cached: an exact repeat of a cached spec is a pure
-        lookup, a smaller ``k`` slices the cached ranked prefix, and a
-        larger ``k`` resumes the retained stream (``pd``) to compute
-        only the tail — see :mod:`repro.engine.results`.
+        lookup, a smaller ``k`` slices the cached ranked prefix, and
+        in process a larger ``k`` resumes the retained stream (``pd``)
+        to compute only the tail — see :mod:`repro.engine.results`.
         """
         if spec.mode != "topk":
             raise QueryError(
                 f"top_k needs a 'topk' spec, got {spec.mode!r}")
-        ctx = ensure_context(context)
-        backend = self.registry.get(spec.algorithm)
-        captured = self._capture()
-        _, _, generation, _ = captured
-        cacheable = self._result_cacheable(spec)
-        key = ""
-        if cacheable:
-            key = result_key(spec.keywords, spec.rmax, spec.algorithm,
-                             spec.aggregate, "topk")
-            served = self.results.fetch(key, generation, spec.k, ctx)
-            if served is not None:
-                return served
-        if cacheable and backend.streams:
-            # Enumerate through a resumable stream so the cache keeps
-            # the frontier: a later, larger k computes only the tail.
-            # Byte-identical to the registry's run_top_k — which is
-            # literally TopKStream(...).take(k).
-            entry = ResultEntry(key, generation,
-                                *self._ranked(spec, ctx, captured))
-            results = self.results.materialize(entry, spec.k, ctx)
-            self.results.install(entry)
-            return results
-        graph, node_lists, projection, origin = \
-            self._query_graph(spec, ctx, captured=captured)
-        with ctx.stage("enumerate"):
-            results = backend.run_top_k(
-                graph, spec.keywords, spec.k, spec.rmax,
-                node_lists=node_lists, aggregate=spec.aggregate,
-                budget_seconds=spec.budget_seconds, stats=ctx.baseline)
-        if projection is not None:
-            with ctx.stage("translate"):
-                results = [
-                    translate_community(c, projection, origin)
-                    for c in results]
-        ctx.count("communities", len(results))
-        if cacheable:
-            # A materialized (non-streaming) answer still serves exact
-            # repeats and smaller-k slices; a short answer is complete.
-            self.results.install(ResultEntry(
-                key, generation, prefix=results,
-                complete=len(results) < spec.k))
-        return results
+        return self.execute(spec, context)
 
     def execute(self, spec: QuerySpec,
                 context: Optional[QueryContext] = None
                 ) -> List[Community]:
         """Run any spec to a materialized answer list."""
-        if spec.mode == "topk":
-            return self.top_k(spec, context)
-        return self.run_all(spec, context)
+        return self.execute_batch([spec], [ensure_context(context)])[0]
 
     def execute_batch(self, specs: Sequence[QuerySpec],
                       contexts: Optional[Sequence[QueryContext]] = None
                       ) -> List[List[Community]]:
-        """Run specs in order; one answer list per spec.
+        """Answer specs; one answer list per spec, in order.
 
-        With ``contexts`` given (one per spec), each query's stats go
-        to its own context.
+        Every spec starts down the one query path (:meth:`_answer`)
+        before any is finished: in process a miss is computed as it
+        starts, on a pool it is queued, so the batch runs on every
+        worker. With ``contexts`` given (one per spec), each query's
+        stats go to its own context.
         """
         if contexts is None:
             contexts = [QueryContext() for _ in specs]
-        return [self.execute(spec, context)
-                for spec, context in zip(specs, contexts)]
+        started = [self._answer(spec, context)
+                   for spec, context in zip(specs, contexts)]
+        return [finish() for finish in started]
 
     def top_k_stream(self, keywords: Sequence[str], rmax: float,
                      use_projection: Optional[bool] = None,
@@ -669,21 +644,109 @@ class QueryEngine:
 
     def warm(self, specs: Sequence[QuerySpec]) -> int:
         """Run specs so this engine's result cache holds their
-        answers; returns how many actually computed (the rest were
-        already warm or failed validation — an unknown keyword after a
-        reload is skipped, not fatal)."""
-        warmed = 0
+        answers; returns how many actually computed.
+
+        Like :meth:`execute_batch`, every cacheable spec starts before
+        any is finished, so a pool runs the misses concurrently. The
+        rest were already warm or failed: a spec that raises
+        :class:`~repro.exceptions.QueryError` (an unknown keyword
+        after a reload) or :class:`~repro.exceptions.WorkerError` (a
+        worker lost to a crash) is skipped — warming is an
+        optimization, never a failure source.
+        """
+        skipped = (QueryError, WorkerError)
+        started = []
         for spec in specs:
             if not self._result_cacheable(spec):
                 continue
-            ctx = QueryContext()
+            context = QueryContext()
             try:
-                self.execute(spec, ctx)
-            except QueryError:
+                started.append((context, self._answer(spec, context)))
+            except skipped:
                 continue
-            if ctx.counter("result_cache_hits") == 0:
+        warmed = 0
+        for context, finish in started:
+            try:
+                finish()
+            except skipped:
+                continue
+            if context.counter("result_cache_hits") == 0:
                 warmed += 1
         return warmed
+
+    # ------------------------------------------------------------------
+    # the one lookup -> compute -> install path
+    # ------------------------------------------------------------------
+    def _answer(self, spec: QuerySpec, ctx: QueryContext
+                ) -> Callable[[], List[Community]]:
+        """Start answering ``spec``; returns the call that finishes it.
+
+        Captures the engine state once and looks a cacheable spec up
+        under that capture's generation — exactly one lookup, its hit,
+        extension, miss or error counted into ``ctx`` (an uncacheable
+        spec counts none). A miss goes to :meth:`_miss` with the same
+        capture.
+        """
+        captured = self._capture()
+        key = None
+        if self._result_cacheable(spec):
+            key = result_key(spec.keywords, spec.rmax, spec.algorithm,
+                             spec.aggregate, spec.mode)
+            served = self.results.fetch(
+                key, captured[2],
+                spec.k if spec.mode == "topk" else None, ctx,
+                extend=self._resumes_frontier)
+            if served is not None:
+                return lambda: served
+        return self._miss(spec, ctx, captured, key)
+
+    def _miss(self, spec: QuerySpec, ctx: QueryContext,
+              captured: Captured, key: Optional[str]
+              ) -> Callable[[], List[Community]]:
+        """Compute a spec the cache did not answer on ``captured`` and
+        install it under ``key`` (``None``: not cacheable); returns
+        the call that hands the answer over.
+
+        In process the answer is computed here, so a batch looks its
+        next spec up after this one is installed. The one step
+        :class:`~repro.parallel.ParallelQueryEngine` overrides.
+        """
+        backend = self.registry.get(spec.algorithm)
+        generation = captured[2]
+        if spec.mode == "topk" and key is not None and backend.streams:
+            # Enumerate through a resumable stream so the cache keeps
+            # the frontier: a later, larger k computes only the tail.
+            # Byte-identical to the registry's run_top_k — which is
+            # literally TopKStream(...).take(k).
+            entry = ResultEntry(key, generation,
+                                *self._ranked(spec, ctx, captured))
+            results = self.results.materialize(entry, spec.k, ctx)
+            self.results.install(entry)
+            return lambda: results
+        if spec.mode == "all":
+            results = list(self._iter_all(spec, ctx, captured))
+        else:
+            graph, node_lists, projection, origin = \
+                self._query_graph(spec, ctx, captured)
+            with ctx.stage("enumerate"):
+                results = backend.run_top_k(
+                    graph, spec.keywords, spec.k, spec.rmax,
+                    node_lists=node_lists, aggregate=spec.aggregate,
+                    budget_seconds=spec.budget_seconds,
+                    stats=ctx.baseline)
+            if projection is not None:
+                with ctx.stage("translate"):
+                    results = [
+                        translate_community(c, projection, origin)
+                        for c in results]
+            ctx.count("communities", len(results))
+        if key is not None:
+            # A materialized answer still serves exact repeats and
+            # smaller-k slices; COMM-all, or a short top-k, is complete.
+            self.results.install(ResultEntry(
+                key, generation, prefix=results,
+                complete=spec.mode == "all" or len(results) < spec.k))
+        return lambda: results
 
     # ------------------------------------------------------------------
     def _ranked(self, spec: QuerySpec, ctx: QueryContext,
@@ -699,7 +762,7 @@ class QueryEngine:
         pulls it.
         """
         graph, node_lists, projection, origin = \
-            self._query_graph(spec, ctx, captured=captured)
+            self._query_graph(spec, ctx, captured)
         with ctx.stage("enumerate"):
             stream = TopKStream(graph, list(spec.keywords), spec.rmax,
                                 node_lists=node_lists,
@@ -723,22 +786,21 @@ class QueryEngine:
         return not self.registry.get(spec.algorithm).supports_budget
 
     def _query_graph(self, spec: QuerySpec, ctx: QueryContext,
-                     captured: Optional[Captured] = None):
+                     captured: Captured):
         """Pick the execution graph: projection, or ``G_D`` directly.
 
-        Captures the engine state once (or adopts the caller's
-        ``captured`` tuple — the result-cache paths capture early so
-        the entry's generation tag matches the artifacts the answer
-        was computed on), so everything downstream — projection,
-        enumeration, translation — runs against one consistent
+        Runs on the caller's ``captured`` state — every query path
+        captures once, before its result-cache lookup, so the entry's
+        generation tag matches the artifacts the answer was computed
+        on — so everything downstream — projection, enumeration,
+        translation — runs against one consistent
         ``(graph, index, generation, owned)`` even if a snapshot swap
-        lands mid-query. On a shard, the first keyword's node list is
-        cut to the owned nodes here, after projection and before any
-        backend sees it. Returns
+        or a delta lands mid-query. On a shard, the first keyword's
+        node list is cut to the owned nodes here, after projection
+        and before any backend sees it. Returns
         ``(graph, node_lists, projection, origin_graph)``.
         """
-        dbg, index, generation, owned = (
-            captured if captured is not None else self._capture())
+        dbg, index, generation, owned = captured
         use_projection = spec.use_projection
         if use_projection is None:
             use_projection = index is not None

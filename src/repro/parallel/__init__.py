@@ -9,11 +9,12 @@ process tier:
   loading its own engine from the *same immutable snapshot*, served
   tasks over per-worker queues with crash detection and respawn;
 * :class:`~repro.parallel.engine.ParallelQueryEngine` — a
-  ``QueryEngine`` subclass the service serves like any engine:
-  ``execute``/``run_all``/``top_k``/``execute_batch`` ship to the
-  pool, while sessions, projections and identity are the parent's
-  own inherited state; ``swap_snapshot`` broadcasts reloads to every
-  worker without dropping in-flight queries.
+  ``QueryEngine`` subclass the service serves like any engine: it
+  inherits the one query path and overrides only how a result-cache
+  miss is computed (on a pool worker), while sessions, projections
+  and identity are the parent's own inherited state;
+  ``swap_snapshot`` broadcasts reloads to every worker without
+  dropping in-flight queries.
 
 ``repro serve --snapshot S --workers N`` wires this in; ``POST
 /batch`` fans a list of queries across the pool from one request.

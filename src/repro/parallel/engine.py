@@ -10,11 +10,15 @@ throughput.
 
 Division of labor:
 
-* **the parent's result cache is the pool server's only one**:
-  ``execute``, ``run_all``, ``top_k`` and ``execute_batch`` look each
-  spec up there, counting the hit, miss or error into the request's
-  context, and an exact repeat, a smaller-k slice of a cached ranked
-  prefix or a complete COMM-all entry is answered with no pool task;
+* **the parent's result cache is the pool server's only one**: every
+  materialized query takes the engine's one path (``execute``,
+  ``run_all``, ``top_k``, ``execute_batch`` and ``warm`` are all
+  inherited), which looks each spec up there, counting the hit, miss
+  or error into the request's context; an exact repeat, a smaller-k
+  slice of a cached ranked prefix or a complete COMM-all entry is
+  answered with no pool task. The one step this class overrides is
+  how a miss is computed (``_miss``): it is queued on a worker, and a
+  batch queues every miss before it awaits any;
 * **workers** compute the rest (misses and k-extensions, from the
   start) and keep only their projection cache and Dijkstra memo.
   Results come back as the same :class:`~repro.core.community.
@@ -35,8 +39,7 @@ Division of labor:
   session manager stale-checks against;
 * ``apply_delta`` and ``swap_snapshot`` do the parent's half through
   the inherited method, then broadcast the same operation to every
-  worker; ``warm`` fills the parent from worker answers, one pool
-  task per spec it lacks.
+  worker.
 
 Hot swap: :meth:`~ParallelQueryEngine.swap_snapshot` swaps the parent
 first (new queries immediately see the new generation), then
@@ -50,14 +53,13 @@ snapshot id.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.community import Community
-from repro.engine.context import QueryContext, ensure_context
-from repro.engine.engine import QueryEngine
-from repro.engine.results import result_key
+from repro.engine.context import QueryContext
+from repro.engine.engine import Captured, QueryEngine
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError, SnapshotError, WorkerError
+from repro.exceptions import SnapshotError, WorkerError
 from repro.parallel.pool import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_RESPAWNS,
@@ -73,12 +75,6 @@ from repro.wal.records import delta_to_wire
 DEFAULT_POOL_WORKERS = 2
 
 
-def _key(spec: QuerySpec) -> str:
-    """The result-cache key an in-process engine files ``spec`` under."""
-    return result_key(spec.keywords, spec.rmax, spec.algorithm,
-                      spec.aggregate, spec.mode)
-
-
 def _share_ids(communities: List[Community]) -> List[Community]:
     """``communities`` relabelled through one identity dict, so each
     node id is one int object, as in-process: unpickled tuples share
@@ -90,6 +86,10 @@ def _share_ids(communities: List[Community]) -> List[Community]:
 class ParallelQueryEngine(QueryEngine):
     """A :class:`QueryEngine` that executes queries on a process pool;
     ``result_cache_bytes`` sizes the parent's cache, the only one."""
+
+    #: The parent enumerates nothing: a ``k`` beyond a cached prefix
+    #: is a miss, computed by a worker.
+    _resumes_frontier = False
 
     def __init__(self, source: Union[str, Path],
                  workers: int = DEFAULT_POOL_WORKERS,
@@ -144,114 +144,44 @@ class ParallelQueryEngine(QueryEngine):
         self.close()
 
     # ------------------------------------------------------------------
-    # execution — shipped to the pool
+    # execution — a miss ships to the pool
     # ------------------------------------------------------------------
-    def execute(self, spec: QuerySpec,
-                context: Optional[QueryContext] = None
-                ) -> List[Community]:
-        """Answer one spec from the parent's cache or on a pool
-        worker; a worker's stats merge into ``context``."""
-        return self.execute_batch([spec], [ensure_context(context)])[0]
+    def _miss(self, spec: QuerySpec, ctx: QueryContext,
+              captured: Captured, key: Optional[str]
+              ) -> Callable[[], List[Community]]:
+        """Queue ``spec`` on a worker, which computes it from the
+        start; the returned call awaits the answer, merges the
+        worker's stats into ``ctx`` and offers the answer to the
+        parent's cache (:meth:`_install`)."""
+        future = self.pool.submit("query", spec)
 
-    def run_all(self, spec: QuerySpec,
-                context: Optional[QueryContext] = None
-                ) -> List[Community]:
-        """Materialized COMM-all, from the parent's cache or a worker."""
-        if spec.mode != "all":
-            raise QueryError(
-                f"run_all needs an 'all' spec, got {spec.mode!r}")
-        return self.execute(spec, context)
-
-    def top_k(self, spec: QuerySpec,
-              context: Optional[QueryContext] = None
-              ) -> List[Community]:
-        """COMM-k, from the parent's cache or a worker."""
-        if spec.mode != "topk":
-            raise QueryError(
-                f"top_k needs a 'topk' spec, got {spec.mode!r}")
-        return self.execute(spec, context)
-
-    def execute_batch(self, specs: Sequence[QuerySpec],
-                      contexts: Optional[Sequence[QueryContext]] = None
-                      ) -> List[List[Community]]:
-        """Answer specs from the parent's cache, the rest across the
-        pool; results in order.
-
-        Every miss is queued before any result is awaited, so the
-        batch runs on as many workers (cores) as the pool has. With
-        ``contexts`` given (one per spec), each query's stats — the
-        parent's lookup, and a worker's stages and counters — go to
-        its own context.
-        """
-        if contexts is None:
-            contexts = [QueryContext() for _ in specs]
-        results: List[Optional[List[Community]]] = [
-            self._cached(spec, context)
-            for spec, context in zip(specs, contexts)]
-        futures = {index: self.pool.submit("query", spec)
-                   for index, spec in enumerate(specs)
-                   if results[index] is None}
-        for index, future in futures.items():
+        def finish() -> List[Community]:
             communities, timings, counters = future.result()
-            contexts[index].merge(QueryContext(timings, counters))
-            results[index] = self._install(
-                specs[index], list(communities), future.state)
-        return results
+            ctx.merge(QueryContext(timings, counters))
+            return self._install(spec, key, list(communities),
+                                 future.state)
 
-    def _cached(self, spec: QuerySpec, context: QueryContext
-                ) -> Optional[List[Community]]:
-        """The parent's answer to ``spec`` without enumeration, or
-        ``None`` to ask a worker; the hit, miss or error is counted
-        into ``context``."""
-        if not self._result_cacheable(spec):
-            return None
-        return self.results.fetch(
-            _key(spec), self.generation,
-            spec.k if spec.mode == "topk" else None, context,
-            extend=False)
+        return finish
 
-    def _install(self, spec: QuerySpec, communities: List[Community],
+    def _install(self, spec: QuerySpec, key: Optional[str],
+                 communities: List[Community],
                  state: Optional[str]) -> List[Community]:
         """Offer a worker's answer, computed on ``state``, to the
-        parent's cache, ids shared — only when the parent serves that
-        state now; returns the answer to serve (``ResultCache.offer``)."""
-        if state is None or not self._result_cacheable(spec):
+        parent's cache under ``key``, ids shared — only when the
+        parent serves that state now; returns the answer to serve
+        (``ResultCache.offer``)."""
+        if key is None or state is None:
             return communities
         generation, current = self._state()
         if state != current:
             return communities
         return self.results.offer(
-            _key(spec), generation, _share_ids(communities),
+            key, generation, _share_ids(communities),
             complete=spec.mode != "topk" or len(communities) < spec.k)
 
     # ------------------------------------------------------------------
     # the parent's half, then every worker's
     # ------------------------------------------------------------------
-    def warm(self, specs: Sequence[QuerySpec]) -> int:
-        """Pre-warm the parent's result cache.
-
-        The parent enumerates nothing: it also serves HTTP. Each spec
-        it does not hold yet goes to one worker as a query task, and
-        the answer is installed through :meth:`_install`, like every
-        worker answer. Returns how many specs were computed. A spec a
-        worker refuses (an unknown keyword after a reload) or loses to
-        a crash is skipped: warming is an optimization, never a
-        failure source.
-        """
-        asked = [(spec, self.pool.submit("query", spec))
-                 for spec in specs
-                 if self._result_cacheable(spec)
-                 and self._cached(spec, QueryContext()) is None]
-        warmed = 0
-        for spec, future in asked:
-            try:
-                communities, _, _ = future.result()
-            except (QueryError, WorkerError):
-                continue
-            self._install(spec, list(communities), future.state)
-            warmed += 1
-        return warmed
-
     def apply_delta(self, delta: Any, banks_reweight: bool = False,
                     lsn: Optional[int] = None):
         """Apply a delta on the parent, then fan it to every worker.

@@ -452,7 +452,7 @@ class CommunityService(FrontEnd):
                 "of": partition.get("of"),
                 "owned_nodes": len(self.engine.owned),
             }
-        pool = getattr(self.engine, "pool", None)
+        pool = self.engine.pool
         if pool is not None:
             health["pool_workers"] = pool.workers
             health["pool_alive"] = pool.alive
@@ -866,14 +866,12 @@ class CommunityService(FrontEnd):
         * ``repro_pool_workers`` / ``repro_pool_workers_alive`` /
           ``repro_pool_respawns_total`` — pool health.
         """
-        stats_of = getattr(self.engine, "worker_stats", None)
-        pool = getattr(self.engine, "pool", None)
-        if stats_of is None or pool is None:
+        pool = self.engine.pool
+        if pool is None:
             return
-        per_worker = stats_of()
         rows = []
         summed: Dict[str, float] = {}
-        for stats in per_worker:
+        for stats in self.engine.worker_stats():
             rows.append({
                 "worker": str(stats.get("worker")),
                 "pid": str(stats.get("pid", "")),

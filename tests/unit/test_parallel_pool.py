@@ -412,6 +412,106 @@ class TestParentResultCache:
             assert worker_cache_traffic(engine) != traffic
 
 
+def cache_traffic(context):
+    """The result-cache counters one query counted, zeros dropped."""
+    return {name: context.counter(f"result_cache_{name}")
+            for name in ("hits", "extensions", "misses", "errors")
+            if context.counter(f"result_cache_{name}")}
+
+
+def run_contract(engine):
+    """One script of the shared query path: each step's answer and
+    result-cache traffic, then what ``warm`` computed."""
+    keywords = list(FIG4_QUERY)
+    steps = [
+        ("cold", QuerySpec.comm_k(keywords, 2, FIG4_RMAX)),
+        ("repeat", QuerySpec.comm_k(keywords, 2, FIG4_RMAX)),
+        ("smaller k", QuerySpec.comm_k(keywords, 1, FIG4_RMAX)),
+        ("larger k", QuerySpec.comm_k(keywords, 4, FIG4_RMAX)),
+        ("all", QuerySpec.comm_all(keywords, FIG4_RMAX)),
+        ("all again", QuerySpec.comm_all(keywords, FIG4_RMAX)),
+        ("bu", QuerySpec.comm_k(keywords, 2, FIG4_RMAX,
+                                algorithm="bu", budget_seconds=30.0)),
+    ]
+    seen = {}
+    for name, spec in steps:
+        context = QueryContext()
+        seen[name] = (engine.execute(spec, context),
+                      cache_traffic(context))
+    unknown = QuerySpec.comm_k(["zzz-unknown"], 1, FIG4_RMAX)
+    contexts = [QueryContext(), QueryContext()]
+    with pytest.raises(QueryError, match="zzz-unknown"):
+        engine.execute_batch(
+            [QuerySpec.comm_k(keywords[:2], 1, FIG4_RMAX), unknown],
+            contexts)
+    seen["batch"] = (None, [cache_traffic(c) for c in contexts])
+    fresh = QuerySpec.comm_k(keywords[1:], 2, FIG4_RMAX)
+    seen["warmed"] = (engine.warm([fresh, unknown, steps[0][1]]), None)
+    context = QueryContext()
+    seen["after warm"] = (engine.execute(fresh, context),
+                          cache_traffic(context))
+    return seen
+
+
+class TestOneQueryPath:
+    def test_both_engines_keep_one_contract(self, store_root):
+        """The in-process engine and a pool engine run one lookup →
+        compute → install path: equal answers, one result-cache lookup
+        per cacheable query, none for ``bu``. The one difference: a
+        pool's parent enumerates nothing, so a ``k`` beyond the cached
+        prefix is a miss a worker computes, not an extension."""
+        local = run_contract(QueryEngine.from_snapshot(
+            SnapshotStore(store_root).resolve()))
+        with ParallelQueryEngine(store_root, workers=2) as engine:
+            pooled = run_contract(engine)
+            lookups = engine.results.stats.lookups
+        assert {name: answer for name, (answer, _) in pooled.items()} \
+            == {name: answer for name, (answer, _) in local.items()}
+        assert local["warmed"][0] == 1
+        assert len(local["larger k"][0]) == 4
+        miss, hit = {"misses": 1}, {"hits": 1}
+        expected = {"cold": miss, "repeat": hit, "smaller k": hit,
+                    "larger k": {"extensions": 1}, "all": miss,
+                    "all again": hit, "bu": {}, "batch": [miss, miss],
+                    "after warm": hit}
+        assert {name: traffic for name, (_, traffic) in local.items()
+                if traffic is not None} == expected
+        expected["larger k"] = miss
+        assert {name: traffic for name, (_, traffic) in pooled.items()
+                if traffic is not None} == expected
+        # Six cacheable steps, two batch entries, three warmed specs
+        # and the query after them.
+        assert lookups == 12
+
+    def test_pool_queues_every_miss_before_awaiting_any(
+            self, parallel_engine, monkeypatch):
+        events = []
+        submit = parallel_engine.pool.submit
+
+        def logged(op, payload, *args, **kwargs):
+            future = submit(op, payload, *args, **kwargs)
+            result = future.result
+
+            def awaited(*result_args, **result_kwargs):
+                events.append("await")
+                return result(*result_args, **result_kwargs)
+
+            future.result = awaited
+            events.append("submit")
+            return future
+
+        monkeypatch.setattr(parallel_engine.pool, "submit", logged)
+        # Keywords and radii no other test asks, so every spec misses.
+        batch = [QuerySpec.comm_k(["a", "c"], k, 7.5) for k in (1, 2)]
+        assert [len(r) for r in parallel_engine.execute_batch(batch)] \
+            == [1, 2]
+        assert events == ["submit", "submit", "await", "await"]
+        events.clear()
+        warm = [QuerySpec.comm_k(["a", "c"], k, 7.0) for k in (1, 2)]
+        assert parallel_engine.warm(warm) == 2
+        assert events == ["submit", "submit", "await", "await"]
+
+
 def post(service, path, payload):
     """Drive one POST through the service router, no sockets."""
     status, _template, body, _ctype = service.handle(

@@ -193,6 +193,41 @@ class TestInvalidation:
         engine.top_k(_spec(k=3), ctx)
         assert ctx.counter("result_cache_misses") == 1
 
+    @pytest.mark.parametrize("k", [None, 3], ids=["all", "topk"])
+    def test_delta_after_the_lookup_reaches_neither_answer_nor_entry(
+            self, engine, fig4, monkeypatch, k):
+        """A query is looked up, computed and installed on one capture
+        of the engine state: a delta that lands between its lookup
+        and its compute changes neither the answer nor the entry it
+        installs, both the pre-delta state's."""
+        before = QueryEngine(fig4, result_cache_bytes=0)
+        before.build_index(radius=FIG4_RMAX)
+        want = _fingerprint(before.execute(_spec(k=k)))
+        generation = engine.generation
+        fetch = engine.results.fetch
+
+        def fetch_then_delta(*args, **kwargs):
+            served = fetch(*args, **kwargs)
+            engine.apply_delta(GraphDelta(
+                new_nodes=[({"a"}, "extra", None)],
+                new_edges=[(fig4.n, 0, 1.0), (0, fig4.n, 1.0)]))
+            return served
+
+        monkeypatch.setattr(engine.results, "fetch", fetch_then_delta)
+        answer = engine.execute(_spec(k=k))
+        assert engine.generation != generation
+        assert _fingerprint(answer) == want
+        entry = engine.results.lookup(
+            result_key(FIG4_QUERY, FIG4_RMAX, "pd", "sum",
+                       "all" if k is None else "topk"), generation)
+        assert _fingerprint(entry.prefix) == want
+        # The delta does change the answer: the post-delta state's
+        # COMM-all differs from the one computed and installed.
+        after = QueryEngine(engine.dbg, engine.index,
+                            result_cache_bytes=0)
+        assert _fingerprint(after.run_all(_spec())) \
+            != _fingerprint(before.run_all(_spec()))
+
     def test_stale_entry_dropped_on_sight(self):
         cache = ResultCache(1 << 20)
         cache.install(ResultEntry("k", "g1", prefix=[], complete=True))
