@@ -418,16 +418,16 @@ def cmd_snapshot_partition(args) -> int:
     """``snapshot partition``: split a snapshot into a shard fleet.
 
     Reads the source snapshot (a snapshot directory or a store root),
-    partitions it into ``--shards`` owned regions plus halos, publishes
-    each shard snapshot under ``<out>/shards/NN`` and writes the
-    routing manifest ``<out>/routing.json`` (see :mod:`repro.shard`).
+    gives each of ``--shards`` shards its owned nodes, publishes each
+    shard snapshot (the source plus its owned set) under
+    ``<out>/shards/NN`` and writes the routing manifest
+    ``<out>/routing.json`` (see :mod:`repro.shard`).
     """
     from repro.shard import partition_snapshot
 
     start = time.perf_counter()
-    manifest, path = partition_snapshot(
-        args.snapshot, args.out, args.shards,
-        halo_radius=args.halo_radius)
+    manifest, path = partition_snapshot(args.snapshot, args.out,
+                                        args.shards)
     elapsed = time.perf_counter() - start
     print(f"partitioned {manifest.source_snapshot} into "
           f"{len(manifest.shards)} shards "
@@ -437,7 +437,7 @@ def cmd_snapshot_partition(args) -> int:
         counts = entry.counts
         print(f"  shard {entry.shard_id:02d}: {entry.snapshot_id}  "
               f"{entry.owned_nodes} owned / "
-              f"{len(entry.node_map)} total nodes, "
+              f"{counts['nodes']} total nodes, "
               f"{counts.get('vocab', 0)} keywords -> {entry.store}")
     return 0
 
@@ -458,14 +458,13 @@ def _inspect_routing(path, as_json: bool) -> int:
           f"({len(manifest.shards)} shards)")
     print(f"created    {manifest.created_at or '-'}")
     print(f"source     {manifest.source_snapshot or '-'}")
-    print(f"radius     R={manifest.index_radius:g}, "
-          f"halo={manifest.halo_radius:g}")
+    print(f"radius     R={manifest.index_radius:g}")
     print(f"nodes      {manifest.total_nodes} global")
     for entry in manifest.shards:
         counts = entry.counts
         print(f"shard {entry.shard_id:02d}   {entry.snapshot_id}  "
               f"{entry.owned_nodes} owned / "
-              f"{len(entry.node_map)} nodes, "
+              f"{counts['nodes']} nodes, "
               f"{counts.get('vocab', 0)} keywords  "
               f"-> {entry.store}")
     return 0
@@ -810,12 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "routing.json)")
     snap_partition.add_argument("--shards", type=int, required=True,
                                 help="number of shards K")
-    snap_partition.add_argument("--halo-radius", type=float,
-                                default=None, dest="halo_radius",
-                                help="undirected halo distance "
-                                     "(default 3R, the proven exact "
-                                     "bound; smaller risks wrong "
-                                     "answers)")
     snap_partition.set_defaults(func=cmd_snapshot_partition)
 
     snap_inspect = snapshot_sub.add_parser(

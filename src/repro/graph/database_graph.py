@@ -14,6 +14,7 @@ tests.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError, NodeNotFoundError
@@ -27,6 +28,10 @@ class DatabaseGraph:
     """A compiled graph plus node keywords, labels, and provenance."""
 
     __slots__ = ("graph", "_keywords", "_labels", "_provenance")
+
+    #: The snapshot directory whose sections the graph maps; ``None``
+    #: for a graph built in memory (see :class:`LazyDatabaseGraph`).
+    origin: Optional[Path] = None
 
     def __init__(self, graph: CompiledGraph,
                  keywords: Sequence[Iterable[str]],
@@ -160,19 +165,24 @@ class LazyDatabaseGraph(DatabaseGraph):
 
     ``provenance_decoder`` maps one raw payload entry to the
     ``(table, pk)`` tuple (``None`` passes through); injected by the
-    caller to keep this module free of codec imports.
+    caller to keep this module free of codec imports. ``origin`` is
+    the snapshot directory the graph is mapped from: the snapshot
+    writer links that snapshot's files for the sections it would
+    write byte for byte.
     """
 
     __slots__ = ("_loader", "_decode_prov", "_payload", "_kw_memo",
-                 "_prov_memo", "_vocab_ids")
+                 "_prov_memo", "_vocab_ids", "origin")
 
     def __init__(self, graph: CompiledGraph, loader,
-                 provenance_decoder=None) -> None:
+                 provenance_decoder=None,
+                 origin: Optional[Path] = None) -> None:
         # Deliberately does not chain to DatabaseGraph.__init__: the
         # whole point is to skip its eager per-node materialization.
         # The base class's _keywords/_labels/_provenance slots stay
         # unset; every method touching them is overridden here.
         self.graph = graph
+        self.origin = origin
         self._loader = loader
         self._decode_prov = provenance_decoder
         self._payload: Optional[LazyPayload] = None

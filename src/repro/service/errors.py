@@ -56,10 +56,10 @@ class Conflict(ServiceError):
     """The served state refuses the request, whatever its body.
 
     A backend serving one shard of a partitioned snapshot answers a
-    delta with ``409``: the other shards' halos hold copies of the
-    tuples it would change, and nothing routes the delta to them, so
-    accepting it would silently split the fleet from the unsharded
-    answer.
+    delta with ``409``: every shard holds the whole graph, but
+    nothing routes a delta to every shard or gives a new node an
+    owner, so accepting it would silently split the fleet from the
+    unsharded answer.
     """
 
     status = 409

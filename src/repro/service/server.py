@@ -567,10 +567,10 @@ class CommunityService(FrontEnd):
                     f"this backend serves shard "
                     f"{partition.get('shard')} of "
                     f"{partition.get('of')} of a partitioned "
-                    f"snapshot; the other shards' halos would keep "
-                    f"the old tuples, so deltas are refused — apply "
-                    f"it to the unsharded snapshot and partition "
-                    f"again")
+                    f"snapshot; nothing routes a delta to every "
+                    f"shard or gives a new node an owner, so deltas "
+                    f"are refused — apply it to the unsharded "
+                    f"snapshot and partition again")
             payload = _parse_body(body)
             banks = payload.get("banks_reweight", False)
             if not isinstance(banks, bool):

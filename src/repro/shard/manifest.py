@@ -10,20 +10,20 @@ writes ``routing.json`` next to the per-shard snapshot stores::
         01/
 
 The manifest carries, for every shard: the published snapshot id
-(digest), the relative store path, the ``node_map`` translating the
-shard's dense local node ids back to global ``G_D`` ids, counts, and
-a :class:`KeywordBloom` over the shard's index vocabulary so the
-router can skip shards that cannot contain a query's keywords. One
-global ``owners`` array (global node id -> owning shard) backs the
-router's ownership check: every answer a shard returns must be
-anchored on a node that shard owns (see :mod:`repro.shard`).
+(digest), the relative store path and the snapshot's counts. Every
+shard holds the base snapshot's graph and index, so one
+:class:`KeywordBloom` over the base index's vocabulary lets the
+router 400 an unknown keyword without a fan-out, and shard answers
+are already in global ``G_D`` ids. One global ``owners`` array
+(global node id -> owning shard) backs the router's ownership check:
+every answer a shard returns must be anchored on a node that shard
+owns (see :mod:`repro.shard`).
 
-Version 2 manifests name shard snapshots that carry their ``owned``
-section, which restricts each shard to the communities it owns. A
-version 1 manifest (written before that) is refused with a typed
-error telling the operator to re-run ``snapshot partition``: its
-shards would enumerate every community they can see, and a one-round
-merge over them would be wrong.
+Version 3 manifests name shard snapshots that are the base snapshot
+plus their ``owned`` section. Versions 1 and 2 named shards that
+each held a relabeled subgraph in local ids (and, in version 1, no
+owned set); they are refused with a typed error telling the operator
+to re-run ``snapshot partition``.
 
 Writing is atomic (temp file + ``os.replace``) so a router re-reading
 the manifest during a republish never sees a torn document, matching
@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -48,9 +48,9 @@ PathLike = Union[str, Path]
 ROUTING_NAME = "routing.json"
 
 #: Manifest format version; bump on breaking layout changes. Version
-#: 2: shard snapshots carry an ``owned`` section and enumerate only
-#: the communities they own.
-ROUTING_VERSION = 2
+#: 3: every shard snapshot is the base snapshot plus its ``owned``
+#: section, so shard answers need no relabeling.
+ROUTING_VERSION = 3
 
 #: Bloom sizing: bits per vocabulary entry (~1% false positives at
 #: seven hashes).
@@ -61,14 +61,14 @@ _BLOOM_HASHES = 7
 
 
 class KeywordBloom:
-    """A tiny stdlib Bloom filter over one shard's keyword vocabulary.
+    """A tiny stdlib Bloom filter over the fleet's keyword vocabulary.
 
-    No false negatives: a keyword the shard indexed always probes
-    positive, so routing never skips a shard that could answer. False
-    positives only cost a wasted fan-out leg (the shard answers with
-    an empty result). Hashing is ``sha256(salt || key)`` so the bit
-    pattern is stable across processes and Python versions — the
-    filter round-trips through JSON as a hex string.
+    No false negatives: an indexed keyword always probes positive, so
+    the router never refuses a query the fleet could answer. A false
+    positive only costs a fan-out whose legs answer empty. Hashing is
+    ``sha256(salt || key)`` so the bit pattern is stable across
+    processes and Python versions — the filter round-trips through
+    JSON as a hex string.
     """
 
     def __init__(self, bits: int, hashes: int,
@@ -138,16 +138,11 @@ class ShardEntry:
     snapshot_id: str
     #: Store path relative to the partition root.
     store: str
-    #: Local node id -> global ``G_D`` node id (sorted ascending, so
-    #: the list is also the shard's member set).
-    node_map: List[int]
-    #: How many of the shard's nodes it *owns* (the rest are halo).
+    #: How many of the graph's nodes the shard owns.
     owned_nodes: int
     #: Shard snapshot counts (nodes/edges/vocab as in the snapshot
-    #: manifest).
+    #: manifest; ``nodes`` is the whole graph's).
     counts: Dict[str, int]
-    #: Bloom summary of the shard's indexed keywords.
-    bloom: KeywordBloom = field(repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe encoding of the row."""
@@ -155,10 +150,8 @@ class ShardEntry:
             "shard_id": self.shard_id,
             "snapshot_id": self.snapshot_id,
             "store": self.store,
-            "node_map": list(self.node_map),
             "owned_nodes": self.owned_nodes,
             "counts": dict(self.counts),
-            "bloom": self.bloom.to_dict(),
         }
 
     @classmethod
@@ -168,11 +161,9 @@ class ShardEntry:
             shard_id=int(payload["shard_id"]),
             snapshot_id=str(payload["snapshot_id"]),
             store=str(payload["store"]),
-            node_map=[int(u) for u in payload["node_map"]],
             owned_nodes=int(payload["owned_nodes"]),
             counts={k: int(v)
                     for k, v in payload["counts"].items()},
-            bloom=KeywordBloom.from_dict(payload["bloom"]),
         )
 
 
@@ -180,15 +171,16 @@ class RoutingManifest:
     """The shard table + ownership map + keyword routing summary."""
 
     def __init__(self, shards: Sequence[ShardEntry],
-                 owners: Sequence[int],
-                 index_radius: float, halo_radius: float,
+                 owners: Sequence[int], bloom: KeywordBloom,
+                 index_radius: float,
                  source_snapshot: Optional[str] = None,
                  created_at: Optional[str] = None) -> None:
         self.shards = list(shards)
         #: ``owners[g]`` is the shard id owning global node ``g``.
         self.owners = list(owners)
+        #: Bloom summary of the base index's keywords.
+        self.bloom = bloom
         self.index_radius = float(index_radius)
-        self.halo_radius = float(halo_radius)
         self.source_snapshot = source_snapshot
         self.created_at = created_at
 
@@ -219,28 +211,31 @@ class RoutingManifest:
 
     # -- keyword routing ------------------------------------------------
     def keyword_known(self, keyword: str) -> bool:
-        """Whether *any* shard may index ``keyword``.
+        """Whether the fleet may index ``keyword``.
 
         ``False`` is definitive (Blooms have no false negatives), so
         the router can 400 an unknown keyword without a fan-out, just
         like a single-snapshot server's ``require_keyword``.
         """
-        return any(e.bloom.might_contain(keyword) for e in self.shards)
+        return self.bloom.might_contain(keyword)
 
     def shards_for(self, keywords: Sequence[str]) -> List[int]:
-        """Shard ids whose Bloom admits *every* query keyword.
-
-        A community's knodes all live within the owning shard's halo,
-        so any shard that can answer a non-empty query indexes all of
-        its keywords locally — shards missing one keyword are safely
-        skipped.
-        """
-        return [e.shard_id for e in self.shards
-                if all(e.bloom.might_contain(kw) for kw in keywords)]
+        """Shard ids a query on ``keywords`` fans out to: every shard
+        when the Bloom admits every keyword (each shard holds the
+        whole index), none otherwise."""
+        if not all(self.keyword_known(kw) for kw in keywords):
+            return []
+        return [e.shard_id for e in self.shards]
 
     # -- persistence ----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding of the whole manifest."""
+        """JSON-safe encoding of the whole manifest.
+
+        Each shard row also carries ``node_map``, every global node
+        id: readers of earlier layouts measure a shard's share of the
+        graph from it. Nothing here reads it back.
+        """
+        every_node = list(range(self.total_nodes))
         return {
             "version": ROUTING_VERSION,
             "kind": "routing-manifest",
@@ -248,10 +243,11 @@ class RoutingManifest:
             "created_at": self.created_at,
             "source_snapshot": self.source_snapshot,
             "index_radius": self.index_radius,
-            "halo_radius": self.halo_radius,
             "total_nodes": self.total_nodes,
             "owners": list(self.owners),
-            "shards": [e.to_dict() for e in self.shards],
+            "bloom": self.bloom.to_dict(),
+            "shards": [dict(e.to_dict(), node_map=every_node)
+                       for e in self.shards],
         }
 
     @classmethod
@@ -271,8 +267,8 @@ class RoutingManifest:
             shards=[ShardEntry.from_dict(e)
                     for e in payload["shards"]],
             owners=[int(s) for s in payload["owners"]],
+            bloom=KeywordBloom.from_dict(payload["bloom"]),
             index_radius=float(payload["index_radius"]),
-            halo_radius=float(payload["halo_radius"]),
             source_snapshot=payload.get("source_snapshot"),
             created_at=payload.get("created_at"),
         )

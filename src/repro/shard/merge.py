@@ -6,12 +6,13 @@ being exact can be tested without sockets.
 
 **Ownership.** A community's *anchor* is ``c_1 = core[0]``, the knode
 of the first keyword of the sorted query spec. Each shard enumerates
-only the communities whose anchor it owns (see
-:mod:`repro.shard.partition`), so shard answers are disjoint and
-their union is the unsharded answer. :func:`filter_owned` keeps the
-answers a shard owns; the router uses it as a check, not a filter: a
-leg that returns an answer another shard owns is a shard failure, and
-none of its answers are merged.
+only the communities whose anchor it owns, on the whole base graph
+and in global ids (see :mod:`repro.shard.partition`), so shard
+answers are disjoint, their union is the unsharded answer, and the
+merge relabels nothing. :func:`filter_owned` keeps the answers a
+shard owns; the router uses it as a check, not a filter: a leg that
+returns an answer another shard owns is a shard failure, and none of
+its answers are merged.
 
 **COMM-all.** Union the per-shard answers and sort by the canonical
 ``(cost, core)`` key. An unsharded PDall enumerates in DFS subspace
@@ -35,24 +36,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.core.community import Community, community_sort_key
 
 
-def globalize(communities: Sequence[Community],
-              node_map: Sequence[int]) -> List[Community]:
-    """Translate shard-local answers into global ``G_D`` ids.
-
-    ``node_map`` is the shard's dense local->global list; sequence
-    indexing satisfies the mapping protocol :meth:`Community.relabel`
-    needs.
-    """
-    return [c.relabel(node_map) for c in communities]
-
-
 def filter_owned(communities: Sequence[Community],
                  owners: Sequence[int],
                  shard_id: int) -> List[Community]:
     """Keep the communities whose anchor ``core[0]`` ``shard_id`` owns.
 
-    Expects *global* ids (apply :func:`globalize` first). Preserves
-    input order, so a cost-ordered stream stays cost-ordered.
+    Preserves input order, so a cost-ordered stream stays
+    cost-ordered.
     """
     return [c for c in communities
             if owners[c.core[0]] == shard_id]
@@ -62,10 +52,10 @@ def merge_all(per_shard: Iterable[Sequence[Community]]
               ) -> List[Community]:
     """Exact COMM-all union in canonical ``(cost, core)`` order.
 
-    Inputs must already be globalized; anchors have unique owners, so
-    the union is duplicate-free by construction (a duplicate core
-    would mean two shards both claimed ownership — asserted away in
-    tests, tolerated here by keeping the first).
+    Anchors have unique owners, so the union is duplicate-free by
+    construction (a duplicate core would mean two shards both claimed
+    ownership — asserted away in tests, tolerated here by keeping the
+    first).
     """
     merged: Dict[tuple, Community] = {}
     for answers in per_shard:
@@ -92,7 +82,7 @@ def merge_top_k(legs: Mapping[int, Optional[Sequence[Community]]],
                 k: int) -> MergeOutcome:
     """Exact top-``k`` from one round of ``k`` per shard.
 
-    ``legs`` maps each shard id to its globalized answers (its first
+    ``legs`` maps each shard id to its answers (its first
     ``k``, in cost order), or ``None`` when the shard's leg failed
     (timeout, crash, ownership violation), which degrades the answer
     to a partial result instead of erroring.

@@ -2,22 +2,21 @@
 
 :class:`RouterCore` is everything the scatter-gather router knows
 that does **not** involve sockets or the event loop: validating query
-specs against the manifest's keyword Blooms, building per-shard leg
-payloads, globalizing shard answers and checking that each shard
-answered only with communities it owns, merging one round of legs,
-assembling response envelopes with the partial-result contract,
-aggregating health rows, adopting new manifest generations, and
-rendering ``repro_router_*`` metrics. The front end
-(:class:`~repro.shard.aio.AsyncRouterService`) owns only *how* legs
-fan out; every routing decision is made here, where the unit tests
-can reach it without a socket.
+specs against the manifest's keyword Bloom, building per-shard leg
+payloads, checking that each shard answered only with communities it
+owns, merging one round of legs, assembling response envelopes with
+the partial-result contract, aggregating health rows, adopting new
+manifest generations, and rendering ``repro_router_*`` metrics. The
+front end (:class:`~repro.shard.aio.AsyncRouterService`) owns only
+*how* legs fan out; every routing decision is made here, where the
+unit tests can reach it without a socket.
 
 Every request handler captures the manifest **once** via
 :meth:`RouterCore.capture` and threads it through the request: a
 concurrent ``/admin/reload`` swapping :attr:`RouterCore.manifest`
-mid-request can therefore never mix two generations' owner maps or
-node maps inside one answer — the same capture-once discipline the
-engine applies to snapshots.
+mid-request can therefore never mix two generations' owner maps
+inside one answer — the same capture-once discipline the engine
+applies to snapshots.
 
 :func:`reload_fleet` is the admin plane: the verify-then-rollback
 manifest rollout, including the cross-box form that pushes each
@@ -65,7 +64,6 @@ from repro.shard.manifest import RoutingManifest
 from repro.shard.merge import (
     MergeOutcome,
     filter_owned,
-    globalize,
     merge_all,
     merge_top_k,
 )
@@ -124,7 +122,7 @@ class QueryPlan:
         self.deadline = deadline
         self.want_labels = want_labels
         self.eligible = eligible
-        #: Relabeled global node labels, filled while absorbing legs
+        #: Node labels by global id, filled while absorbing legs
         #: (``None`` when the caller did not ask for labels).
         self.labels: Optional[Dict[str, str]] = \
             {} if want_labels else None
@@ -197,7 +195,7 @@ class RouterCore:
         Parsed by the backends' own :func:`~repro.service.server.
         spec_of` (with the default registry, which every ``serve``
         backend runs), then each keyword is checked against the
-        manifest's Blooms.
+        manifest's Bloom.
         """
         spec = spec_of(payload, REGISTRY)
         for keyword in spec.keywords:
@@ -279,25 +277,23 @@ class RouterCore:
 
     def absorb(self, plan: QueryPlan, shard_id: int,
                result: Any) -> Optional[List[Community]]:
-        """One leg's reply as globalized answers; ``None`` when the
-        leg failed.
+        """One leg's reply as answers; ``None`` when the leg failed.
 
         ``result`` is a response dict or the error that killed the
-        leg. A leg that answers with a community anchored on a node
-        another shard owns is an *ownership violation* (the shard
-        serves an unrestricted snapshot): it counts as a shard
-        failure, and none of its answers are merged. Collects
-        relabeled node labels into ``plan.labels`` when the caller
-        asked shards for them.
+        leg. Shards answer in global ids, so answers and labels are
+        taken as they arrive. A leg that answers with a community
+        anchored on a node another shard owns is an *ownership
+        violation* (the shard serves an unrestricted snapshot): it
+        counts as a shard failure, and none of its answers are
+        merged. Collects node labels into ``plan.labels`` when the
+        caller asked shards for them.
         """
         if self.leg_empty(result):
             return []
         if not isinstance(result, dict):
             return None
-        entry = plan.manifest.shards[shard_id]
         raw = result.get("communities", [])
-        answers = globalize(communities_from_dicts(raw),
-                            entry.node_map)
+        answers = communities_from_dicts(raw)
         if len(filter_owned(answers, plan.manifest.owners,
                             shard_id)) != len(answers):
             self.count("ownership_violations")
@@ -307,10 +303,7 @@ class RouterCore:
             self.count("cached_legs")
         if plan.labels is not None:
             for community in raw:
-                for local, label in community.get("labels",
-                                                 {}).items():
-                    plan.labels[str(entry.node_map[int(local)])] = \
-                        label
+                plan.labels.update(community.get("labels", {}))
         return answers
 
     def reduce(self, plan: QueryPlan,

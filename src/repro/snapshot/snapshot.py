@@ -17,8 +17,8 @@ On-disk layout (one directory per snapshot)::
                            keyword ids
       index.json           radius, posting directory
       postings.bin         node postings | edge (u | v | w) columns
-      owned.bin            optional: the sorted local ids of the
-                           nodes one shard owns (shard snapshots)
+      owned.bin            optional: the sorted ids of the nodes
+                           one shard owns (shard snapshots)
 
 Binary sections are little-endian ``int64``/``float64`` columns.
 :func:`load_snapshot` maps every section read-only and wraps the
@@ -46,6 +46,13 @@ identical content republishes the same snapshot. That includes the
 with two different owned sets are two snapshots, so every cache keyed
 by the generation already covers the owner restriction.
 
+A section file is written once, in staging, and never written again
+after publish. That lets :func:`write_snapshot` hard-link the files
+of the snapshot a loaded graph is mapped from for every section it
+would reproduce byte for byte: a shard snapshot is its base's files
+plus its own ``owned.bin``, and processes serving shards of one fleet
+share the base's pages.
+
 Errors follow the taxonomy in :mod:`repro.exceptions`:
 :class:`~repro.exceptions.SnapshotNotFoundError` (nothing there),
 :class:`~repro.exceptions.SnapshotFormatError` /
@@ -60,6 +67,7 @@ import datetime
 import hashlib
 import json
 import mmap as _mmap
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,6 +76,7 @@ import numpy as np
 from repro import faults
 from repro.exceptions import (
     GraphError,
+    SnapshotError,
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
@@ -131,7 +140,7 @@ class Snapshot:
         self.manifest = manifest
         self.dbg = dbg
         self.index = index
-        #: Sorted local ids of the nodes this shard owns, from the
+        #: Sorted ids of the nodes this shard owns, from the
         #: ``owned`` section; ``None`` for a whole (unpartitioned)
         #: snapshot.
         self.owned = owned
@@ -264,6 +273,26 @@ def snapshot_vocab(dbg: DatabaseGraph,
 # ----------------------------------------------------------------------
 # write
 # ----------------------------------------------------------------------
+def _base_sections(origin: Optional[Path]) -> Dict[str, Dict[str, Any]]:
+    """The section table of the snapshot at ``origin`` (empty when
+    there is none, or it is gone)."""
+    if origin is None:
+        return {}
+    try:
+        return read_manifest(origin)["sections"]
+    except SnapshotError:
+        return {}
+
+
+def _link(source: Path, target: Path) -> bool:
+    """Hard-link ``source`` as ``target``; ``False`` where that fails."""
+    try:
+        os.link(source, target)
+    except OSError:
+        return False
+    return True
+
+
 def write_snapshot(path: PathLike, dbg: DatabaseGraph,
                    index: Optional[CommunityIndex] = None,
                    provenance: Optional[Dict[str, Any]] = None,
@@ -274,8 +303,16 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
     ``path`` must not already contain a snapshot (publishing with
     overwrite/atomicity semantics is
     :meth:`repro.snapshot.store.SnapshotStore.publish`'s job).
-    ``owned`` (a shard's owned local node ids) adds the ``owned``
+    ``owned`` (the ids of the nodes a shard owns) adds the ``owned``
     section, stored sorted and duplicate-free.
+
+    A section whose SHA-256 equals the same section of the snapshot
+    ``dbg`` is mapped from (its :attr:`~repro.graph.database_graph.
+    DatabaseGraph.origin`) is hard-linked from that snapshot instead
+    of written, so a shard snapshot shares every section but
+    ``owned`` with its base. Where the link fails (another
+    filesystem, a base pruned since it was loaded) the bytes are
+    written.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -296,6 +333,7 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
         owned_ids = np.unique(np.asarray(owned, dtype=_INT))
         payloads["owned"] = owned_ids.tobytes()
 
+    base = _base_sections(dbg.origin)
     sections: Dict[str, Dict[str, Any]] = {}
     digest = hashlib.sha256()
     digest.update(f"{FORMAT_NAME}:{FORMAT_VERSION}".encode())
@@ -306,7 +344,11 @@ def write_snapshot(path: PathLike, dbg: DatabaseGraph,
         digest.update(sha.encode())
         suffix = ".json" if name in ("nodes", "index") else ".bin"
         filename = f"{name}{suffix}"
-        (path / filename).write_bytes(data)
+        shared = base.get(name)
+        if shared is None or shared["sha256"] != sha \
+                or not _link(dbg.origin / shared["file"],
+                             path / filename):
+            (path / filename).write_bytes(data)
         sections[name] = {
             "file": filename,
             "sha256": sha,
@@ -576,7 +618,8 @@ def _load_mapped(path: Path, manifest: Dict[str, Any], verify: bool
     def resolve_vocab() -> List[str]:
         return nodes_payload()[0]
 
-    dbg = LazyDatabaseGraph(graph, nodes_payload, decode_provenance)
+    dbg = LazyDatabaseGraph(graph, nodes_payload, decode_provenance,
+                            origin=path)
     index: Optional[CommunityIndex] = None
     if manifest.get("has_index"):
         index = CommunityIndex(

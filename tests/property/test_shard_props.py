@@ -1,14 +1,15 @@
 """Sharded answers equal unsharded answers, on adversarial graphs.
 
 The central exactness claim of :mod:`repro.shard`: partition any
-graph into 2-4 shards (owned regions + 3R halos), let each shard
-enumerate only the communities whose anchor ``c_1`` it owns, merge —
-and the result is indistinguishable from querying the whole graph.
-Driven in-process (partition_graph, each bundle written as a shard
-snapshot with its ``owned`` section, one QueryEngine per shard, the
-merge library), so Hypothesis can afford real graph diversity. Each
-case runs either the projected path or the index-only path, the two
-places the engine restricts ``V_1``.
+graph into 2-4 shards (the base snapshot plus each shard's owned
+set), let each shard enumerate only the communities whose anchor
+``c_1`` it owns, merge — and the result is indistinguishable from
+querying the whole graph. Driven in-process (the graph published as
+a snapshot, ``partition_snapshot`` publishing the real shard
+snapshots, one QueryEngine per shard, the merge library), so
+Hypothesis can afford real graph diversity. Each case runs either the
+projected path or the index-only path, the two places the engine
+restricts ``V_1``.
 
 Comparison semantics mirror the serving contract: PDall set-equal
 with exact costs, and the shards' answers pairwise disjoint; PDk
@@ -27,9 +28,9 @@ from repro.engine.engine import QueryEngine
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError
 from repro.graph.generators import random_database_graph
-from repro.shard import globalize, merge_all, merge_top_k, \
-    partition_graph
-from repro.snapshot import write_snapshot
+from repro.shard import merge_all, merge_top_k, partition_snapshot
+from repro.snapshot import SnapshotStore
+from repro.text.inverted_index import CommunityIndex
 
 KEYWORDS = ["a", "b", "c", "d"]
 
@@ -51,26 +52,26 @@ def shard_cases(draw):
 
 @contextmanager
 def _fleet(dbg, rmax, shards):
-    """partition (index radius R = rmax), then one engine per shard
-    snapshot, each restricted by its ``owned`` section."""
-    result = partition_graph(dbg, rmax, shards)
+    """Publish ``dbg`` (index radius R = rmax), partition it, then
+    one engine per shard snapshot, each restricted by its ``owned``
+    section."""
     with tempfile.TemporaryDirectory() as tmp:
-        engines = [QueryEngine.from_snapshot(write_snapshot(
-            Path(tmp) / str(b.shard_id), b.dbg, b.index,
-            owned=b.local_owned)) for b in result.bundles]
-        yield result, engines
+        root = Path(tmp)
+        SnapshotStore(root / "store").publish(
+            dbg, CommunityIndex.build(dbg, rmax))
+        manifest, _ = partition_snapshot(root / "store", root / "out",
+                                         shards)
+        engines = [QueryEngine.from_snapshot(
+            root / "out" / e.store / e.snapshot_id)
+            for e in manifest.shards]
+        yield manifest, engines
 
 
-def _per_shard(result, engines, spec):
-    """Each shard's globalized answers to ``spec``."""
-    per_shard = []
-    for bundle, engine in zip(result.bundles, engines):
-        try:
-            answers = engine.execute(spec)
-        except QueryError:
-            answers = []         # keyword absent from this shard
-        per_shard.append(globalize(answers, bundle.node_map))
-    return per_shard
+def _per_shard(engines, spec):
+    """Each shard's answers to ``spec``, already in global ids: every
+    shard holds the whole graph, so none refuses a keyword the whole
+    graph knows."""
+    return [engine.execute(spec) for engine in engines]
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,13 +84,13 @@ def test_sharded_comm_all_equals_unsharded(case):
     except QueryError:
         return                   # keyword absent from the graph
     ref = sorted(ref, key=community_sort_key)
-    with _fleet(dbg, rmax, shards) as (result, engines):
-        per_shard = _per_shard(result, engines, QuerySpec.comm_all(
+    with _fleet(dbg, rmax, shards) as (manifest, engines):
+        per_shard = _per_shard(engines, QuerySpec.comm_all(
             keywords, rmax, use_projection=project))
     # The shards split the enumeration: every answer is anchored on a
     # node its shard owns, and no two shards report the same core.
     for shard_id, answers in enumerate(per_shard):
-        assert all(result.owners[c.core[0]] == shard_id
+        assert all(manifest.owners[c.core[0]] == shard_id
                    for c in answers)
     for left, right in combinations(per_shard, 2):
         assert not {c.core for c in left} & {c.core for c in right}
@@ -110,8 +111,8 @@ def test_sharded_top_k_equals_unsharded(case, k):
         ref = engine.execute(QuerySpec.comm_k(keywords, k, rmax))
     except QueryError:
         return
-    with _fleet(dbg, rmax, shards) as (result, engines):
-        per_shard = _per_shard(result, engines, QuerySpec.comm_k(
+    with _fleet(dbg, rmax, shards) as (_, engines):
+        per_shard = _per_shard(engines, QuerySpec.comm_k(
             keywords, k, rmax, use_projection=project))
     outcome = merge_top_k(dict(enumerate(per_shard)), k)
     got = [(round(c.cost, 9), c.core) for c in outcome.communities]

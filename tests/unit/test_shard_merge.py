@@ -1,4 +1,4 @@
-"""Merge-algebra unit tests: globalize, ownership, union, exact top-k.
+"""Merge-algebra unit tests: relabeling, ownership, union, exact top-k.
 
 Top-k answers are compared under the k-boundary tie rule of
 DESIGN.md §10: costs rank by rank, and the slots at the k-th cost may
@@ -8,7 +8,6 @@ hold any subset of the communities tied there.
 from repro.core.community import Community
 from repro.shard import (
     filter_owned,
-    globalize,
     merge_all,
     merge_top_k,
 )
@@ -22,13 +21,18 @@ def _comm(core, cost):
 
 
 # ----------------------------------------------------------------------
-# globalize / filter_owned / merge_all
+# relabel / filter_owned / merge_all
 # ----------------------------------------------------------------------
 def test_globalize_relabels_through_node_map():
+    """Shard answers arrive in global ids and the merge relabels
+    nothing; ``Community.relabel`` — how a projected query's answers
+    return to ``G_D`` ids — maps every id through a sequence."""
     node_map = [4, 7, 9]                 # local 0,1,2 -> global 4,7,9
-    out = globalize([_comm((0, 2), 3.0)], node_map)
-    assert out[0].core == (4, 9)
-    assert out[0].cost == 3.0
+    out = _comm((0, 2), 3.0).relabel(node_map)
+    assert out.core == (4, 9)
+    assert out.nodes == out.pnodes == (4, 9)
+    assert out.centers == (4,)
+    assert out.cost == 3.0
 
 
 def test_filter_owned_keeps_anchored_answers_in_order():

@@ -1,6 +1,8 @@
 """Partitioner invariants and routing-manifest round-trips."""
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.shard import (
     partition_graph,
     partition_snapshot,
 )
+from repro.snapshot.snapshot import load_snapshot, verify_snapshot
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
@@ -30,87 +33,98 @@ def _random(seed=0, n=16):
 
 
 # ----------------------------------------------------------------------
-# partition_graph
+# partition_graph and what a shard snapshot holds
 # ----------------------------------------------------------------------
+def _published(tmp_path, dbg, radius=6.0, shards=2):
+    """``dbg`` published at ``radius`` and partitioned into
+    ``shards``: (base snapshot, manifest, partition root)."""
+    base = SnapshotStore(tmp_path / "store").publish(
+        dbg, CommunityIndex.build(dbg, radius))
+    manifest, _ = partition_snapshot(tmp_path / "store",
+                                     tmp_path / "out", shards)
+    return base, manifest, tmp_path / "out"
+
+
+def _shards(manifest, root):
+    """Every shard snapshot of a partition root, loaded."""
+    return [load_snapshot(root / e.store / e.snapshot_id)
+            for e in manifest.shards]
+
+
 def test_every_node_owned_exactly_once():
     dbg = _random()
-    result = partition_graph(dbg, 6.0, 3)
-    assert len(result.owners) == dbg.n
-    owned = sorted(g for b in result.bundles for g in b.owned)
-    assert owned == list(range(dbg.n))
-    for bundle in result.bundles:
-        for g in bundle.owned:
-            assert result.owners[g] == bundle.shard_id
+    owners = partition_graph(dbg, 3)
+    assert owners == [g % 3 for g in range(dbg.n)]
+    assert set(owners) == {0, 1, 2}
 
 
-def test_owned_nodes_are_members_and_node_map_sorted():
-    result = partition_graph(_random(), 6.0, 3)
-    for bundle in result.bundles:
-        members = set(bundle.node_map)
-        assert set(bundle.owned) <= members
-        assert bundle.node_map == sorted(bundle.node_map)
-        assert bundle.dbg.n == len(bundle.node_map)
+def test_owned_nodes_are_members_and_node_map_sorted(tmp_path):
+    """Each shard's ``owned`` section is sorted and names exactly the
+    nodes ``owners`` gives it, in the base graph's own ids."""
+    base, manifest, root = _published(tmp_path, _random(), shards=3)
+    for entry, shard in zip(manifest.shards, _shards(manifest, root)):
+        owned = shard.owned.tolist()
+        assert owned == sorted(owned)
+        assert owned == [g for g, s in enumerate(manifest.owners)
+                         if s == entry.shard_id]
+        assert shard.dbg.n == base.dbg.n == entry.counts["nodes"]
+        assert entry.owned_nodes == len(owned)
 
 
-def test_halo_defaults_to_three_radii():
-    result = partition_graph(_random(), 5.0, 2)
-    assert result.halo_radius == 15.0
-    explicit = partition_graph(_random(), 5.0, 2, halo_radius=7.0)
-    assert explicit.halo_radius == 7.0
+def test_halo_defaults_to_three_radii(tmp_path):
+    """There is no halo to size: every shard snapshot holds the
+    base's whole graph and its index at the base radius R."""
+    base, manifest, root = _published(tmp_path, _random(), radius=5.0)
+    assert manifest.index_radius == 5.0
+    for shard in _shards(manifest, root):
+        assert shard.radius == 5.0
+        assert shard.counts == base.counts
 
 
-def test_halo_contains_all_nodes_within_distance():
-    """Every node within undirected halo distance of an owned node is
-    a shard member — the containment bound the merge relies on."""
-    import heapq
-
+def test_halo_contains_all_nodes_within_distance(tmp_path):
+    """A shard computes on the base graph itself, so every distance a
+    shard's query measures is the global distance."""
     dbg = _random(seed=2)
-    result = partition_graph(dbg, 4.0, 2)
-    adjacency = [[] for _ in range(dbg.n)]
-    for u, v, w in dbg.graph.edges():
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
-    for bundle in result.bundles:
-        dist = {g: 0.0 for g in bundle.owned}
-        heap = [(0.0, g) for g in bundle.owned]
-        heapq.heapify(heap)
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for nb, w in adjacency[node]:
-                nd = d + w
-                if nd <= result.halo_radius \
-                        and nd < dist.get(nb, float("inf")):
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb))
-        assert set(dist) <= set(bundle.node_map)
+    _, manifest, root = _published(tmp_path, dbg, radius=4.0)
+    edges = sorted(dbg.graph.edges())
+    for shard in _shards(manifest, root):
+        assert sorted(shard.dbg.graph.edges()) == edges
 
 
-def test_shard_subgraph_preserves_keywords_and_labels():
+def test_shard_subgraph_preserves_keywords_and_labels(tmp_path):
+    """Every shard snapshot holds the base's nodes, keywords, labels
+    and postings under the base's ids."""
     dbg = figure4_graph()
-    result = partition_graph(dbg, 8.0, 2)
-    for bundle in result.bundles:
-        for local, g in enumerate(bundle.node_map):
-            assert bundle.dbg.keywords_of(local) == dbg.keywords_of(g)
-            assert bundle.dbg.label_of(local) == dbg.label_of(g)
+    base, manifest, root = _published(tmp_path, dbg, radius=8.0)
+    for shard in _shards(manifest, root):
+        for g in range(dbg.n):
+            assert shard.dbg.keywords_of(g) == dbg.keywords_of(g)
+            assert shard.dbg.label_of(g) == dbg.label_of(g)
+        for kw in FIG4_QUERY:
+            assert shard.index.node_index.nodes(kw) \
+                == base.index.node_index.nodes(kw)
 
 
-def test_single_shard_is_whole_graph():
+def test_single_shard_is_whole_graph(tmp_path):
     dbg = _random()
-    result = partition_graph(dbg, 6.0, 1)
-    assert len(result.bundles) == 1
-    assert result.bundles[0].node_map == list(range(dbg.n))
+    base, manifest, root = _published(tmp_path, dbg, shards=1)
+    assert manifest.owners == [0] * dbg.n
+    (shard,) = _shards(manifest, root)
+    assert shard.owned.tolist() == list(range(dbg.n))
+    assert shard.counts == base.counts
 
 
-def test_partition_validation():
+def test_partition_validation(tmp_path):
     dbg = _random(n=4)
     with pytest.raises(QueryError):
-        partition_graph(dbg, 6.0, 0)
+        partition_graph(dbg, 0)
     with pytest.raises(QueryError):
-        partition_graph(dbg, 6.0, 5)
+        partition_graph(dbg, 5)
+    SnapshotStore(tmp_path / "store").publish(
+        dbg, CommunityIndex.build(dbg, 6.0))
     with pytest.raises(QueryError):
-        partition_graph(dbg, -1.0, 2)
+        partition_snapshot(tmp_path / "store", tmp_path / "out", 5)
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +169,6 @@ def partitioned(tmp_path_factory):
 
 
 def test_partition_snapshot_publishes_loadable_shards(partitioned):
-    from repro.snapshot.snapshot import load_snapshot
-
     snapshot, manifest, path, tmp = partitioned
     assert manifest.source_snapshot == snapshot.id
     assert len(manifest.shards) == 2
@@ -164,7 +176,7 @@ def test_partition_snapshot_publishes_loadable_shards(partitioned):
         shard = load_snapshot(
             tmp / "out" / entry.store / entry.snapshot_id)
         assert shard.id == entry.snapshot_id
-        assert shard.dbg.n == len(entry.node_map)
+        assert shard.dbg.n == manifest.total_nodes
         assert shard.index is not None
         assert shard.index.radius == manifest.index_radius
         assert shard.provenance["partition"]["source_snapshot"] \
@@ -173,9 +185,9 @@ def test_partition_snapshot_publishes_loadable_shards(partitioned):
 
 def test_shard_snapshots_carry_their_owned_sets(partitioned):
     """Each shard snapshot's ``owned`` section lists exactly the
-    nodes the manifest's ``owners`` map gives that shard, in local
-    ids, and an engine on it answers only with communities anchored
-    there — materialized queries and PDk session streams alike."""
+    nodes the manifest's ``owners`` map gives that shard, and an
+    engine on it answers only with communities anchored there —
+    materialized queries and PDk session streams alike."""
     from repro.engine.engine import QueryEngine
     from repro.engine.spec import QuerySpec
 
@@ -184,7 +196,7 @@ def test_shard_snapshots_carry_their_owned_sets(partitioned):
     for entry in manifest.shards:
         engine = QueryEngine.from_snapshot(
             tmp / "out" / entry.store / entry.snapshot_id)
-        owned = {entry.node_map[u] for u in engine.owned}
+        owned = set(engine.owned)
         assert owned == {g for g, shard in enumerate(manifest.owners)
                          if shard == entry.shard_id}
         assert len(owned) == entry.owned_nodes
@@ -227,8 +239,9 @@ def test_routing_manifest_round_trip(partitioned):
     assert loaded.index_radius == manifest.index_radius
     assert [e.snapshot_id for e in loaded.shards] \
         == [e.snapshot_id for e in manifest.shards]
-    assert [e.node_map for e in loaded.shards] \
-        == [e.node_map for e in manifest.shards]
+    assert [e.to_dict() for e in loaded.shards] \
+        == [e.to_dict() for e in manifest.shards]
+    assert loaded.bloom.bitmap == manifest.bloom.bitmap
     # The file itself loads too.
     assert RoutingManifest.load(path).generation == manifest.generation
 
@@ -255,8 +268,9 @@ def test_manifest_rejects_wrong_kind_and_version(tmp_path):
         RoutingManifest.load(tmp_path)
     with pytest.raises(SnapshotNotFoundError):
         RoutingManifest.load(tmp_path / "missing")
-    # Version 1 predates shard snapshots carrying their owned sets.
-    for version in (1, 99):
+    # Version 1 predates shard snapshots carrying their owned sets;
+    # version 2 shards held relabeled subgraphs.
+    for version in (1, 2, 99):
         (tmp_path / ROUTING_NAME).write_text(json.dumps(
             {"kind": "routing-manifest", "version": version}))
         with pytest.raises(SnapshotFormatError,
@@ -272,12 +286,67 @@ def test_partition_requires_an_index(tmp_path):
 
 
 def test_repartition_is_structurally_stable(partitioned):
-    """Re-partitioning reproduces the same regions and ownership
-    (snapshot *ids* differ — the index section embeds build time)."""
+    """Re-partitioning the same base reproduces the ownership map,
+    every shard snapshot id and the manifest generation: ids digest
+    the sections, and no section holds a build time."""
     _, manifest, _, tmp = partitioned
     again, _ = partition_snapshot(tmp / "store", tmp / "out2", 2)
     assert again.owners == manifest.owners
-    assert [e.node_map for e in again.shards] \
-        == [e.node_map for e in manifest.shards]
+    assert [e.snapshot_id for e in again.shards] \
+        == [e.snapshot_id for e in manifest.shards]
+    assert again.generation == manifest.generation
     assert [e.owned_nodes for e in again.shards] \
         == [e.owned_nodes for e in manifest.shards]
+
+
+# ----------------------------------------------------------------------
+# shard snapshots share the base's section files
+# ----------------------------------------------------------------------
+_SHARED = ("graph.bin", "nodes.json", "index.json", "postings.bin")
+
+
+def test_shards_share_the_base_files(partitioned):
+    """Each shard's graph, nodes, index and postings files are the
+    base's files; only ``owned.bin`` and ``manifest.json`` are new."""
+    snapshot, manifest, _, tmp = partitioned
+    for entry in manifest.shards:
+        shard_dir = tmp / "out" / entry.store / entry.snapshot_id
+        for name in _SHARED:
+            assert os.path.samefile(shard_dir / name,
+                                    snapshot.path / name)
+        assert {p.name for p in shard_dir.iterdir()} \
+            == set(_SHARED) | {"owned.bin", "manifest.json"}
+
+
+def test_partition_copies_sections_where_links_fail(partitioned,
+                                                    tmp_path,
+                                                    monkeypatch):
+    """Where the filesystem refuses a hard link, partition writes the
+    bytes: the same snapshot ids, in files of their own."""
+    snapshot, manifest, _, tmp = partitioned
+
+    def refuse(*_args, **_kwargs):
+        raise OSError("cross-device link")
+
+    monkeypatch.setattr(os, "link", refuse)
+    copied, _ = partition_snapshot(tmp / "store", tmp_path / "out", 2)
+    assert [e.snapshot_id for e in copied.shards] \
+        == [e.snapshot_id for e in manifest.shards]
+    for entry in copied.shards:
+        shard_dir = tmp_path / "out" / entry.store / entry.snapshot_id
+        for name in _SHARED:
+            assert not os.path.samefile(shard_dir / name,
+                                        snapshot.path / name)
+
+
+def test_shards_and_base_survive_each_other(tmp_path):
+    """Deleting the base store leaves every shard verifiable, and
+    deleting the shard stores leaves the base verifiable."""
+    dbg = figure4_graph()
+    _, manifest, root = _published(tmp_path / "a", dbg, radius=10.0)
+    shutil.rmtree(tmp_path / "a" / "store")
+    for entry in manifest.shards:
+        verify_snapshot(root / entry.store / entry.snapshot_id)
+    base, _, root = _published(tmp_path / "b", dbg, radius=10.0)
+    shutil.rmtree(root / "shards")
+    assert verify_snapshot(base.path)["id"] == base.id
