@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
+from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.spec import QuerySpec
@@ -33,22 +34,6 @@ from repro.engine.spec import QuerySpec
 #: Default ring capacity — enough to see a real workload's head
 #: without unbounded growth.
 DEFAULT_QUERYLOG_CAPACITY = 4096
-
-
-def spec_payload(spec: QuerySpec) -> Dict[str, Any]:
-    """A spec as the JSON-safe dict the log stores and serves.
-
-    The shape matches the ``/query`` request body, so a miner can
-    replay an entry verbatim as a warming query.
-    """
-    return {
-        "keywords": list(spec.keywords),
-        "rmax": float(spec.rmax),
-        "mode": spec.mode,
-        "k": spec.k,
-        "algorithm": spec.algorithm,
-        "aggregate": spec.aggregate,
-    }
 
 
 class QueryLog:
@@ -61,18 +46,23 @@ class QueryLog:
                 f"querylog capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self._ring: Deque[str] = deque()
-        #: key -> (live count in ring, representative spec payload).
+        #: key -> (live count in ring, representative spec).
         #: Insertion-ordered so ties in :meth:`top` break toward the
         #: key seen first.
-        self._entries: "OrderedDict[str, Tuple[int, Dict[str, Any]]]" \
+        self._entries: "OrderedDict[str, Tuple[int, QuerySpec]]" \
             = OrderedDict()
         self._recorded = 0
         self._lock = threading.Lock()
 
     def record(self, spec: QuerySpec) -> None:
-        """Log one admitted spec (evicting the oldest if full)."""
+        """Log one admitted spec (evicting the oldest if full).
+
+        The representative is kept without the client's time budget,
+        which the key ignores too: a warming replay computes the
+        whole answer.
+        """
         key = spec.cache_key()
-        payload = spec_payload(spec)
+        spec = replace(spec, budget_seconds=None)
         with self._lock:
             self._recorded += 1
             if len(self._ring) >= self.capacity:
@@ -85,36 +75,38 @@ class QueryLog:
             self._ring.append(key)
             if key in self._entries:
                 count, _ = self._entries[key]
-                self._entries[key] = (count + 1, payload)
+                self._entries[key] = (count + 1, spec)
             else:
-                self._entries[key] = (1, payload)
+                self._entries[key] = (1, spec)
+
+    def _hottest(self, n: Optional[int]
+                 ) -> List[Tuple[str, int, QuerySpec]]:
+        """``(key, count, spec)`` rows, most-frequent first; ties keep
+        first-seen order."""
+        with self._lock:
+            rows = [(key, count, spec)
+                    for key, (count, spec) in self._entries.items()]
+        rows.sort(key=lambda row: -row[1])
+        return rows if n is None else rows[:max(0, int(n))]
 
     def top(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """The hottest specs, most-frequent first.
 
         Each row is ``{"key", "count", "query"}`` where ``query`` is
-        a replayable request payload. Ties keep first-seen order.
+        the ``/query`` body the request parser reads back as the
+        spec (:func:`~repro.service.server.request_of`), so a miner
+        can replay it verbatim as a warming query. Ties keep
+        first-seen order.
         """
-        with self._lock:
-            rows = [
-                {"key": key, "count": count, "query": dict(payload)}
-                for key, (count, payload) in self._entries.items()
-            ]
-        rows.sort(key=lambda row: -row["count"])
-        if n is not None:
-            rows = rows[:max(0, int(n))]
-        return rows
+        # Imported here: the server module imports this one.
+        from repro.service.server import request_of
+
+        return [{"key": key, "count": count, "query": request_of(spec)}
+                for key, count, spec in self._hottest(n)]
 
     def top_specs(self, n: Optional[int] = None) -> List[QuerySpec]:
-        """The hottest specs rebuilt as :class:`QuerySpec` objects."""
-        specs = []
-        for row in self.top(n):
-            q = row["query"]
-            specs.append(QuerySpec(
-                keywords=q["keywords"], rmax=q["rmax"],
-                mode=q["mode"], k=q["k"], algorithm=q["algorithm"],
-                aggregate=q["aggregate"]))
-        return specs
+        """The hottest specs, most-frequent first."""
+        return [spec for _, _, spec in self._hottest(n)]
 
     def __len__(self) -> int:
         with self._lock:

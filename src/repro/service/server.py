@@ -236,6 +236,26 @@ def spec_of(payload: Dict[str, Any],
                                  required=False))
 
 
+def request_of(spec: QuerySpec) -> Dict[str, Any]:
+    """The query payload :func:`spec_of` reads back as ``spec``.
+
+    The request format's one writer: the shard router's legs carry
+    every field the backends parse, the budget included.
+    """
+    payload: Dict[str, Any] = {
+        "keywords": list(spec.keywords),
+        "rmax": spec.rmax,
+        "mode": spec.mode,
+        "algorithm": spec.algorithm,
+        "aggregate": spec.aggregate,
+    }
+    if spec.k is not None:
+        payload["k"] = spec.k
+    if spec.budget_seconds is not None:
+        payload["budget_seconds"] = spec.budget_seconds
+    return payload
+
+
 def _served_from_cache(context: QueryContext) -> bool:
     """Whether a query was answered purely from the result cache: a
     hit and neither a miss nor an extension, so nothing enumerated

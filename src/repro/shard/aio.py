@@ -19,7 +19,7 @@ Transport half of the router; all routing *policy* lives in
   connection, one route matcher, one error mapping, one response
   writer); each request's handling runs on the router's event loop,
   which runs nothing but the legs. A query is one ``asyncio.gather``
-  of one leg per eligible shard, so its concurrency is bounded by the
+  of one leg per shard, so its concurrency is bounded by the
   fleet, not a thread pool, and its latency by the slowest leg:
   each shard enumerates only the communities it owns, so one round
   of ``k`` per shard is the whole merge (:mod:`repro.shard.merge`).
@@ -31,18 +31,21 @@ Transport half of the router; all routing *policy* lives in
 
 Endpoints mirror the single-box service where they overlap:
 
-* ``POST /query`` — fanned to the shards whose Bloom admits every
-  keyword; PDk answers are the ``k`` cheapest of one leg of ``k`` per
-  shard, PDall the union, both in canonical ``(cost, core)`` order. A
-  leg that answers with a community its shard does not own counts as
-  a failed shard. The response envelope adds ``shards_answered`` /
-  ``shards_total`` / ``partial``: a shard whose whole replica set
-  times out, sheds, or crashes mid-fan-out costs *coverage*, not
-  availability — the router answers ``200`` with what the live
-  shards proved.
-* ``POST /batch`` — shard-aware batching: one ``/batch`` per shard
-  carrying exactly the entries that shard is eligible for, answers
-  merged per entry (each entry gets its own partiality fields).
+* ``POST /query`` — fanned to every shard; PDk answers are the ``k``
+  cheapest of one leg of ``k`` per shard, PDall the union, both in
+  canonical ``(cost, core)`` order. A shard's refusal (a 4xx other
+  than 429, such as an unknown keyword or an ``rmax`` above the index
+  radius) is the router's reply, with the shard's status and
+  message. A leg that answers with a community its shard does not
+  own counts as a failed shard. The response envelope adds
+  ``shards_answered`` / ``shards_total`` / ``partial``: a shard whose
+  whole replica set times out, sheds, or crashes mid-fan-out costs
+  *coverage*, not availability — the router answers ``200`` with what
+  the live shards proved.
+* ``POST /batch`` — the whole batch goes to every shard as one
+  ``/batch``, and each entry is merged from its shards' answers (each
+  entry gets its own partiality fields); a shard's refusal of the
+  batch is the router's, as on ``/query``.
 * ``GET /healthz`` — aggregated fleet health (per-shard rows with
   per-replica detail plus a rolled-up status).
 * ``GET /metrics`` — ``repro_router_*`` counters/gauges (including
@@ -501,61 +504,48 @@ class AsyncRouterService(FrontEnd):
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
+    async def _everywhere(self, path: str,
+                          payload: Dict[str, Any]) -> Dict[int, Any]:
+        """One ``path`` leg carrying ``payload`` to every shard."""
+        return await self._fan({
+            replicas.shard_id: self._leg(replicas.shard_id, path,
+                                         payload)
+            for replicas in self.replica_sets})
+
     async def _query(self, body: bytes) -> Dict[str, Any]:
-        """``POST /query``: one leg per eligible shard, then merge."""
+        """``POST /query``: one leg per shard, then merge."""
         plan = self.core.parse_query(body)
         start = time.perf_counter()
-        payload = self.core.shard_payload(
-            plan.spec, plan.spec.k, plan.deadline, plan.want_labels)
-        responses = await self._fan({
-            shard_id: self._leg(shard_id, "/query", payload)
-            for shard_id in plan.eligible})
+        responses = await self._everywhere(
+            "/query", self.core.shard_payload(
+                plan.spec, plan.deadline, plan.want_labels))
         outcome = self.core.reduce(plan, responses)
         return self.core.envelope(
             plan, outcome.communities, answered=len(outcome.answered),
             elapsed=time.perf_counter() - start)
 
     async def _batch(self, body: bytes) -> Dict[str, Any]:
-        """``POST /batch``: shard-aware batched scatter-gather.
-
-        Sends each shard **one** ``/batch`` containing exactly the
-        entries it is eligible for — one HTTP round-trip keeps every
-        shard's worker pool busy, which is the point of batching —
-        then merges each entry from its shards' slices.
-        """
-        _, plans, deadline, want_labels = \
-            self.core.parse_batch(body)
+        """``POST /batch``: the whole batch as one ``/batch`` leg per
+        shard — one HTTP round-trip keeps every shard's worker pool
+        busy, which is the point of batching — then each entry merged
+        from its shards' answers."""
+        plans, deadline, want_labels = self.core.parse_batch(body)
         start = time.perf_counter()
-
-        by_shard: Dict[int, List[int]] = {}
-        for entry_index, plan in enumerate(plans):
-            for shard_id in plan.eligible:
-                by_shard.setdefault(shard_id, []).append(
-                    entry_index)
-
         options: Dict[str, Any] = {}
         if deadline is not None:
             options["deadline_seconds"] = deadline
         if want_labels:
             options["labels"] = True
-        legs = await self._fan({
-            shard_id: self._leg(shard_id, "/batch", {
-                "queries": [self.core.shard_payload(
-                    plans[i].spec, plans[i].spec.k, deadline,
-                    want_labels) for i in indexes],
-                **options})
-            for shard_id, indexes in by_shard.items()})
-
+        legs = await self._everywhere("/batch", {
+            "queries": [self.core.shard_payload(
+                plan.spec, deadline, want_labels) for plan in plans],
+            **options})
         envelopes = []
-        for entry_index, plan in enumerate(plans):
-            replies: Dict[int, Any] = {}
-            for shard_id in plan.eligible:
-                result = legs[shard_id]
-                if isinstance(result, dict):
-                    position = by_shard[shard_id].index(entry_index)
-                    result = result["results"][position]
-                replies[shard_id] = result
-            outcome = self.core.reduce(plan, replies)
+        for position, plan in enumerate(plans):
+            outcome = self.core.reduce(plan, {
+                shard_id: result["results"][position]
+                if isinstance(result, dict) else result
+                for shard_id, result in legs.items()})
             envelopes.append(self.core.envelope(
                 plan, outcome.communities,
                 answered=len(outcome.answered)))

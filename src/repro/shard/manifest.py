@@ -11,19 +11,17 @@ writes ``routing.json`` next to the per-shard snapshot stores::
 
 The manifest carries, for every shard: the published snapshot id
 (digest), the relative store path and the snapshot's counts. Every
-shard holds the base snapshot's graph and index, so one
-:class:`KeywordBloom` over the base index's vocabulary lets the
-router 400 an unknown keyword without a fan-out, and shard answers
-are already in global ``G_D`` ids. One global ``owners`` array
-(global node id -> owning shard) backs the router's ownership check:
-every answer a shard returns must be anchored on a node that shard
-owns (see :mod:`repro.shard`).
+shard holds the base snapshot's graph and index and answers in
+global ``G_D`` ids, so the router keeps no per-keyword or per-node
+state: every query goes to every shard, which refuses what the
+single box refuses, and the one ownership rule
+(:func:`~repro.shard.partition.owning_shard`) checks each answer's
+anchor (see :mod:`repro.shard`).
 
-Version 3 manifests name shard snapshots that are the base snapshot
-plus their ``owned`` section. Versions 1 and 2 named shards that
-each held a relabeled subgraph in local ids (and, in version 1, no
-owned set); they are refused with a typed error telling the operator
-to re-run ``snapshot partition``.
+Version 4 manifests hold no per-node or per-keyword state; version 3
+also kept an ownership array and a keyword filter. Versions 1 to 3
+are refused with a typed error telling the operator to re-run
+``snapshot partition``.
 
 Writing is atomic (temp file + ``os.replace``) so a router re-reading
 the manifest during a republish never sees a torn document, matching
@@ -38,7 +36,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.exceptions import SnapshotFormatError, SnapshotNotFoundError
 
@@ -48,83 +46,9 @@ PathLike = Union[str, Path]
 ROUTING_NAME = "routing.json"
 
 #: Manifest format version; bump on breaking layout changes. Version
-#: 3: every shard snapshot is the base snapshot plus its ``owned``
-#: section, so shard answers need no relabeling.
-ROUTING_VERSION = 3
-
-#: Bloom sizing: bits per vocabulary entry (~1% false positives at
-#: seven hashes).
-_BLOOM_BITS_PER_KEY = 10
-
-#: Number of hash probes per key.
-_BLOOM_HASHES = 7
-
-
-class KeywordBloom:
-    """A tiny stdlib Bloom filter over the fleet's keyword vocabulary.
-
-    No false negatives: an indexed keyword always probes positive, so
-    the router never refuses a query the fleet could answer. A false
-    positive only costs a fan-out whose legs answer empty. Hashing is
-    ``sha256(salt || key)`` so the bit pattern is stable across
-    processes and Python versions — the filter round-trips through
-    JSON as a hex string.
-    """
-
-    def __init__(self, bits: int, hashes: int,
-                 bitmap: bytearray) -> None:
-        if bits <= 0 or hashes <= 0:
-            raise SnapshotFormatError(
-                f"bloom needs positive geometry, got bits={bits} "
-                f"hashes={hashes}")
-        if len(bitmap) != (bits + 7) // 8:
-            raise SnapshotFormatError(
-                f"bloom bitmap has {len(bitmap)} bytes for {bits} "
-                f"bits")
-        self.bits = bits
-        self.hashes = hashes
-        self.bitmap = bitmap
-
-    @classmethod
-    def build(cls, keys: Iterable[str],
-              bits_per_key: int = _BLOOM_BITS_PER_KEY,
-              hashes: int = _BLOOM_HASHES) -> "KeywordBloom":
-        """A filter sized for ``keys`` (minimum 64 bits)."""
-        keys = list(keys)
-        bits = max(64, bits_per_key * len(keys))
-        bloom = cls(bits, hashes, bytearray((bits + 7) // 8))
-        for key in keys:
-            bloom.add(key)
-        return bloom
-
-    def _probes(self, key: str) -> Iterable[int]:
-        """The bit positions ``key`` maps to."""
-        data = key.encode("utf-8")
-        for salt in range(self.hashes):
-            digest = hashlib.sha256(bytes([salt]) + data).digest()
-            yield int.from_bytes(digest[:8], "big") % self.bits
-
-    def add(self, key: str) -> None:
-        """Set the key's bits."""
-        for position in self._probes(key):
-            self.bitmap[position // 8] |= 1 << (position % 8)
-
-    def might_contain(self, key: str) -> bool:
-        """``False`` means definitely absent; ``True`` means maybe."""
-        return all(self.bitmap[p // 8] & (1 << (p % 8))
-                   for p in self._probes(key))
-
-    # -- JSON round-trip ------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding (geometry + hex bitmap)."""
-        return {"bits": self.bits, "hashes": self.hashes,
-                "bitmap": bytes(self.bitmap).hex()}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "KeywordBloom":
-        """Decode :meth:`to_dict` output."""
-        return cls(int(payload["bits"]), int(payload["hashes"]),
-                   bytearray(bytes.fromhex(payload["bitmap"])))
+#: 4: no ownership map and no keyword filter — a shard's ownership is
+#: one rule, and a shard refuses an unknown keyword itself.
+ROUTING_VERSION = 4
 
 
 @dataclass
@@ -168,18 +92,13 @@ class ShardEntry:
 
 
 class RoutingManifest:
-    """The shard table + ownership map + keyword routing summary."""
+    """The shard table of one partitioned snapshot."""
 
     def __init__(self, shards: Sequence[ShardEntry],
-                 owners: Sequence[int], bloom: KeywordBloom,
                  index_radius: float,
                  source_snapshot: Optional[str] = None,
                  created_at: Optional[str] = None) -> None:
         self.shards = list(shards)
-        #: ``owners[g]`` is the shard id owning global node ``g``.
-        self.owners = list(owners)
-        #: Bloom summary of the base index's keywords.
-        self.bloom = bloom
         self.index_radius = float(index_radius)
         self.source_snapshot = source_snapshot
         self.created_at = created_at
@@ -202,30 +121,8 @@ class RoutingManifest:
 
     @property
     def total_nodes(self) -> int:
-        """Global node count (the length of the ownership map)."""
-        return len(self.owners)
-
-    def owner_of(self, global_node: int) -> int:
-        """The shard id owning ``global_node``."""
-        return self.owners[global_node]
-
-    # -- keyword routing ------------------------------------------------
-    def keyword_known(self, keyword: str) -> bool:
-        """Whether the fleet may index ``keyword``.
-
-        ``False`` is definitive (Blooms have no false negatives), so
-        the router can 400 an unknown keyword without a fan-out, just
-        like a single-snapshot server's ``require_keyword``.
-        """
-        return self.bloom.might_contain(keyword)
-
-    def shards_for(self, keywords: Sequence[str]) -> List[int]:
-        """Shard ids a query on ``keywords`` fans out to: every shard
-        when the Bloom admits every keyword (each shard holds the
-        whole index), none otherwise."""
-        if not all(self.keyword_known(kw) for kw in keywords):
-            return []
-        return [e.shard_id for e in self.shards]
+        """Global node count: every shard holds the whole graph."""
+        return self.shards[0].counts["nodes"] if self.shards else 0
 
     # -- persistence ----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -233,7 +130,8 @@ class RoutingManifest:
 
         Each shard row also carries ``node_map``, every global node
         id: readers of earlier layouts measure a shard's share of the
-        graph from it. Nothing here reads it back.
+        graph from it and ``total_nodes``. Nothing here reads either
+        back.
         """
         every_node = list(range(self.total_nodes))
         return {
@@ -244,8 +142,6 @@ class RoutingManifest:
             "source_snapshot": self.source_snapshot,
             "index_radius": self.index_radius,
             "total_nodes": self.total_nodes,
-            "owners": list(self.owners),
-            "bloom": self.bloom.to_dict(),
             "shards": [dict(e.to_dict(), node_map=every_node)
                        for e in self.shards],
         }
@@ -266,8 +162,6 @@ class RoutingManifest:
         return cls(
             shards=[ShardEntry.from_dict(e)
                     for e in payload["shards"]],
-            owners=[int(s) for s in payload["owners"]],
-            bloom=KeywordBloom.from_dict(payload["bloom"]),
             index_radius=float(payload["index_radius"]),
             source_snapshot=payload.get("source_snapshot"),
             created_at=payload.get("created_at"),

@@ -10,9 +10,10 @@ only the communities whose anchor it owns, on the whole base graph
 and in global ids (see :mod:`repro.shard.partition`), so shard
 answers are disjoint, their union is the unsharded answer, and the
 merge relabels nothing. :func:`filter_owned` keeps the answers a
-shard owns; the router uses it as a check, not a filter: a leg that
-returns an answer another shard owns is a shard failure, and none of
-its answers are merged.
+shard owns under the one ownership rule
+(:func:`~repro.shard.partition.owning_shard`); the router uses it as
+a check, not a filter: a leg that returns an answer another shard
+owns is a shard failure, and none of its answers are merged.
 
 **COMM-all.** Union the per-shard answers and sort by the canonical
 ``(cost, core)`` key. An unsharded PDall enumerates in DFS subspace
@@ -34,18 +35,19 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.community import Community, community_sort_key
+from repro.shard.partition import owning_shard
 
 
-def filter_owned(communities: Sequence[Community],
-                 owners: Sequence[int],
+def filter_owned(communities: Sequence[Community], shards: int,
                  shard_id: int) -> List[Community]:
-    """Keep the communities whose anchor ``core[0]`` ``shard_id`` owns.
+    """Keep the communities whose anchor ``core[0]`` shard
+    ``shard_id`` of ``shards`` owns.
 
     Preserves input order, so a cost-ordered stream stays
     cost-ordered.
     """
     return [c for c in communities
-            if owners[c.core[0]] == shard_id]
+            if owning_shard(c.core[0], shards) == shard_id]
 
 
 def merge_all(per_shard: Iterable[Sequence[Community]]

@@ -39,11 +39,7 @@ import numpy as np
 
 from repro.exceptions import QueryError, SnapshotError
 from repro.graph.database_graph import DatabaseGraph
-from repro.shard.manifest import (
-    KeywordBloom,
-    RoutingManifest,
-    ShardEntry,
-)
+from repro.shard.manifest import RoutingManifest, ShardEntry
 from repro.snapshot.snapshot import load_snapshot
 from repro.snapshot.store import SnapshotStore, locate_snapshot
 
@@ -53,15 +49,23 @@ PathLike = Union[str, Path]
 SHARD_DIR = "shards"
 
 
+def owning_shard(node: int, shards: int) -> int:
+    """The shard of ``shards`` that owns global node ``node``: the one
+    ownership rule, which :func:`partition_graph` writes into every
+    shard's ``owned`` section and :func:`~repro.shard.merge.
+    filter_owned` checks answers against."""
+    return node % shards
+
+
 def partition_graph(dbg: DatabaseGraph, shards: int) -> List[int]:
-    """The owning shard of every node of ``dbg``: node ``g`` goes to
-    shard ``g % shards``, so every shard owns at least one node."""
+    """The owning shard of every node of ``dbg``
+    (:func:`owning_shard`), so every shard owns at least one node."""
     if shards < 1:
         raise QueryError(f"need at least 1 shard, got {shards}")
     if shards > dbg.n:
         raise QueryError(
             f"cannot split {dbg.n} nodes into {shards} shards")
-    return [g % shards for g in range(dbg.n)]
+    return [owning_shard(g, shards) for g in range(dbg.n)]
 
 
 def partition_snapshot(source: PathLike, out_root: PathLike,
@@ -107,9 +111,8 @@ def partition_snapshot(source: PathLike, out_root: PathLike,
             counts=dict(published.counts),
         ))
     manifest = RoutingManifest(
-        shards=entries, owners=owners,
-        bloom=KeywordBloom.build(base.index.node_index.keywords()),
-        index_radius=base.radius, source_snapshot=base.id,
+        shards=entries, index_radius=base.radius,
+        source_snapshot=base.id,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                  time.gmtime()))
     return manifest, manifest.save(out_root)

@@ -1,20 +1,23 @@
 """Transport-agnostic routing policy behind the asyncio router.
 
 :class:`RouterCore` is everything the scatter-gather router knows
-that does **not** involve sockets or the event loop: validating query
-specs against the manifest's keyword Bloom, building per-shard leg
-payloads, checking that each shard answered only with communities it
-owns, merging one round of legs, assembling response envelopes with
-the partial-result contract, aggregating health rows, adopting new
-manifest generations, and rendering ``repro_router_*`` metrics. The
-front end (:class:`~repro.shard.aio.AsyncRouterService`) owns only
-*how* legs fan out; every routing decision is made here, where the
-unit tests can reach it without a socket.
+that does **not** involve sockets or the event loop: parsing query
+specs, building the leg payloads, checking that each shard answered
+only with communities it owns, merging one round of legs, passing a
+shard's refusal on as the router's own, assembling response
+envelopes with the partial-result contract, aggregating health rows,
+adopting new manifest generations, and rendering ``repro_router_*``
+metrics. The router decides nothing that a shard does not decide
+again: every query goes to every shard, and each shard holds the
+whole index, so an unknown keyword or an ``rmax`` above the index
+radius is refused by the shards exactly as the single box refuses
+it. The front end (:class:`~repro.shard.aio.AsyncRouterService`)
+owns only *how* legs fan out.
 
 Every request handler captures the manifest **once** via
 :meth:`RouterCore.capture` and threads it through the request: a
 concurrent ``/admin/reload`` swapping :attr:`RouterCore.manifest`
-mid-request can therefore never mix two generations' owner maps
+mid-request can therefore never mix two generations' shard tables
 inside one answer — the same capture-once discipline the engine
 applies to snapshots.
 
@@ -43,8 +46,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional,
 from repro.core.community import Community
 from repro.engine.registry import REGISTRY
 from repro.engine.spec import QuerySpec
-from repro.exceptions import QueryError, ServiceError, \
-    SnapshotFormatError
+from repro.exceptions import ServiceError, SnapshotFormatError
 from repro.service.client import ServiceClient
 from repro.service.errors import RETRYABLE_STATUSES, BadRequest
 from repro.service.http import push_snapshot
@@ -58,6 +60,7 @@ from repro.service.server import (
     _float_of,
     _parse_body,
     queries_of,
+    request_of,
     spec_of,
 )
 from repro.shard.manifest import RoutingManifest
@@ -111,17 +114,24 @@ def _should_failover(error: ServiceError) -> bool:
     return getattr(error, "status", 500) in RETRYABLE_STATUSES
 
 
+def _refused(result: Any) -> bool:
+    """Whether a leg's outcome is the shard refusing the request: a
+    4xx other than shedding (429), which the single box would answer
+    too. Transport failures, 503s and 5xxs are outages instead."""
+    return isinstance(result, ServiceError) \
+        and 400 <= result.status < 500 \
+        and result.status not in RETRYABLE_STATUSES
+
+
 class QueryPlan:
     """One parsed ``/query`` request, pinned to a manifest capture."""
 
     def __init__(self, manifest: RoutingManifest, spec: QuerySpec,
-                 deadline: Optional[float], want_labels: bool,
-                 eligible: List[int]) -> None:
+                 deadline: Optional[float], want_labels: bool) -> None:
         self.manifest = manifest
         self.spec = spec
         self.deadline = deadline
         self.want_labels = want_labels
-        self.eligible = eligible
         #: Node labels by global id, filled while absorbing legs
         #: (``None`` when the caller did not ask for labels).
         self.labels: Optional[Dict[str, str]] = \
@@ -188,39 +198,25 @@ class RouterCore:
     # ------------------------------------------------------------------
     # request parsing
     # ------------------------------------------------------------------
-    def routable_spec(self, payload: Dict[str, Any],
-                      manifest: RoutingManifest) -> QuerySpec:
-        """A validated :class:`QuerySpec` from one query payload.
-
-        Parsed by the backends' own :func:`~repro.service.server.
-        spec_of` (with the default registry, which every ``serve``
-        backend runs), then each keyword is checked against the
-        manifest's Bloom.
-        """
-        spec = spec_of(payload, REGISTRY)
-        for keyword in spec.keywords:
-            if not manifest.keyword_known(keyword):
-                raise QueryError(
-                    f"keyword {keyword!r} does not occur in the "
-                    f"database")
-        return spec
-
     def parse_query(self, body: bytes) -> QueryPlan:
-        """Parse one ``/query`` body against a manifest capture."""
+        """Parse one ``/query`` body against a manifest capture.
+
+        The spec is parsed by the backends' own :func:`~repro.service.
+        server.spec_of`, with the default registry every ``serve``
+        backend runs; what only the index can refuse, the shards
+        refuse (:meth:`reduce`).
+        """
         manifest = self.capture()
         payload = _parse_body(body)
-        spec = self.routable_spec(payload, manifest)
+        spec = spec_of(payload, REGISTRY)
         deadline = _float_of(payload, "deadline_seconds",
                              required=False)
         want_labels = bool(payload.get("labels", False))
-        eligible = manifest.shards_for(spec.keywords)
         self.count("queries")
-        return QueryPlan(manifest, spec, deadline, want_labels,
-                         eligible)
+        return QueryPlan(manifest, spec, deadline, want_labels)
 
     def parse_batch(self, body: bytes
-                    ) -> Tuple[RoutingManifest, List[QueryPlan],
-                               Optional[float], bool]:
+                    ) -> Tuple[List[QueryPlan], Optional[float], bool]:
         """Parse one ``/batch`` body into per-entry plans.
 
         All entries share one manifest capture — a batch must not
@@ -232,48 +228,28 @@ class RouterCore:
         deadline = _float_of(payload, "deadline_seconds",
                              required=False)
         want_labels = bool(payload.get("labels", False))
-        plans = []
-        for query in queries:
-            spec = self.routable_spec(query, manifest)
-            plans.append(QueryPlan(
-                manifest, spec, deadline, want_labels,
-                manifest.shards_for(spec.keywords)))
+        plans = [QueryPlan(manifest, spec_of(query, REGISTRY), deadline,
+                           want_labels) for query in queries]
         self.count("queries", len(plans))
         self.count("batches")
-        return manifest, plans, deadline, want_labels
+        return plans, deadline, want_labels
 
     # ------------------------------------------------------------------
     # leg payloads and leg interpretation
     # ------------------------------------------------------------------
     @staticmethod
-    def shard_payload(spec: QuerySpec, k: Optional[int],
-                      deadline: Optional[float],
+    def shard_payload(spec: QuerySpec, deadline: Optional[float],
                       labels: bool) -> Dict[str, Any]:
-        """The ``/query`` body one shard leg carries."""
-        payload: Dict[str, Any] = {
-            "keywords": list(spec.keywords),
-            "rmax": spec.rmax,
-            "mode": spec.mode,
-            "algorithm": spec.algorithm,
-            "aggregate": spec.aggregate,
-        }
-        if k is not None:
-            payload["k"] = k
+        """The ``/query`` body one shard leg carries: every field
+        :func:`~repro.service.server.spec_of` reads, as
+        :func:`~repro.service.server.request_of` writes it, plus the
+        request's deadline and labels options."""
+        payload = request_of(spec)
         if deadline is not None:
             payload["deadline_seconds"] = deadline
         if labels:
             payload["labels"] = True
         return payload
-
-    @staticmethod
-    def leg_empty(result: Any) -> bool:
-        """Whether a failed leg actually means "no answers here".
-
-        A shard 400s an unknown keyword (Bloom false positive routed
-        a query the shard cannot resolve); for the fleet that is an
-        empty contribution, not an outage.
-        """
-        return isinstance(result, BadRequest)
 
     def absorb(self, plan: QueryPlan, shard_id: int,
                result: Any) -> Optional[List[Community]]:
@@ -288,13 +264,11 @@ class RouterCore:
         merged. Collects node labels into ``plan.labels`` when the
         caller asked shards for them.
         """
-        if self.leg_empty(result):
-            return []
         if not isinstance(result, dict):
             return None
         raw = result.get("communities", [])
         answers = communities_from_dicts(raw)
-        if len(filter_owned(answers, plan.manifest.owners,
+        if len(filter_owned(answers, len(plan.manifest.shards),
                             shard_id)) != len(answers):
             self.count("ownership_violations")
             return None
@@ -308,28 +282,36 @@ class RouterCore:
 
     def reduce(self, plan: QueryPlan,
                responses: Dict[int, Any]) -> MergeOutcome:
-        """Merge one fan-out round of leg replies.
+        """Merge one fan-out round of leg replies, one per shard.
 
-        Top-k plans merge by ``(cost, core)`` and keep ``k`` (one
-        merge round, counted with its candidate depth); COMM-all
-        plans keep the whole union. Failed shards are counted as a
-        partial answer.
+        A leg the shard refused (a 4xx other than 429: an unknown
+        keyword, an ``rmax`` above the index radius, a field the
+        backend rejects) is raised as the router's own reply, with
+        the shard's status and message — the single box refuses the
+        same request, even when another shard's leg failed. Top-k
+        plans merge by ``(cost, core)`` and keep ``k`` (one merge
+        round, counted with its candidate depth); COMM-all plans keep
+        the whole union. Failed shards are counted as a partial
+        answer.
         """
+        shard_ids = sorted(responses)
+        for shard_id in shard_ids:
+            if _refused(responses[shard_id]):
+                raise responses[shard_id]
         legs = {shard_id: self.absorb(plan, shard_id,
                                       responses[shard_id])
-                for shard_id in plan.eligible}
+                for shard_id in shard_ids}
         if plan.spec.mode == "topk":
             outcome = merge_top_k(legs, plan.spec.k or 0)
             self.count("merge_rounds")
             self.count("merge_candidates", outcome.candidates)
             self.gauge("last_merge_depth", float(outcome.candidates))
         else:
-            answered = [s for s in plan.eligible
-                        if legs[s] is not None]
+            answered = [s for s in shard_ids if legs[s] is not None]
             outcome = MergeOutcome(
                 communities=merge_all(legs[s] for s in answered),
                 answered=answered,
-                failed=[s for s in plan.eligible if legs[s] is None])
+                failed=[s for s in shard_ids if legs[s] is None])
         if outcome.failed:
             self.count("partial_results")
         self.count("shard_failures", len(outcome.failed))
@@ -346,9 +328,9 @@ class RouterCore:
 
         Single-box fields (``count``/``communities``/``query``) plus
         the partial-result contract: ``shards_total`` is how many
-        shards the query needed, ``shards_answered`` how many
-        delivered; ``partial`` flags any gap. Clients that cannot
-        tolerate partial answers must check it — the status stays
+        shards the query went to (every shard), ``shards_answered``
+        how many delivered; ``partial`` flags any gap. Clients that
+        cannot tolerate partial answers must check it — the status stays
         200. ``shards_cached`` lists the shards whose legs were served
         from their result caches (``cached: true`` downstream).
         """
@@ -361,7 +343,7 @@ class RouterCore:
                     str(u): labels[str(u)] for u in community.nodes
                     if str(u) in labels}
             rendered.append(entry)
-        total = len(plan.eligible)
+        total = len(plan.manifest.shards)
         envelope: Dict[str, Any] = {
             "count": len(rendered),
             "communities": rendered,

@@ -37,7 +37,13 @@ Acceptance coverage for the router:
   unknown method the route table's 404 on an open connection, and
   ``Expect: 100-continue`` a ``100 Continue`` before the body;
 * **one request parser** — a query field the service refuses is a
-  400 from the router too, on ``/query`` and in a ``/batch`` entry.
+  400 from the router too, on ``/query`` and in a ``/batch`` entry;
+* **a shard's refusal is the router's** — an unknown keyword and an
+  ``rmax`` above the index radius get the single box's status and
+  message from the router, on ``/query`` and on ``/batch``;
+* **one request format** — every leg carries the whole spec, so a
+  ``budget_seconds`` censors a routed BU/TD COMM-all as it censors
+  the single box's.
 """
 
 import http.client
@@ -191,12 +197,17 @@ FIG4_BODIES = (
 )
 
 
+#: The index radius the fig4 fleet and its single box are built at.
+FIG4_INDEX_RADIUS = 10.0
+
+
 @pytest.fixture(scope="module")
 def fig4_fleet(tmp_path_factory):
     """The router over a two-shard fig4 fleet, and one unsharded
     service on the same graph."""
     tmp = tmp_path_factory.mktemp("fig4")
-    manifest = _partition(tmp, figure4_graph(), 10.0, "parts")
+    manifest = _partition(tmp, figure4_graph(), FIG4_INDEX_RADIUS,
+                          "parts")
     shards, urls = _start_backends(manifest, tmp / "parts")
     router = AsyncRouterService(manifest, urls,
                                 root=tmp / "parts").start()
@@ -615,6 +626,60 @@ def test_malformed_field_is_a_400_on_both_front_ends(fig4_fleet, front,
                 "POST", route, body, "application/json")
         status = excinfo.value.status
     assert status == 400
+
+
+def _refusal(service, route, body):
+    """The status and message ``service`` refuses ``body`` with."""
+    with pytest.raises(ServiceError) as excinfo:
+        ServiceClient(service.url, timeout=30.0).request_raw(
+            "POST", route, json.dumps(body).encode("utf-8"),
+            "application/json")
+    return excinfo.value.status, str(excinfo.value)
+
+
+#: Queries that only the index can refuse: the router holds no index,
+#: so every shard refuses them as the single box does.
+REFUSED_QUERIES = {
+    "rmax-above-index-radius": {"keywords": list(FIG4_QUERY),
+                                "rmax": FIG4_INDEX_RADIUS + 1,
+                                "k": 3},
+    "unknown-keyword": {"keywords": ["nosuchkeyword"],
+                        "rmax": FIG4_RMAX},
+}
+
+
+@pytest.mark.parametrize("route", ["/query", "/batch"])
+@pytest.mark.parametrize("case", sorted(REFUSED_QUERIES))
+def test_a_shards_refusal_is_the_routers(fig4_fleet, case, route):
+    """The router answers the single box's status and error text; a
+    refused ``/batch`` entry refuses the whole batch on both."""
+    router, single = fig4_fleet
+    query = REFUSED_QUERIES[case]
+    body = query if route == "/query" \
+        else {"queries": [dict(FIG4_BODIES[1]), query]}
+    want = _refusal(single, route, body)
+    assert want[0] == 400
+    assert _refusal(router, route, body) == want
+
+
+@pytest.mark.parametrize("route", ["/query", "/batch"])
+@pytest.mark.parametrize("algorithm", ["bu", "td"])
+def test_budget_reaches_every_leg(fig4_fleet, algorithm, route):
+    """A routed BU/TD COMM-all under a ``budget_seconds`` too small to
+    finish answers what the single box's budget censors it to."""
+    router, single = fig4_fleet
+    query = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX,
+             "mode": "all", "algorithm": algorithm,
+             "budget_seconds": 1e-9}
+    body = query if route == "/query" else {"queries": [query]}
+    replies = [ServiceClient(service.url, timeout=30.0).request(
+        "POST", route, body) for service in (router, single)]
+    if route == "/batch":
+        replies = [reply["results"][0] for reply in replies]
+    routed, want = replies
+    assert routed["partial"] is False
+    assert routed["count"] == want["count"]
+    assert _norm(routed) == _norm(want)
 
 
 class TestPropertyGraphIdentity:

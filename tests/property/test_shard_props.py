@@ -28,7 +28,12 @@ from repro.engine.engine import QueryEngine
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError
 from repro.graph.generators import random_database_graph
-from repro.shard import merge_all, merge_top_k, partition_snapshot
+from repro.shard import (
+    merge_all,
+    merge_top_k,
+    owning_shard,
+    partition_snapshot,
+)
 from repro.snapshot import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
@@ -90,7 +95,7 @@ def test_sharded_comm_all_equals_unsharded(case):
     # The shards split the enumeration: every answer is anchored on a
     # node its shard owns, and no two shards report the same core.
     for shard_id, answers in enumerate(per_shard):
-        assert all(manifest.owners[c.core[0]] == shard_id
+        assert all(owning_shard(c.core[0], shards) == shard_id
                    for c in answers)
     for left, right in combinations(per_shard, 2):
         assert not {c.core for c in left} & {c.core for c in right}

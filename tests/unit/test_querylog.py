@@ -6,7 +6,9 @@ import pytest
 
 from repro.analysis.hot_keys import hot_keys, warm_payloads
 from repro.engine import QuerySpec
+from repro.engine.registry import REGISTRY
 from repro.service.querylog import QueryLog
+from repro.service.server import spec_of
 
 
 def _spec(keywords=("a", "b"), rmax=8.0, k=3, **kwargs):
@@ -67,6 +69,24 @@ class TestQueryLog:
         assert query == {"keywords": ["a"], "rmax": 4.0,
                          "mode": "topk", "k": 2, "algorithm": "pd",
                          "aggregate": "sum"}
+
+    def test_every_row_replays_through_the_request_parser(self):
+        """A COMM-all row carries no ``k`` (the parser refuses a null
+        one), and no row carries the client's time budget."""
+        log = QueryLog()
+        every = QuerySpec(("a", "b"), 4.0, algorithm="bu",
+                          budget_seconds=1e-9)
+        log.record(every)
+        log.record(_spec(("c",)))
+        for row in log.top():
+            spec = spec_of(row["query"], REGISTRY)
+            assert spec.cache_key() == row["key"]
+            assert spec.budget_seconds is None
+        query = log.top(1)[0]["query"]
+        assert query == {"keywords": ["a", "b"], "rmax": 4.0,
+                         "mode": "all", "algorithm": "bu",
+                         "aggregate": "sum"}
+        assert log.top_specs(1)[0].cache_key() == every.cache_key()
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -36,13 +36,15 @@ def test_globalize_relabels_through_node_map():
 
 
 def test_filter_owned_keeps_anchored_answers_in_order():
-    owners = [0, 0, 1, 1]
-    answers = [_comm((0, 2), 1.0), _comm((2, 3), 2.0),
-               _comm((1, 3), 3.0)]
-    kept = filter_owned(answers, owners, 0)
-    assert [c.core for c in kept] == [(0, 2), (1, 3)]
-    kept1 = filter_owned(answers, owners, 1)
-    assert [c.core for c in kept1] == [(2, 3)]
+    """Of 2 shards, shard 0 owns the even anchors and shard 1 the odd
+    ones (node ``g`` belongs to shard ``g % 2``)."""
+    answers = [_comm((0, 2), 1.0), _comm((3, 4), 2.0),
+               _comm((2, 3), 3.0), _comm((1, 3), 4.0)]
+    kept = filter_owned(answers, 2, 0)
+    assert [c.core for c in kept] == [(0, 2), (2, 3)]
+    kept1 = filter_owned(answers, 2, 1)
+    assert [c.core for c in kept1] == [(3, 4), (1, 3)]
+    assert filter_owned(answers, 1, 0) == answers
 
 
 def test_merge_all_sorts_by_cost_then_core():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
     figure4_graph
+from repro.engine.spec import QuerySpec
 from repro.exceptions import (
     QueryError,
     SnapshotError,
@@ -17,9 +18,10 @@ from repro.exceptions import (
 from repro.graph.generators import random_database_graph
 from repro.shard import (
     ROUTING_NAME,
-    KeywordBloom,
+    RouterCore,
     RoutingManifest,
     is_routing_root,
+    owning_shard,
     partition_graph,
     partition_snapshot,
 )
@@ -51,22 +53,28 @@ def _shards(manifest, root):
             for e in manifest.shards]
 
 
+def _owned_by(manifest, shard_id):
+    """The nodes the ownership rule gives shard ``shard_id``."""
+    return [g for g in range(manifest.total_nodes)
+            if owning_shard(g, len(manifest.shards)) == shard_id]
+
+
 def test_every_node_owned_exactly_once():
     dbg = _random()
     owners = partition_graph(dbg, 3)
     assert owners == [g % 3 for g in range(dbg.n)]
+    assert owners == [owning_shard(g, 3) for g in range(dbg.n)]
     assert set(owners) == {0, 1, 2}
 
 
 def test_owned_nodes_are_members_and_node_map_sorted(tmp_path):
     """Each shard's ``owned`` section is sorted and names exactly the
-    nodes ``owners`` gives it, in the base graph's own ids."""
+    nodes the ownership rule gives it, in the base graph's own ids."""
     base, manifest, root = _published(tmp_path, _random(), shards=3)
     for entry, shard in zip(manifest.shards, _shards(manifest, root)):
         owned = shard.owned.tolist()
         assert owned == sorted(owned)
-        assert owned == [g for g, s in enumerate(manifest.owners)
-                         if s == entry.shard_id]
+        assert owned == _owned_by(manifest, entry.shard_id)
         assert shard.dbg.n == base.dbg.n == entry.counts["nodes"]
         assert entry.owned_nodes == len(owned)
 
@@ -108,7 +116,7 @@ def test_shard_subgraph_preserves_keywords_and_labels(tmp_path):
 def test_single_shard_is_whole_graph(tmp_path):
     dbg = _random()
     base, manifest, root = _published(tmp_path, dbg, shards=1)
-    assert manifest.owners == [0] * dbg.n
+    assert _owned_by(manifest, 0) == list(range(dbg.n))
     (shard,) = _shards(manifest, root)
     assert shard.owned.tolist() == list(range(dbg.n))
     assert shard.counts == base.counts
@@ -128,29 +136,57 @@ def test_partition_validation(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# KeywordBloom
+# keywords: the shards, not the router, know the vocabulary
 # ----------------------------------------------------------------------
-def test_bloom_has_no_false_negatives():
-    keys = [f"kw{i:04d}" for i in range(200)]
-    bloom = KeywordBloom.build(keys)
-    assert all(bloom.might_contain(k) for k in keys)
+def test_bloom_has_no_false_negatives(tmp_path):
+    """No shard refuses a keyword the base indexes: every shard
+    snapshot holds the base's whole vocabulary, and an engine on it
+    resolves every keyword."""
+    from repro.engine.engine import QueryEngine
+
+    base, manifest, root = _published(tmp_path, _random(n=24),
+                                      shards=3)
+    vocabulary = sorted(base.index.node_index.keywords())
+    assert vocabulary
+    for entry, shard in zip(manifest.shards, _shards(manifest, root)):
+        assert sorted(shard.index.node_index.keywords()) == vocabulary
+        engine = QueryEngine.from_snapshot(
+            root / entry.store / entry.snapshot_id)
+        for keyword in vocabulary:
+            engine.execute(QuerySpec.comm_all([keyword], 1.0))
 
 
-def test_bloom_rejects_most_absent_keys():
-    bloom = KeywordBloom.build([f"kw{i:04d}" for i in range(200)])
-    absent = [f"zz{i:04d}" for i in range(500)]
-    false_positives = sum(bloom.might_contain(k) for k in absent)
-    assert false_positives < 25          # ~1% expected at 10 bits/key
+def test_bloom_rejects_most_absent_keys(tmp_path):
+    """Every shard refuses an absent keyword with the base's own
+    error: that refusal, not a router-side filter, is what the
+    router answers."""
+    from repro.engine.engine import QueryEngine
+
+    base, manifest, root = _published(tmp_path, _random(), shards=2)
+    spec = QuerySpec.comm_all(["zz-absent"], 1.0)
+    with pytest.raises(QueryError) as single:
+        QueryEngine.from_snapshot(base.path).execute(spec)
+    for entry in manifest.shards:
+        with pytest.raises(QueryError) as shard:
+            QueryEngine.from_snapshot(
+                root / entry.store / entry.snapshot_id).execute(spec)
+        assert str(shard.value) == str(single.value)
 
 
-def test_bloom_json_round_trip():
-    bloom = KeywordBloom.build(["alpha", "beta"])
-    clone = KeywordBloom.from_dict(
-        json.loads(json.dumps(bloom.to_dict())))
-    assert clone.might_contain("alpha")
-    assert clone.might_contain("beta")
-    assert not clone.might_contain("gamma")
-    assert clone.bitmap == bloom.bitmap
+def test_bloom_json_round_trip(partitioned):
+    """``routing.json`` is version 4 and keeps no per-node or
+    per-keyword state: no ``owners``, no keyword filter. Each shard
+    row still lists ``node_map`` beside ``total_nodes`` for readers
+    that measure a shard's share of the graph."""
+    _, manifest, path, _ = partitioned
+    written = json.loads(path.read_text())
+    assert written["version"] == 4
+    assert not {"owners", "bloom"} & set(written)
+    assert written["total_nodes"] == manifest.total_nodes == 13
+    for row in written["shards"]:
+        assert row["node_map"] == list(range(13))
+    assert RoutingManifest.from_dict(json.loads(json.dumps(
+        manifest.to_dict()))).to_dict() == manifest.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +221,10 @@ def test_partition_snapshot_publishes_loadable_shards(partitioned):
 
 def test_shard_snapshots_carry_their_owned_sets(partitioned):
     """Each shard snapshot's ``owned`` section lists exactly the
-    nodes the manifest's ``owners`` map gives that shard, and an
-    engine on it answers only with communities anchored there —
-    materialized queries and PDk session streams alike."""
+    nodes the ownership rule gives that shard, and an engine on it
+    answers only with communities anchored there — materialized
+    queries and PDk session streams alike."""
     from repro.engine.engine import QueryEngine
-    from repro.engine.spec import QuerySpec
 
     _, manifest, _, tmp = partitioned
     answered = 0
@@ -197,8 +232,7 @@ def test_shard_snapshots_carry_their_owned_sets(partitioned):
         engine = QueryEngine.from_snapshot(
             tmp / "out" / entry.store / entry.snapshot_id)
         owned = set(engine.owned)
-        assert owned == {g for g, shard in enumerate(manifest.owners)
-                         if shard == entry.shard_id}
+        assert owned == set(_owned_by(manifest, entry.shard_id))
         assert len(owned) == entry.owned_nodes
         every = engine.run_all(QuerySpec.comm_all(FIG4_QUERY, FIG4_RMAX))
         streamed = engine.top_k_stream(list(FIG4_QUERY),
@@ -235,13 +269,13 @@ def test_routing_manifest_round_trip(partitioned):
     _, manifest, path, tmp = partitioned
     loaded = RoutingManifest.load(tmp / "out")
     assert loaded.generation == manifest.generation
-    assert loaded.owners == manifest.owners
+    assert loaded.total_nodes == manifest.total_nodes
     assert loaded.index_radius == manifest.index_radius
     assert [e.snapshot_id for e in loaded.shards] \
         == [e.snapshot_id for e in manifest.shards]
     assert [e.to_dict() for e in loaded.shards] \
         == [e.to_dict() for e in manifest.shards]
-    assert loaded.bloom.bitmap == manifest.bloom.bitmap
+    assert loaded.to_dict() == manifest.to_dict()
     # The file itself loads too.
     assert RoutingManifest.load(path).generation == manifest.generation
 
@@ -255,11 +289,18 @@ def test_is_routing_root(partitioned, tmp_path):
 
 
 def test_keyword_routing(partitioned):
+    """The router routes no keyword: a query on a keyword the fleet
+    indexes and one on a keyword it does not both parse into a plan
+    for every shard, and each leg carries the keywords as given
+    (sorted and case-folded, as every spec)."""
     _, manifest, _, _ = partitioned
-    assert manifest.keyword_known("a")
-    assert not manifest.keyword_known("definitely-not-a-keyword")
-    assert manifest.shards_for(["a", "b"])
-    assert manifest.shards_for(["definitely-not-a-keyword"]) == []
+    core = RouterCore(manifest)
+    for keywords in (["B", "a"], ["definitely-not-a-keyword"]):
+        plan = core.parse_query(json.dumps(
+            {"keywords": keywords, "rmax": 4.0}).encode())
+        assert plan.manifest is manifest
+        assert core.shard_payload(plan.spec, None, False)["keywords"] \
+            == sorted(kw.casefold() for kw in keywords)
 
 
 def test_manifest_rejects_wrong_kind_and_version(tmp_path):
@@ -269,8 +310,9 @@ def test_manifest_rejects_wrong_kind_and_version(tmp_path):
     with pytest.raises(SnapshotNotFoundError):
         RoutingManifest.load(tmp_path / "missing")
     # Version 1 predates shard snapshots carrying their owned sets;
-    # version 2 shards held relabeled subgraphs.
-    for version in (1, 2, 99):
+    # version 2 shards held relabeled subgraphs; version 3 kept an
+    # ownership array and a keyword filter.
+    for version in (1, 2, 3, 99):
         (tmp_path / ROUTING_NAME).write_text(json.dumps(
             {"kind": "routing-manifest", "version": version}))
         with pytest.raises(SnapshotFormatError,
@@ -286,12 +328,16 @@ def test_partition_requires_an_index(tmp_path):
 
 
 def test_repartition_is_structurally_stable(partitioned):
-    """Re-partitioning the same base reproduces the ownership map,
-    every shard snapshot id and the manifest generation: ids digest
-    the sections, and no section holds a build time."""
+    """Re-partitioning the same base reproduces every shard's owned
+    set, every shard snapshot id and the manifest generation: ids
+    digest the sections, and no section holds a build time."""
     _, manifest, _, tmp = partitioned
     again, _ = partition_snapshot(tmp / "store", tmp / "out2", 2)
-    assert again.owners == manifest.owners
+    assert [load_snapshot(tmp / "out2" / e.store / e.snapshot_id)
+            .owned.tolist() for e in again.shards] \
+        == [_owned_by(manifest, e.shard_id) for e in manifest.shards]
+    assert dict(again.to_dict(), created_at=None) \
+        == dict(manifest.to_dict(), created_at=None)
     assert [e.snapshot_id for e in again.shards] \
         == [e.snapshot_id for e in manifest.shards]
     assert again.generation == manifest.generation

@@ -20,8 +20,14 @@ from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX, \
 from repro.engine.engine import QueryEngine
 from repro.exceptions import ServiceError
 from repro.service import CommunityService, ServiceClient
+from repro.service.errors import (
+    BadRequest,
+    DeadlineExceeded,
+    Overloaded,
+    ServiceUnreachable,
+)
 from repro.service.serialize import community_to_dict
-from repro.shard import RouterCore, partition_snapshot
+from repro.shard import RouterCore, owning_shard, partition_snapshot
 from repro.shard.aio import AsyncRouterService
 from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
@@ -251,7 +257,8 @@ def test_leg_anchored_on_another_shards_node_is_a_shard_failure(
     body = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX}
     body.update({"k": 3} if mode == "topk" else {"mode": "all"})
     plan = core.parse_query(json.dumps(body).encode())
-    own0 = [g for g, shard in enumerate(manifest.owners) if shard == 0]
+    own0 = [g for g in range(manifest.total_nodes)
+            if owning_shard(g, len(manifest.shards)) == 0]
     owned_reply = {"communities": [_community([own0[0]], 1.0)]}
     foreign_reply = {"communities": [_community([own0[1]], 0.5)]}
     outcome = core.reduce(plan, {0: owned_reply, 1: foreign_reply})
@@ -265,6 +272,42 @@ def test_leg_anchored_on_another_shards_node_is_a_shard_failure(
     metrics = core.render_metrics(router.replica_sets)
     assert "repro_router_ownership_violations_total 1" in metrics
     assert "repro_router_shard_failures_total 1" in metrics
+
+
+@pytest.mark.parametrize("mode", ["topk", "all"])
+def test_a_legs_refusal_is_raised_and_an_outage_is_partial(fleet, mode):
+    """A shard's 400 is the router's reply, with the shard's status
+    and message, even when the other shard's leg timed out; a leg
+    that sheds (429), times out, is torn or answers 503 or 500
+    instead degrades the answer to a partial 200."""
+    _, _, manifest = fleet
+    core = RouterCore(manifest)
+    body = {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX}
+    body.update({"k": 3} if mode == "topk" else {"mode": "all"})
+    plan = core.parse_query(json.dumps(body).encode())
+    refusal = BadRequest("Rmax=11.0 exceeds the index radius R=10.0")
+    timeout = ServiceUnreachable("no answer within 10.0s")
+    for responses in ({0: refusal, 1: timeout},
+                      {0: timeout, 1: refusal}):
+        with pytest.raises(BadRequest) as excinfo:
+            core.reduce(plan, responses)
+        assert excinfo.value is refusal
+    own0 = next(g for g in range(manifest.total_nodes)
+                if owning_shard(g, len(manifest.shards)) == 0)
+    answered = {"communities": [_community([own0], 1.0)]}
+    torn = ServiceUnreachable("connection to the shard was torn")
+    failed = ServiceError("internal error")
+    failed.status = 500
+    for outage in (timeout, torn, DeadlineExceeded("deadline"),
+                   Overloaded("queue full"), failed):
+        outcome = core.reduce(plan, {0: answered, 1: outage})
+        assert outcome.failed == [1]
+        envelope = core.envelope(plan, outcome.communities,
+                                 answered=len(outcome.answered))
+        assert envelope["partial"] is True
+        assert envelope["shards_answered"] == 1
+        assert envelope["shards_total"] == 2
+        assert envelope["count"] == 1
 
 
 def _counter(router, name):
